@@ -63,25 +63,29 @@ def eligible_points(f, candidates: CandidateSet | None, beta):
 
 def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
     """Select up to k_cand keypoints: first the highest foreground score, then
-    repeatedly the eligible point farthest from all prior picks."""
+    repeatedly the eligible point farthest from all prior picks.
+
+    One distance row per pick keeps both the running distance to the picks
+    and the running eligibility (eligible_points, updated incrementally).
+    """
     if k_cand < 1:
         raise ContractError("k_cand must be >= 1")
     positions = np.asarray(positions, dtype=np.float64)
     f = np.asarray(f).ravel()
-    indices = []
-    coverage = np.zeros((0, len(f)), dtype=bool)
+    ok = eligible_points(f, None, beta)
+    nearest = None  # squared distance to the closest pick so far
+    indices, balls = [], []
     for _ in range(k_cand):
-        ok = eligible_points(f, CandidateSet(np.array(indices, dtype=np.int64), coverage), beta)
         if not ok.any():
             break
-        if not indices:
-            pick = int(np.argmax(np.where(ok, f, -np.inf)))
-        else:
-            d = kernels.min_sq_dist_to_set(positions, np.array(indices, dtype=np.int64))
-            pick = int(np.argmax(np.where(ok, d, -np.inf)))
+        pick = int(np.argmax(np.where(ok, f if nearest is None else nearest, -np.inf)))
+        d = kernels.min_sq_dist_to_set(positions, np.array([pick], dtype=np.int64))
+        nearest = d if nearest is None else np.minimum(nearest, d)
+        ball = d < rq * rq
+        ok &= ~ball
         indices.append(pick)
-        ball = kernels.min_sq_dist_to_set(positions, np.array([pick], dtype=np.int64)) < rq * rq
-        coverage = np.concatenate([coverage, ball[None]], axis=0)
+        balls.append(ball)
+    coverage = np.array(balls) if balls else np.zeros((0, len(f)), dtype=bool)
     return CandidateSet(indices=np.array(indices, dtype=np.int64), coverage=coverage)
 
 

@@ -7,6 +7,7 @@ are pure given their inputs, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -437,18 +438,33 @@ class ParamStore:
     @staticmethod
     def read_arrays(path):
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+
+            def read_exactly(n):
+                # checked against the file size first, so a corrupt length
+                # never asks for a huge buffer
+                left = size - fh.tell()
+                if n > left:
+                    raise ParseError(f"truncated checkpoint: wanted {n} bytes, {left} left")
+                return fh.read(n)
+
             if fh.read(4) != CHECKPOINT_MAGIC:
                 raise ParseError("bad checkpoint magic")
-            version, count = struct.unpack("<II", fh.read(8))
+            version, count = struct.unpack("<II", read_exactly(8))
             if version != CHECKPOINT_VERSION:
                 raise ParseError(f"unsupported checkpoint version {version}")
             arrays = {}
             for _ in range(count):
-                (nlen,) = struct.unpack("<I", fh.read(4))
-                name = fh.read(nlen).decode("utf-8")
-                rows, cols = struct.unpack("<II", fh.read(8))
-                buf = fh.read(rows * cols * 8)
+                (nlen,) = struct.unpack("<I", read_exactly(4))
+                try:
+                    name = read_exactly(nlen).decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ParseError("checkpoint parameter name is not UTF-8") from None
+                rows, cols = struct.unpack("<II", read_exactly(8))
+                buf = read_exactly(rows * cols * 8)
                 arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
+            if fh.read(1):
+                raise ParseError("trailing bytes after the last checkpoint array")
         return arrays
 
     def load(self, path):

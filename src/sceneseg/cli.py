@@ -120,9 +120,10 @@ def cmd_eval(pred_dir, gt_dir, out_dir):
     n_class = 0
     for sid, scene in gts.items():
         n_class = max(n_class, scene.n_class)
-        partition = scenegen.build_superpoints(scene, cfgmod.DEFAULTS["superpoints.coarse_size"][1])
-        gt_objs[sid] = scenegen.ground_truth(scene, partition)
+        gt_objs[sid] = scenegen.ground_truth(scene)
         _, _, preds[sid] = inference.read_predictions(pred_paths[sid])
+        if any(len(inst.point_mask) != scene.n_points for inst in preds[sid]):
+            raise DataError(f"{pred_paths[sid].name}: mask length differs from the scene's points")
     report = inference.evaluate(preds, gt_objs, n_class)
     (out_dir / "report.csv").write_text(inference.report_csv(report))
     text = inference.report_text(report, scenegen.CLASS_NAMES)

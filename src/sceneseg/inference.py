@@ -131,20 +131,25 @@ def evaluate(preds_per_scene, gts_per_scene, n_class, thresholds=None) -> EvalRe
                 if inst.class_id == c:
                     pooled.append((-inst.final_score, order, rank, sid, inst))
         pooled.sort(key=lambda t: t[:3])
+        # IoU of each prediction with every same-class gt instance of its
+        # scene, computed once and shared by all thresholds
+        candidates = []
+        for _, _, _, sid, inst in pooled:
+            gt = gts_per_scene[sid]
+            js = [j for j in range(len(gt.instance_classes)) if gt.instance_classes[j] == c]
+            candidates.append(
+                (sid, [(j, iou_points(inst.point_mask, gt.point_masks[j])) for j in js])
+            )
         for t in all_thresholds:
             matched = {
                 sid: np.zeros(len(gts_per_scene[sid].instance_classes), dtype=bool)
                 for sid in scene_ids
             }
             flags = []
-            for _, _, _, sid, inst in pooled:
-                gt = gts_per_scene[sid]
+            for sid, ious in candidates:
                 best_iou, best_j = 0.0, -1
-                for j in range(len(gt.instance_classes)):
-                    if gt.instance_classes[j] != c or matched[sid][j]:
-                        continue
-                    v = iou_points(inst.point_mask, gt.point_masks[j])
-                    if v > best_iou:
+                for j, v in ious:
+                    if not matched[sid][j] and v > best_iou:
                         best_iou, best_j = v, j
                 if best_j >= 0 and best_iou >= t:
                     matched[sid][best_j] = True
@@ -172,23 +177,18 @@ def evaluate(preds_per_scene, gts_per_scene, n_class, thresholds=None) -> EvalRe
 
 def _rle_encode(mask):
     """Run lengths of a boolean mask, alternating and starting with zeros."""
-    mask = np.asarray(mask, dtype=bool)
-    runs = []
-    cur, count = False, 0
-    for v in mask:
-        if v == cur:
-            count += 1
-        else:
-            runs.append(count)
-            cur, count = v, 1
-    runs.append(count)
-    return runs
+    mask = np.asarray(mask, dtype=bool).ravel()
+    bounds = np.concatenate(([0], np.flatnonzero(mask[1:] != mask[:-1]) + 1, [len(mask)]))
+    runs = np.diff(bounds).tolist()
+    return [0] + runs if len(mask) and mask[0] else runs
 
 
 def _rle_decode(runs, n):
     out = np.zeros(n, dtype=bool)
     pos, cur = 0, False
     for r in runs:
+        if r < 0:
+            raise ParseError(f"negative run length {r}")
         if cur:
             out[pos : pos + r] = True
         pos += r
@@ -201,7 +201,7 @@ def _rle_decode(runs, n):
 def write_predictions(path, scene_id, n_points, n_superpoints, instances):
     lines = [f"scene {scene_id} {n_points} {n_superpoints}"]
     for inst in instances:
-        runs = " ".join(str(r) for r in _rle_encode(inst.point_mask))
+        runs = " ".join(map(str, _rle_encode(inst.point_mask)))
         lines.append(f"instance {inst.class_id} {inst.final_score!r} {runs}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -210,25 +210,33 @@ def write_predictions(path, scene_id, n_points, n_superpoints, instances):
 def read_predictions(path):
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("scene "):
+    header = lines[0].split() if lines else []
+    if len(header) != 4 or header[0] != "scene":
         raise ParseError("missing scene header", line=1)
-    _, scene_id, n_points, n_sp = lines[0].split()
-    n_points = int(n_points)
+    _, scene_id, n_points, n_sp = header
+    try:
+        n_points, n_sp = int(n_points), int(n_sp)
+    except ValueError:
+        raise ParseError("non-integer point or superpoint count", line=1) from None
     instances = []
     for ln, text in enumerate(lines[1:], start=2):
         parts = text.split()
-        if parts[0] != "instance" or len(parts) < 4:
+        if len(parts) < 4 or parts[0] != "instance":
             raise ParseError("bad instance line", line=ln)
-        mask = _rle_decode([int(v) for v in parts[3:]], n_points)
+        try:
+            class_id, score = int(parts[1]), float(parts[2])
+            runs = [int(v) for v in parts[3:]]
+        except ValueError:
+            raise ParseError("non-numeric instance value", line=ln) from None
         instances.append(
             InstanceResult(
-                class_id=int(parts[1]),
-                final_score=float(parts[2]),
+                class_id=class_id,
+                final_score=score,
                 sp_mask=None,
-                point_mask=mask,
+                point_mask=_rle_decode(runs, n_points),
             )
         )
-    return scene_id, int(n_sp), instances
+    return scene_id, n_sp, instances
 
 
 def report_csv(report: EvalReport):

@@ -52,8 +52,11 @@ class Scene:
             sel = self.instance == k
             if sel.sum() < MIN_INSTANCE_POINTS:
                 raise DataError(f"instance {k} has fewer than {MIN_INSTANCE_POINTS} points")
-            if len(np.unique(self.semantic[sel])) != 1:
+            classes = np.unique(self.semantic[sel])
+            if len(classes) != 1:
                 raise DataError(f"instance {k} mixes semantic classes")
+            if not 0 <= classes[0] < self.n_class:
+                raise DataError(f"instance {k} has class {classes[0]} outside [0, {self.n_class})")
 
 
 @dataclass
@@ -70,7 +73,7 @@ class SuperpointPartition:
 class GroundTruth:
     instance_classes: np.ndarray  # K_gt
     point_masks: np.ndarray  # K_gt x N bool
-    superpoint_masks: np.ndarray  # K_gt x M bool
+    superpoint_masks: np.ndarray | None  # K_gt x M bool; None when built for evaluation
 
 
 @dataclass
@@ -233,7 +236,9 @@ def gt_superpoint_masks(partition: SuperpointPartition, point_masks):
     return out
 
 
-def ground_truth(scene: Scene, partition: SuperpointPartition) -> GroundTruth:
+def ground_truth(scene: Scene, partition: SuperpointPartition | None = None) -> GroundTruth:
+    """Instance classes and point masks; superpoint masks only when a
+    partition is given (training needs them, evaluation does not)."""
     pm = gt_point_masks(scene)
     classes = np.array(
         [scene.semantic[scene.instance == i][0] for i in range(len(pm))], dtype=np.int64
@@ -241,7 +246,7 @@ def ground_truth(scene: Scene, partition: SuperpointPartition) -> GroundTruth:
     return GroundTruth(
         instance_classes=classes,
         point_masks=pm,
-        superpoint_masks=gt_superpoint_masks(partition, pm),
+        superpoint_masks=None if partition is None else gt_superpoint_masks(partition, pm),
     )
 
 
@@ -249,10 +254,14 @@ def ground_truth(scene: Scene, partition: SuperpointPartition) -> GroundTruth:
 # PLY I/O (ASCII, with semantic/instance integer properties)
 
 
+_PLY_ROW = "%.8f %.8f %.8f %.8f %.8f %.8f %d %d\n"
+_PLY_CHUNK = 4096  # rows formatted per write; bounds the text held in memory
+
+
 def write_ply(path, scene: Scene, color_override=None):
     """ASCII PLY dump; color_override (N x 3 floats) replaces stored colors."""
-    cols = color_override if color_override is not None else scene.colors
-    lines = [
+    cols = np.asarray(color_override if color_override is not None else scene.colors)
+    header = [
         "ply",
         "format ascii 1.0",
         f"element vertex {scene.n_points}",
@@ -267,15 +276,54 @@ def write_ply(path, scene: Scene, color_override=None):
         f"comment n_class {scene.n_class}",
         "end_header",
     ]
-    for p, c, s, i in zip(scene.positions, cols, scene.semantic, scene.instance):
-        lines.append(
-            f"{p[0]:.8f} {p[1]:.8f} {p[2]:.8f} {c[0]:.8f} {c[1]:.8f} {c[2]:.8f} {s} {i}"
-        )
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for start in range(0, scene.n_points, _PLY_CHUNK):
+            stop = min(start + _PLY_CHUNK, scene.n_points)
+            block = np.empty((stop - start, 8), dtype=object)
+            block[:, :3] = scene.positions[start:stop]
+            block[:, 3:6] = cols[start:stop]
+            block[:, 6] = scene.semantic[start:stop]
+            block[:, 7] = scene.instance[start:stop]
+            fh.write((_PLY_ROW * (stop - start)) % tuple(block.ravel().tolist()))
+
+
+_COLOR_PROPS = ["x", "y", "z", "red", "green", "blue"]
+
+
+def _vertex_dtype(props):
+    """One field per property: coordinates, colours and any extra property as
+    float64, the semantic and instance labels as int64."""
+    return np.dtype(
+        [
+            (f"c{k}", np.int64 if name in ("semantic", "instance") else np.float64)
+            for k, name in enumerate(props)
+        ]
+    )
+
+
+def _bad_vertex_line(body, props, first_line):
+    """ParseError naming the first vertex line that does not parse."""
+    dtype = _vertex_dtype(props)
+    for i, text in enumerate(body):
+        found = len(text.split())
+        if found != len(props):
+            return ParseError(
+                f"expected {len(props)} values, found {found}", line=first_line + i
+            )
+        try:
+            np.loadtxt([text], dtype=dtype, comments=None)
+        except ValueError:
+            return ParseError("non-numeric vertex value", line=first_line + i)
+    return ParseError("malformed vertex data", line=first_line)
 
 
 def read_ply(path) -> Scene:
+    """Parse an ASCII PLY written by write_ply.
+
+    Coordinates and colours must be finite and the scene must pass
+    Scene.validate; a malformed file raises ParseError, bad values DataError.
+    """
     with open(path) as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0].strip() != "ply":
@@ -286,43 +334,48 @@ def read_ply(path) -> Scene:
     body_at = None
     for ln, text in enumerate(raw[1:], start=2):
         t = text.strip()
-        if t.startswith("element vertex"):
-            try:
+        try:
+            if t.startswith("element vertex"):
                 n_vertex = int(t.split()[-1])
-            except ValueError:
-                raise ParseError("bad vertex count", line=ln)
-        elif t.startswith("property"):
-            props.append(t.split()[-1])
-        elif t.startswith("comment n_class"):
-            n_class = int(t.split()[-1])
-        elif t == "end_header":
-            body_at = ln
-            break
+            elif t.startswith("property"):
+                props.append(t.split()[-1])
+            elif t.startswith("comment n_class"):
+                n_class = int(t.split()[-1])
+            elif t == "end_header":
+                body_at = ln
+                break
+        except ValueError:
+            raise ParseError(f"bad header line {t!r}", line=ln) from None
     if body_at is None or n_vertex is None:
         raise ParseError("missing end_header or vertex element", line=len(raw))
-    needed = ["x", "y", "z", "red", "green", "blue"]
-    if props[:6] != needed:
-        raise ParseError(f"expected properties {needed}, got {props[:6]}", line=body_at)
-    has_labels = "semantic" in props and "instance" in props
+    if n_vertex < 1:
+        raise ParseError(f"vertex count must be positive, got {n_vertex}", line=body_at)
+    if props[:6] != _COLOR_PROPS:
+        raise ParseError(f"expected properties {_COLOR_PROPS}, got {props[:6]}", line=body_at)
     body = raw[body_at : body_at + n_vertex]
     if len(body) != n_vertex:
         raise ParseError(
             f"expected {n_vertex} vertex lines, found {len(body)}", line=len(raw)
         )
-    pts = np.empty((n_vertex, 6))
-    sem = np.zeros(n_vertex, dtype=np.int64)
-    inst = np.full(n_vertex, FLOOR_INSTANCE, dtype=np.int64)
-    for i, text in enumerate(body):
-        parts = text.split()
-        if len(parts) != len(props):
-            raise ParseError(
-                f"expected {len(props)} values, found {len(parts)}", line=body_at + 1 + i
-            )
-        try:
-            pts[i] = [float(v) for v in parts[:6]]
-            if has_labels:
-                sem[i] = int(parts[props.index("semantic")])
-                inst[i] = int(parts[props.index("instance")])
-        except ValueError:
-            raise ParseError("non-numeric vertex value", line=body_at + 1 + i)
-    return Scene(points=pts, semantic=sem, instance=inst, n_class=n_class)
+    try:
+        table = np.loadtxt(body, dtype=_vertex_dtype(props), comments=None, ndmin=1)
+    except ValueError:
+        table = None
+    # loadtxt skips blank lines, so a short table also marks a bad line
+    if table is None or len(table) != n_vertex:
+        raise _bad_vertex_line(body, props, body_at + 1)
+    pts = np.stack([table[f"c{k}"] for k in range(6)], axis=1)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise DataError(
+            f"line {body_at + 1 + int(np.argmin(finite))}: non-finite coordinate or colour"
+        )
+    if "semantic" in props and "instance" in props:
+        sem = np.ascontiguousarray(table[f"c{props.index('semantic')}"])
+        inst = np.ascontiguousarray(table[f"c{props.index('instance')}"])
+    else:
+        sem = np.zeros(n_vertex, dtype=np.int64)
+        inst = np.full(n_vertex, FLOOR_INSTANCE, dtype=np.int64)
+    scene = Scene(points=pts, semantic=sem, instance=inst, n_class=n_class)
+    scene.validate()
+    return scene

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sceneseg import aggregation as agg, autodiff as ad, kernels, scenegen
 from sceneseg.errors import ContractError
 
-from helpers import finite_diff, rel_err
+from helpers import candidate_sample_quadratic, finite_diff, rel_err
 
 
 class TestForegroundHead:
@@ -90,6 +90,26 @@ class TestIterativeCandidateSample:
         cands = agg.iterative_candidate_sample(pos, f, 0.3, 3, rq=0.5)
         assert cands.indices[0] == 0
         np.testing.assert_array_equal(cands.coverage[0], [True, True, True, False, False])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 7), min_size=1, max_size=40),
+        st.lists(st.sampled_from([0.1, 0.3, 0.6, 0.9]), min_size=40, max_size=40),
+        st.integers(0, 10_000),
+        st.sampled_from([0.0, 0.3, 0.5]),
+        st.integers(1, 10),
+        st.sampled_from([0.0, 0.4, 1.0, 3.0]),
+    )
+    def test_matches_quadratic_oracle(self, which, scores, seed, beta, k_cand, rq):
+        # few distinct positions and scores: duplicate points and ties
+        base = np.random.default_rng(seed).integers(0, 3, size=(8, 3)).astype(np.float64)
+        pos = base[which]
+        f = np.array(scores[: len(which)])
+        got = agg.iterative_candidate_sample(pos, f, beta, k_cand, rq)
+        want = candidate_sample_quadratic(pos, f, beta, k_cand, rq)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.coverage, want.coverage)
+        assert got.coverage.shape == want.coverage.shape
 
 
 class TestSuperpointAvgPool:

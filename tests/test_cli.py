@@ -251,3 +251,80 @@ class TestExitCodes:
              "--out", str(tmp_path / "o")]
         )
         assert code == 3
+
+
+class TestBadInputExitCodes:
+    """Each malformed input exits 3 with a one-line message, never 0 or 1."""
+
+    @pytest.fixture()
+    def predict(self, workspace, tmp_path):
+        def go(scene=None, checkpoint=None):
+            return run(
+                ["predict",
+                 "--checkpoint", str(checkpoint or workspace / "runs" / "checkpoint.psgw"),
+                 "--scene", str(scene or workspace / "data" / "scene_000.ply"),
+                 "--out", str(tmp_path / "o")]
+            )
+
+        return go
+
+    @pytest.fixture()
+    def eval_one(self, workspace, tmp_path):
+        """Evaluate one ground-truth scene against one prediction file."""
+
+        def go(scene, pred_text):
+            gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+            gt_dir.mkdir()
+            pred_dir.mkdir()
+            scenegen.write_ply(gt_dir / "scene_000.ply", scene)
+            (pred_dir / "scene_000.pred.txt").write_text(pred_text)
+            return cli.main(
+                ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(tmp_path / "e")]
+            )
+
+        return go
+
+    @pytest.fixture()
+    def scene(self, workspace):
+        return scenegen.read_ply(workspace / "data" / "scene_000.ply")
+
+    @pytest.mark.parametrize("column, token", [(0, "nan"), (2, "-inf"), (3, "nan"), (5, "inf")])
+    def test_non_finite_ply_value(self, workspace, tmp_path, predict, column, token):
+        lines = (workspace / "data" / "scene_000.ply").read_text().splitlines()
+        at = lines.index("end_header") + 1
+        parts = lines[at].split()
+        parts[column] = token
+        lines[at] = " ".join(parts)
+        bad = tmp_path / "bad.ply"
+        bad.write_text("\n".join(lines) + "\n")
+        assert predict(scene=bad) == 3
+
+    def test_non_contiguous_instance_ids(self, scene, eval_one):
+        last = scene.n_instances - 1
+        scene.instance[scene.instance == last] = last + 2
+        assert eval_one(scene, f"scene scene_000 {scene.n_points} 1\n") == 3
+
+    def test_instance_class_out_of_range(self, scene, eval_one):
+        scene.semantic[scene.instance == 0] = scene.n_class
+        assert eval_one(scene, f"scene scene_000 {scene.n_points} 1\n") == 3
+
+    def test_blank_line_in_predictions(self, scene, eval_one):
+        n = scene.n_points
+        text = f"scene scene_000 {n} 1\n\ninstance 0 0.5 0 {n}\n"
+        assert eval_one(scene, text) == 3
+
+    def test_prediction_mask_length_differs(self, scene, eval_one):
+        n = scene.n_points
+        assert eval_one(scene, f"scene scene_000 {n + 1} 1\ninstance 0 0.5 0 {n + 1}\n") == 3
+
+    def test_truncated_checkpoint(self, workspace, tmp_path, predict):
+        raw = (workspace / "runs" / "checkpoint.psgw").read_bytes()
+        bad = tmp_path / "short.psgw"
+        bad.write_bytes(raw[:-8])
+        assert predict(checkpoint=bad) == 3
+
+    def test_checkpoint_trailing_bytes(self, workspace, tmp_path, predict):
+        raw = (workspace / "runs" / "checkpoint.psgw").read_bytes()
+        bad = tmp_path / "long.psgw"
+        bad.write_bytes(raw + b"\x00")
+        assert predict(checkpoint=bad) == 3

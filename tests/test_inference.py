@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import rle_encode_loop
 from sceneseg import autodiff as ad, inference, scenegen
 from sceneseg.decoder import LayerPrediction
 from sceneseg.errors import ContractError, ParseError
@@ -231,6 +234,22 @@ class TestEvaluate:
         assert rep.ap[(0, 0.5)] == 1.0
         assert rep.ap[(0, 0.75)] == 0.0
 
+    def test_each_pair_iou_computed_once(self, monkeypatch):
+        calls = []
+        iou = inference.iou_points
+        monkeypatch.setattr(
+            inference, "iou_points", lambda a, b: calls.append(1) or iou(a, b)
+        )
+        gt = make_gt([0, 0, 1], [[1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]])
+        preds = [
+            InstanceResult(0, 0.9, None, np.array([1, 1, 0, 0, 0], bool)),
+            InstanceResult(0, 0.8, None, np.array([0, 1, 1, 0, 0], bool)),
+            InstanceResult(1, 0.7, None, np.array([0, 0, 0, 1, 1], bool)),
+        ]
+        rep = inference.evaluate({0: preds}, {0: gt}, 2)
+        assert len(calls) == 2 * 2 + 1  # same-class (prediction, gt) pairs
+        assert rep.ap[(0, 0.5)] == 0.5 and rep.ap[(1, 0.5)] == 1.0
+
     def test_superpoint_split_bit_identical(self):
         # refining the superpoint partition (same point masks) changes nothing
         gt = make_gt([0], [[1, 1, 0, 0]])
@@ -251,6 +270,14 @@ class TestRle:
             mask = rng.uniform(size=n) < rng.uniform()
             runs = inference._rle_encode(mask)
             np.testing.assert_array_equal(inference._rle_decode(runs, n), mask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(bool, st.integers(0, 300)))
+    @example(np.zeros(0, bool))
+    @example(np.ones(7, bool))
+    @example(np.zeros(7, bool))
+    def test_matches_loop_oracle(self, mask):
+        assert inference._rle_encode(mask) == rle_encode_loop(mask)
 
     def test_starts_with_zero_run(self):
         assert inference._rle_encode(np.array([1, 1, 0], bool)) == [0, 2, 1]
@@ -287,6 +314,30 @@ class TestPredictionFiles:
         p = tmp_path / "bad.txt"
         p.write_text("nope\n")
         with pytest.raises(ParseError):
+            inference.read_predictions(p)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            ("scene s 4\n", 1),
+            ("scene s four 1\n", 1),
+            ("scene s 4 1\n\ninstance 0 0.5 1 3\n", 2),
+            ("scene s 4 1\ninstance 0 0.5\n", 2),
+            ("scene s 4 1\ninstance 0 0.5 1 x\n", 2),
+            ("scene s 4 1\ninstance zero 0.5 1 3\n", 2),
+        ],
+    )
+    def test_malformed_lines_name_the_line(self, tmp_path, body, line):
+        p = tmp_path / "bad.pred.txt"
+        p.write_text(body)
+        with pytest.raises(ParseError) as info:
+            inference.read_predictions(p)
+        assert info.value.line == line
+
+    def test_negative_run_rejected(self, tmp_path):
+        p = tmp_path / "bad.pred.txt"
+        p.write_text("scene s 4 1\ninstance 0 0.5 6 -2\n")
+        with pytest.raises(ParseError, match="negative"):
             inference.read_predictions(p)
 
 

@@ -1,8 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import read_ply_loop, write_ply_loop
 from sceneseg import scenegen
-from sceneseg.errors import ContractError, ParseError
+from sceneseg.errors import ContractError, DataError, ParseError
+
+FINITE = st.floats(-1e4, 1e4, allow_nan=False)
+
+
+@st.composite
+def labelled_scenes(draw):
+    """Valid scenes in shuffled point order: background (-1) points plus up
+    to three instances of at least MIN_INSTANCE_POINTS points each."""
+    sizes = draw(st.lists(st.integers(10, 13), max_size=3))
+    classes = draw(st.lists(st.integers(0, 2), min_size=len(sizes), max_size=len(sizes)))
+    n_bg = draw(st.integers(0 if sizes else 1, 6))
+    instance = np.repeat(np.arange(-1, len(sizes)), [n_bg] + sizes)
+    semantic = np.repeat([-1] + classes, [n_bg] + sizes)
+    order = np.array(draw(st.permutations(range(len(instance)))), dtype=np.int64)
+    points = draw(arrays(np.float64, (len(instance), 6), elements=FINITE))
+    return scenegen.Scene(
+        points=points, semantic=semantic[order], instance=instance[order], n_class=3
+    )
+
+
+def ply_lines(path):
+    return path.read_text().splitlines()
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +157,102 @@ class TestPly:
         assert np.array_equal(back.semantic, scene.semantic)
         assert np.array_equal(back.instance, scene.instance)
         assert back.n_class == scene.n_class
+
+    @settings(max_examples=60, deadline=None)
+    @given(labelled_scenes(), st.booleans(), st.data())
+    def test_matches_loop_oracle(self, tmp_path_factory, scene, override, data):
+        colors = None
+        if override:
+            colors = data.draw(arrays(np.float64, (scene.n_points, 3), elements=FINITE))
+        tmp = tmp_path_factory.mktemp("ply")
+        fast, loop = tmp / "fast.ply", tmp / "loop.ply"
+        scenegen.write_ply(fast, scene, color_override=colors)
+        write_ply_loop(loop, scene, color_override=colors)
+        assert fast.read_bytes() == loop.read_bytes()
+        got, want = scenegen.read_ply(fast), read_ply_loop(fast)
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.semantic, want.semantic)
+        assert np.array_equal(got.instance, want.instance)
+        assert got.n_class == want.n_class
+
+    def test_chunked_write_matches_loop_oracle(self, tmp_path):
+        n = 2 * scenegen._PLY_CHUNK + 17  # two full chunks and a partial one
+        scene = scenegen.generate_scene(5, scenegen.SceneSpec(n_points=n))
+        colors = np.random.default_rng(0).uniform(size=(n, 3))
+        scenegen.write_ply(tmp_path / "fast.ply", scene, color_override=colors)
+        write_ply_loop(tmp_path / "loop.ply", scene, color_override=colors)
+        assert (tmp_path / "fast.ply").read_bytes() == (tmp_path / "loop.ply").read_bytes()
+
+    def test_unlabelled_file_reads_as_background(self, tmp_path):
+        path = tmp_path / "bare.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property float red\nproperty float green\nproperty float blue\n"
+            "end_header\n0 0 0 1 1 1\n1 2 3 0.5 0.5 0.5\n"
+        )
+        back = scenegen.read_ply(path)
+        assert back.points.tolist() == [[0, 0, 0, 1, 1, 1], [1, 2, 3, 0.5, 0.5, 0.5]]
+        assert back.semantic.tolist() == [0, 0] and back.instance.tolist() == [-1, -1]
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", [0, 2, 4])
+    def test_non_finite_value_rejected(self, tmp_path, scene, token, column):
+        path = tmp_path / "scene.ply"
+        scenegen.write_ply(path, scene)
+        lines = ply_lines(path)
+        at = lines.index("end_header") + 5
+        parts = lines[at].split()
+        parts[column] = token
+        lines[at] = " ".join(parts)
+        write_lines(path, lines)
+        with pytest.raises(DataError, match=f"line {at + 1}"):
+            scenegen.read_ply(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda parts: parts[:7], "expected 8 values, found 7"),
+            (lambda parts: [], "expected 8 values, found 0"),
+            (lambda parts: parts[:6] + ["3.0", parts[7]], "non-numeric"),
+            (lambda parts: ["x"] + parts[1:], "non-numeric"),
+        ],
+    )
+    def test_bad_vertex_line_named(self, tmp_path, scene, edit, message):
+        path = tmp_path / "scene.ply"
+        scenegen.write_ply(path, scene)
+        lines = ply_lines(path)
+        at = lines.index("end_header") + 9
+        lines[at] = " ".join(edit(lines[at].split()))
+        write_lines(path, lines)
+        with pytest.raises(ParseError, match=message) as info:
+            scenegen.read_ply(path)
+        assert info.value.line == at + 1
+
+    def test_bad_header_value(self, tmp_path, scene):
+        path = tmp_path / "scene.ply"
+        scenegen.write_ply(path, scene)
+        lines = ply_lines(path)
+        lines[lines.index(f"comment n_class {scene.n_class}")] = "comment n_class three"
+        write_lines(path, lines)
+        with pytest.raises(ParseError, match="header"):
+            scenegen.read_ply(path)
+
+    def test_non_contiguous_instances_rejected(self, tmp_path, scene):
+        gap = scenegen.Scene(
+            scene.points, scene.semantic, np.where(scene.instance == 4, 7, scene.instance), 3
+        )
+        scenegen.write_ply(tmp_path / "gap.ply", gap)
+        with pytest.raises(DataError, match="contiguous"):
+            scenegen.read_ply(tmp_path / "gap.ply")
+
+    def test_class_out_of_range_rejected(self, tmp_path, scene):
+        bad = scenegen.Scene(
+            scene.points, np.where(scene.instance == 0, 3, scene.semantic), scene.instance, 3
+        )
+        scenegen.write_ply(tmp_path / "bad.ply", bad)
+        with pytest.raises(DataError, match="class 3"):
+            scenegen.read_ply(tmp_path / "bad.ply")
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.ply"
