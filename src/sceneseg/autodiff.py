@@ -244,6 +244,64 @@ def softmax_rows(x, extra=None):
     return out
 
 
+def attention(q, k, v, heads, mask=None, capture=None):
+    """Multi-head scaled dot-product attention of q's rows over k's and v's.
+
+    q is K x d and k, v are M x d. Column block h (width d/heads) of each
+    attends on its own, and the heads' outputs are concatenated into K x d.
+    `mask` is a constant K x M additive {0, -inf} matrix shared by all heads;
+    a row with no finite logit raises FullyMaskedRowError. With zero context
+    rows the output is a zero constant. `capture`, if a list, receives one
+    K x M weight matrix per head.
+
+    One tape node: the heads run as stacked matmuls under a hand-written
+    backward. Each step mirrors the per-head slice / transpose / matmul /
+    affine / softmax_rows / matmul / concat_cols chain, operand layout and
+    order included, so values and gradients are bit-identical to it.
+    """
+    rows, d = q.shape
+    n = k.shape[0]
+    if heads < 1 or d % heads or k.shape[1] != d or v.shape != k.shape:
+        raise ShapeError(f"attention q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
+    if mask is not None and np.shape(mask) != (rows, n):
+        raise ShapeError(f"attention mask {np.shape(mask)} for {rows} x {n} logits")
+    if n == 0:
+        return constant(np.zeros((rows, d)))
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(x):  # n x d -> heads x n x dh, each head's block C-contiguous
+        return np.ascontiguousarray(x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2))
+
+    def merge(x):  # heads x n x dh -> n x d, C-contiguous like concat_cols' output
+        return np.ascontiguousarray(x.transpose(1, 0, 2).reshape(x.shape[1], d))
+
+    qh, vh = split(q.value), split(v.value)
+    kt = np.ascontiguousarray(split(k.value).transpose(0, 2, 1))
+    z = (qh @ kt) * scale
+    if mask is not None:
+        z = z + mask
+    m = z.max(axis=2, keepdims=True)
+    if np.any(np.isneginf(m)):
+        raise FullyMaskedRowError("softmax row has no finite entry")
+    e = np.exp(z - m)
+    s = e / e.sum(axis=2, keepdims=True)
+    if capture is not None:
+        capture.extend(w.copy() for w in s)
+    out = Tensor(merge(s @ vh), (q, k, v))
+
+    def push(g):
+        g = split(g)
+        gs = g @ vh.transpose(0, 2, 1)
+        gz = s * (gs - (gs * s).sum(axis=2, keepdims=True)) * scale
+        q._accumulate(merge(gz @ kt.transpose(0, 2, 1)))
+        k._accumulate(merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
+        v._accumulate(merge(s.transpose(0, 2, 1) @ g))
+
+    out._push = push
+    return out
+
+
 LAYER_NORM_EPS = 1e-5
 
 
@@ -280,18 +338,6 @@ def concat_cols(tensors):
     def push(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
             t._accumulate(g[:, a:b])
-
-    out._push = push
-    return out
-
-
-def slice_cols(x, a, b):
-    out = Tensor(x.value[:, a:b].copy(), (x,))
-
-    def push(g):
-        gx = np.zeros_like(x.value)
-        gx[:, a:b] = g
-        x._accumulate(gx)
 
     out._push = push
     return out

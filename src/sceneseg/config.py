@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import aggregation, backbone, decoder, model, scenegen, training
-from .errors import ConfigError
+from .errors import ConfigError, ParseError, read_text
 
 # key -> (type, default); booleans accept true/false/1/0/yes/no
 DEFAULTS = {
@@ -106,8 +106,11 @@ def parse_config_text(text, cfg=None):
 def load_config(path=None, overrides=()):
     cfg = RunConfig()
     if path is not None:
-        with open(path) as fh:
-            parse_config_text(fh.read(), cfg)
+        try:
+            text = read_text(path)
+        except ParseError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        parse_config_text(text, cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")

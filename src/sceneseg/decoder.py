@@ -57,30 +57,16 @@ def build_attention_mask(prev_mask, tau):
 
 class MultiHeadAttention:
     def __init__(self, store, prefix, d, heads, rng):
-        self.d, self.heads = d, heads
+        self.heads = heads
         self.q = ad.Linear(store, prefix + ".q", d, d, rng)
         self.k = ad.Linear(store, prefix + ".k", d, d, rng)
         self.v = ad.Linear(store, prefix + ".v", d, d, rng)
         self.out = ad.Linear(store, prefix + ".out", d, d, rng)
 
     def __call__(self, z, f, mask=None, capture=None):
-        """Attention of z's rows over f's rows; `mask` is a constant additive
-        {0,-inf} matrix. With zero context rows the output is the projection
-        bias alone. `capture` collects per-head weight matrices."""
-        if f.shape[0] == 0:
-            return self.out(ad.constant(np.zeros((z.shape[0], self.d))))
-        q, k, v = self.q(z), self.k(f), self.v(f)
-        dh = self.d // self.heads
-        outs = []
-        for h in range(self.heads):
-            a, b = h * dh, (h + 1) * dh
-            qh, kh, vh = ad.slice_cols(q, a, b), ad.slice_cols(k, a, b), ad.slice_cols(v, a, b)
-            logits = ad.affine(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
-            w = ad.softmax_rows(logits, extra=mask)
-            if capture is not None:
-                capture.append(w.value.copy())
-            outs.append(ad.matmul(w, vh))
-        return self.out(ad.concat_cols(outs))
+        """Attention of z's rows over f's rows (see ad.attention); with zero
+        context rows the output is the projection bias alone."""
+        return self.out(ad.attention(self.q(z), self.k(f), self.v(f), self.heads, mask, capture))
 
 
 class DecoderLayer:
@@ -109,7 +95,7 @@ class DecoderLayer:
         else:
             branch_g = ad.constant(np.zeros((k, d)))
         if use_local:
-            branch_l = self.cross_l(z, self.local_proj(f_l) if f_l.shape[0] else f_l)
+            branch_l = self.cross_l(z, self.local_proj(f_l))
         else:
             branch_l = ad.constant(np.zeros((k, d)))
         x = ad.add(z, self.fuse(ad.concat_cols([branch_g, branch_l])))

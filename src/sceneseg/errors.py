@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text reader that raises them."""
+
+from pathlib import Path
 
 
 class ShapeError(ValueError):
@@ -37,3 +39,14 @@ class NumericError(RuntimeError):
 
 class CheckpointError(ValueError):
     """Checkpoint incompatible with the configured model."""
+
+
+def read_text(path):
+    """Contents of a UTF-8 text file; bytes that do not decode raise a
+    ParseError naming their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError("bytes that are not UTF-8", line=line) from None

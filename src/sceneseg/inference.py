@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, read_text
 
 MAP_THRESHOLDS = np.arange(0.50, 0.951, 0.05).round(2)
 
@@ -184,18 +184,13 @@ def _rle_encode(mask):
 
 
 def _rle_decode(runs, n):
-    out = np.zeros(n, dtype=bool)
-    pos, cur = 0, False
-    for r in runs:
-        if r < 0:
-            raise ParseError(f"negative run length {r}")
-        if cur:
-            out[pos : pos + r] = True
-        pos += r
-        cur = not cur
-    if pos != n:
-        raise ParseError(f"run lengths sum to {pos}, expected {n}")
-    return out
+    """Boolean mask of n points from _rle_encode's run lengths."""
+    if min(runs, default=0) < 0:
+        raise ParseError(f"negative run length {next(r for r in runs if r < 0)}")
+    total = sum(runs)
+    if total != n:
+        raise ParseError(f"run lengths sum to {total}, expected {n}")
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs)
 
 
 def write_predictions(path, scene_id, n_points, n_superpoints, instances):
@@ -208,8 +203,7 @@ def write_predictions(path, scene_id, n_points, n_superpoints, instances):
 
 
 def read_predictions(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 4 or header[0] != "scene":
         raise ParseError("missing scene header", line=1)

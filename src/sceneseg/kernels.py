@@ -1,30 +1,13 @@
 """Geometric hot loops: farthest point sampling and sphere queries.
 
-Each kernel has a numba @njit implementation and a vectorized pure-numpy
-fallback with matching arithmetic order and tie-breaking, so the two backends
-produce bit-identical results. The backend is chosen at import time: set
-SCENESEG_NUMBA=0 to force the numpy path. benchmarks/bench_kernels.py compares
-the two.
+Pure numpy, one distance row per step; ties always go to the lowest index.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import ContractError
-
-_want_numba = os.environ.get("SCENESEG_NUMBA", "1") != "0"
-if _want_numba:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
 
 
 def _sq_dists(positions, center):
@@ -34,153 +17,28 @@ def _sq_dists(positions, center):
     return dx * dx + dy * dy + dz * dz
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _fps_numpy(pos, n, start):
-    npts = pos.shape[0]
-    chosen = np.empty(n, dtype=np.int64)
-    mind = np.full(npts, np.inf)
-    cur = start
-    for i in range(n):
-        chosen[i] = cur
-        np.minimum(mind, _sq_dists(pos, pos[cur]), out=mind)
-        cur = int(np.argmax(mind))  # argmax takes the first max: lowest index on ties
-    return chosen
-
-
-def _min_dist_numpy(pos, idx_set):
-    mind = np.full(pos.shape[0], np.inf)
-    for c in idx_set:
-        np.minimum(mind, _sq_dists(pos, pos[c]), out=mind)
-    return mind
-
-
-def _sphere_query_numpy(keypts, pos, r2, cap, out_idx, out_cnt):
-    for k in range(keypts.shape[0]):
-        d2 = _sq_dists(pos, keypts[k])
-        hits = np.flatnonzero(d2 < r2)
-        if len(hits) > cap:
-            # cap nearest, ties to the lowest index; stored in index order
-            nearest = hits[np.argsort(d2[hits], kind="stable")[:cap]]
-            hits = np.sort(nearest)
-        out_idx[k, : len(hits)] = hits
-        out_cnt[k] = len(hits)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _fps_numba(pos, n, start):
-        npts = pos.shape[0]
-        chosen = np.empty(n, dtype=np.int64)
-        mind = np.full(npts, np.inf)
-        cur = start
-        for i in range(n):
-            chosen[i] = cur
-            cx, cy, cz = pos[cur, 0], pos[cur, 1], pos[cur, 2]
-            best = 0
-            bestd = -1.0
-            for j in range(npts):
-                dx = pos[j, 0] - cx
-                dy = pos[j, 1] - cy
-                dz = pos[j, 2] - cz
-                d = dx * dx + dy * dy + dz * dz
-                if d < mind[j]:
-                    mind[j] = d
-                if mind[j] > bestd:
-                    bestd = mind[j]
-                    best = j
-            cur = best
-        return chosen
-
-    @njit(cache=True)
-    def _min_dist_numba(pos, idx_set):
-        npts = pos.shape[0]
-        mind = np.full(npts, np.inf)
-        for s in range(idx_set.shape[0]):
-            c = idx_set[s]
-            cx, cy, cz = pos[c, 0], pos[c, 1], pos[c, 2]
-            for j in range(npts):
-                dx = pos[j, 0] - cx
-                dy = pos[j, 1] - cy
-                dz = pos[j, 2] - cz
-                d = dx * dx + dy * dy + dz * dz
-                if d < mind[j]:
-                    mind[j] = d
-        return mind
-
-    @njit(cache=True)
-    def _sphere_query_numba(keypts, pos, r2, cap, out_idx, out_cnt):
-        npts = pos.shape[0]
-        d2 = np.empty(npts)
-        for k in range(keypts.shape[0]):
-            kx, ky, kz = keypts[k, 0], keypts[k, 1], keypts[k, 2]
-            cnt = 0
-            for j in range(npts):
-                dx = pos[j, 0] - kx
-                dy = pos[j, 1] - ky
-                dz = pos[j, 2] - kz
-                d = dx * dx + dy * dy + dz * dz
-                d2[j] = d
-                if d < r2:
-                    cnt += 1
-            if cnt <= cap:
-                w = 0
-                for j in range(npts):
-                    if d2[j] < r2:
-                        out_idx[k, w] = j
-                        w += 1
-                out_cnt[k] = w
-            else:
-                # cap nearest via insertion into a sorted (distance, index)
-                # buffer; strict comparisons keep ties on the lowest index
-                bd = np.full(cap, np.inf)
-                bi = np.full(cap, -1, dtype=np.int64)
-                for j in range(npts):
-                    d = d2[j]
-                    if d >= r2 or d >= bd[cap - 1]:
-                        continue
-                    p = cap - 1
-                    while p > 0 and bd[p - 1] > d:
-                        bd[p] = bd[p - 1]
-                        bi[p] = bi[p - 1]
-                        p -= 1
-                    bd[p] = d
-                    bi[p] = j
-                sel = np.sort(bi)
-                for w in range(cap):
-                    out_idx[k, w] = sel[w]
-                out_cnt[k] = cap
-
-
-# ---------------------------------------------------------------------------
-# public API
-
-
 def farthest_point_sample(positions, n, start):
     """Greedy max-min selection of n indices; ties resolved to the lowest index."""
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     if n > positions.shape[0]:
         raise ContractError(f"cannot sample {n} of {positions.shape[0]} points")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    core = _fps_numba if HAVE_NUMBA else _fps_numpy
-    return core(positions, n, start)
+    chosen = np.empty(n, dtype=np.int64)
+    mind = np.full(positions.shape[0], np.inf)
+    cur = start
+    for i in range(n):
+        chosen[i] = cur
+        np.minimum(mind, _sq_dists(positions, positions[cur]), out=mind)
+        cur = int(np.argmax(mind))  # argmax takes the first max: lowest index on ties
+    return chosen
 
 
 def min_sq_dist_to_set(positions, indices):
     """Per-point squared distance to the closest of the listed points."""
     positions = np.ascontiguousarray(positions, dtype=np.float64)
-    idx = np.ascontiguousarray(indices, dtype=np.int64)
-    if len(idx) == 0:
-        return np.full(positions.shape[0], np.inf)
-    core = _min_dist_numba if HAVE_NUMBA else _min_dist_numpy
-    return core(positions, idx)
+    mind = np.full(positions.shape[0], np.inf)
+    for c in np.asarray(indices, dtype=np.int64):
+        np.minimum(mind, _sq_dists(positions, positions[c]), out=mind)
+    return mind
 
 
 def sphere_query(keypoints, positions, r, cap):
@@ -196,9 +54,16 @@ def sphere_query(keypoints, positions, r, cap):
     nk = keypoints.shape[0]
     out_idx = np.full((nk, cap), -1, dtype=np.int64)
     out_cnt = np.zeros(nk, dtype=np.int64)
-    if nk:
-        core = _sphere_query_numba if HAVE_NUMBA else _sphere_query_numpy
-        core(keypoints, positions, float(r) ** 2, cap, out_idx, out_cnt)
+    r2 = float(r) ** 2
+    for k in range(nk):
+        d2 = _sq_dists(positions, keypoints[k])
+        hits = np.flatnonzero(d2 < r2)
+        if len(hits) > cap:
+            # cap nearest, ties to the lowest index; stored in index order
+            nearest = hits[np.argsort(d2[hits], kind="stable")[:cap]]
+            hits = np.sort(nearest)
+        out_idx[k, : len(hits)] = hits
+        out_cnt[k] = len(hits)
     return out_idx, out_cnt
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataError, GenerationError, ParseError
+from .errors import ContractError, DataError, GenerationError, ParseError, read_text
 
 CLASS_NAMES = ("box", "sphere", "cylinder")
 FLOOR_INSTANCE = -1
@@ -90,6 +90,7 @@ class SceneSpec:
 # generation
 
 _PLACE_RETRIES = 200
+_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])  # the two axes spanning each box face
 
 
 def _sample_surface(rng, kind, size, n):
@@ -99,12 +100,11 @@ def _sample_surface(rng, kind, size, n):
         uv = rng.uniform(-0.5, 0.5, size=(n, 2))
         pts = np.empty((n, 3))
         axis = face // 2
-        sign = np.where(face % 2 == 0, -0.5, 0.5)
-        for i in range(n):
-            rest = [a for a in range(3) if a != axis[i]]
-            pts[i, axis[i]] = sign[i]
-            pts[i, rest[0]] = uv[i, 0]
-            pts[i, rest[1]] = uv[i, 1]
+        rest = _OTHER_AXES[axis]
+        rows = np.arange(n)
+        pts[rows, axis] = np.where(face % 2 == 0, -0.5, 0.5)
+        pts[rows, rest[:, 0]] = uv[:, 0]
+        pts[rows, rest[:, 1]] = uv[:, 1]
         return pts * size
     if kind == 1:  # sphere
         v = rng.normal(size=(n, 3))
@@ -324,8 +324,7 @@ def read_ply(path) -> Scene:
     Coordinates and colours must be finite and the scene must pass
     Scene.validate; a malformed file raises ParseError, bad values DataError.
     """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    raw = read_text(path).splitlines()
     if not raw or raw[0].strip() != "ply":
         raise ParseError("not a PLY file", line=1)
     n_vertex = None

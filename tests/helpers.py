@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference oracles, per-point loop oracles
-for the vectorised I/O and sampling code, and tiny scene builders."""
+for the vectorised I/O and sampling code, the composed oracle of the fused
+attention op, and tiny scene and model builders."""
 
 import numpy as np
 
@@ -64,6 +65,27 @@ def check_param_grad(loss_fn, tensor, entries, h=1e-4, tol=1e-3, structure_fn=No
     return checked
 
 
+# the smallest CLI configuration that runs every stage; 10 training steps
+SMALL_CFG = [
+    "n_scenes=2",
+    "n_objects=2",
+    "n_points=600",
+    "room_extent=3.0",
+    "backbone.base_voxel=0.3",
+    "backbone.channels=8",
+    "backbone.levels=1",
+    "superpoints.coarse_size=0.6",
+    "msa.cap=8",
+    "msa.k_cand=6",
+    "msa.width=8",
+    "decoder.k=4",
+    "decoder.d=16",
+    "decoder.layers=2",
+    "decoder.heads=4",
+    "train.steps=10",
+]
+
+
 def micro_scene(seed=3, n_points=120, n_objects=1):
     spec = scenegen.SceneSpec(n_objects=n_objects, n_points=n_points, room_extent=3.0)
     return scenegen.generate_scene(seed, spec)
@@ -100,6 +122,37 @@ def rle_encode_loop(mask):
             cur, count = v, 1
     runs.append(count)
     return runs
+
+
+def rle_decode_loop(runs, n):
+    """inference._rle_decode, one run at a time."""
+    out = np.zeros(n, dtype=bool)
+    pos, cur = 0, False
+    for r in runs:
+        if r < 0:
+            raise ParseError(f"negative run length {r}")
+        if cur:
+            out[pos : pos + r] = True
+        pos += r
+        cur = not cur
+    if pos != n:
+        raise ParseError(f"run lengths sum to {pos}, expected {n}")
+    return out
+
+
+def box_surface_loop(rng, size, n):
+    """scenegen._sample_surface's box branch, one point at a time."""
+    face = rng.integers(0, 6, size=n)
+    uv = rng.uniform(-0.5, 0.5, size=(n, 2))
+    pts = np.empty((n, 3))
+    axis = face // 2
+    sign = np.where(face % 2 == 0, -0.5, 0.5)
+    for i in range(n):
+        rest = [a for a in range(3) if a != axis[i]]
+        pts[i, axis[i]] = sign[i]
+        pts[i, rest[0]] = uv[i, 0]
+        pts[i, rest[1]] = uv[i, 1]
+    return pts * size
 
 
 def write_ply_loop(path, scene, color_override=None):
@@ -191,3 +244,38 @@ def candidate_sample_quadratic(positions, f, beta, k_cand, rq):
         ball = kernels.min_sq_dist_to_set(positions, np.array([pick], dtype=np.int64)) < rq * rq
         coverage = np.concatenate([coverage, ball[None]], axis=0)
     return aggregation.CandidateSet(indices=np.array(indices, dtype=np.int64), coverage=coverage)
+
+
+# ---------------------------------------------------------------------------
+# composed oracle of the fused attention op
+
+
+def slice_cols(x, a, b):
+    """Columns a:b of x as a tape node; the gradient is zero-padded back."""
+    out = ad.Tensor(x.value[:, a:b].copy(), (x,))
+
+    def push(g):
+        gx = np.zeros_like(x.value)
+        gx[:, a:b] = g
+        x._accumulate(gx)
+
+    out._push = push
+    return out
+
+
+def composed_attention(q, k, v, heads, mask=None, capture=None):
+    """ad.attention built from per-head slice / transpose / matmul / affine /
+    softmax_rows / matmul nodes joined by concat_cols."""
+    if k.shape[0] == 0:
+        return ad.constant(np.zeros(q.shape))
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        a, b = h * dh, (h + 1) * dh
+        qh, kh, vh = slice_cols(q, a, b), slice_cols(k, a, b), slice_cols(v, a, b)
+        logits = ad.affine(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
+        w = ad.softmax_rows(logits, extra=mask)
+        if capture is not None:
+            capture.append(w.value.copy())
+        outs.append(ad.matmul(w, vh))
+    return ad.concat_cols(outs)

@@ -26,7 +26,7 @@ from sceneseg.inference import InstanceResult
 from sceneseg.model import SegModel, seed_for
 from sceneseg.training import Assignment, TrainConfig
 
-from helpers import micro_model, micro_scene
+from helpers import SMALL_CFG, micro_model, micro_scene
 
 
 def criterion(num, name):
@@ -342,26 +342,6 @@ def test_ablation_structure(overfit_run):
         valid(rep)
     assert full_report.ap25 >= local_only.ap25
     assert full_report.ap25 >= global_only.ap25
-
-
-SMALL_CFG = [
-    "n_scenes=2",
-    "n_objects=2",
-    "n_points=600",
-    "room_extent=3.0",
-    "backbone.base_voxel=0.3",
-    "backbone.channels=8",
-    "backbone.levels=1",
-    "superpoints.coarse_size=0.6",
-    "msa.cap=8",
-    "msa.k_cand=6",
-    "msa.width=8",
-    "decoder.k=4",
-    "decoder.d=16",
-    "decoder.layers=2",
-    "decoder.heads=4",
-    "train.steps=10",
-]
 
 
 @criterion(9, "determinism")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sceneseg import autodiff as ad
 from sceneseg.errors import ContractError, ShapeError
 
-from helpers import finite_diff, rel_err
+from helpers import composed_attention, finite_diff, rel_err, slice_cols
 
 
 class TestMatmul:
@@ -184,7 +185,7 @@ class TestBackward:
             lambda x, y: ad.matmul(x, ad.transpose(y)),
             lambda x, y: ad.concat_cols([x, y]),
             lambda x, y: ad.add_bias(x, ad.gather_rows(y, [1])),
-            lambda x, y: ad.slice_cols(ad.add(x, y), 1, 3),
+            lambda x, y: slice_cols(ad.add(x, y), 1, 3),
             lambda x, y: ad.clip(ad.add(x, y), -0.5, 0.5),
         ],
     )
@@ -218,6 +219,105 @@ class TestBackward:
         ad.backward(loss())
         fd = finite_diff(lambda: float(loss().value[0, 0]), x.value)
         assert rel_err(x.grad, fd) < 1e-3
+
+
+def attention_case(attend, data, heads, mask):
+    """Run `attend` between Linear projections, as the decoder does, and
+    return the output, the captured weights and every gradient."""
+    store = ad.ParamStore()
+    z, f, g = (ad.Tensor(x.copy()) for x in data[:3])
+    rng = np.random.default_rng(0)
+    d = z.shape[1]
+    proj = [ad.Linear(store, name, d, d, rng) for name in "qkv"]
+    q, k, v = proj[0](z), proj[1](f), proj[2](f)
+    capture = []
+    out = attend(q, k, v, heads, mask, capture)
+    ad.backward(ad.sum_all(ad.mul(out, g)))
+    grads = [t.grad for t in (q, k, v, z, f)] + [store.grad_of(n) for n in store.names()]
+    return out.value, capture, grads
+
+
+@st.composite
+def attention_inputs(draw):
+    heads = draw(st.integers(1, 4))
+    d = heads * draw(st.integers(1, 5))
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    data = (rng.normal(size=(rows, d)), rng.normal(size=(n, d)), rng.normal(size=(rows, d)))
+    kind = draw(st.sampled_from(["none", "zeros", "random", "one_hot"]))
+    mask = None
+    if kind == "zeros":
+        mask = np.zeros((rows, n))
+    elif kind == "random":
+        mask = np.where(rng.uniform(size=(rows, n)) < draw(st.floats(0.0, 1.0)), -np.inf, 0.0)
+        mask[np.arange(rows), rng.integers(0, n, size=rows)] = 0.0
+    elif kind == "one_hot":
+        mask = np.full((rows, n), -np.inf)
+        mask[np.arange(rows), rng.integers(0, n, size=rows)] = 0.0
+    return data, heads, mask
+
+
+class TestAttention:
+    @settings(max_examples=150, deadline=None)
+    @given(attention_inputs())
+    def test_bit_identical_to_composed_chain(self, case):
+        data, heads, mask = case
+        out, cap, grads = attention_case(ad.attention, data, heads, mask)
+        want_out, want_cap, want_grads = attention_case(composed_attention, data, heads, mask)
+        assert out.tobytes() == want_out.tobytes()
+        assert len(cap) == len(want_cap) == heads
+        for a, b in zip(cap, want_cap):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(grads, want_grads):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous == b.flags.c_contiguous
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(0)
+        q, k, v = (ad.Tensor(rng.normal(size=s)) for s in [(3, 8), (5, 8), (5, 8)])
+        out = ad.attention(q, k, v, 4)
+        assert out.parents == (q, k, v)
+
+    def test_fully_masked_row_raises(self):
+        rng = np.random.default_rng(1)
+        q, k, v = (ad.constant(rng.normal(size=s)) for s in [(3, 4), (5, 4), (5, 4)])
+        mask = np.zeros((3, 5))
+        mask[1] = -np.inf
+        with pytest.raises(ad.FullyMaskedRowError):
+            ad.attention(q, k, v, 2, mask)
+
+    def test_zero_context_rows_give_zero_constant(self):
+        q = ad.Tensor(np.ones((3, 4)))
+        empty = ad.Tensor(np.zeros((0, 4)))
+        cap = []
+        out = ad.attention(q, empty, empty, 2, np.zeros((3, 0)), cap)
+        np.testing.assert_array_equal(out.value, np.zeros((3, 4)))
+        assert out.parents == () and cap == []
+
+    def test_shape_errors(self):
+        x = ad.constant(np.ones((3, 6)))
+        with pytest.raises(ShapeError):
+            ad.attention(x, x, x, 4)  # 6 columns do not split into 4 heads
+        with pytest.raises(ShapeError):
+            ad.attention(x, ad.constant(np.ones((3, 4))), x, 2)
+        with pytest.raises(ShapeError):
+            ad.attention(x, x, x, 2, np.zeros((3, 2)))
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(7)
+        q, k, v = (ad.Tensor(rng.normal(size=s)) for s in [(4, 6), (7, 6), (7, 6)])
+        g = rng.normal(size=(4, 6))
+        mask = np.where(rng.uniform(size=(4, 7)) < 0.4, -np.inf, 0.0)
+        mask[:, 0] = 0.0
+
+        def loss():
+            return ad.sum_all(ad.mul(ad.attention(q, k, v, 3, mask), ad.constant(g)))
+
+        ad.backward(loss())
+        for t in (q, k, v):
+            fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
+            assert rel_err(t.grad, fd) < 1e-6
 
 
 class TestCheckpoint:

@@ -277,7 +277,9 @@ class TestBadInputExitCodes:
             gt_dir.mkdir()
             pred_dir.mkdir()
             scenegen.write_ply(gt_dir / "scene_000.ply", scene)
-            (pred_dir / "scene_000.pred.txt").write_text(pred_text)
+            if isinstance(pred_text, str):
+                pred_text = pred_text.encode()
+            (pred_dir / "scene_000.pred.txt").write_bytes(pred_text)
             return cli.main(
                 ["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(tmp_path / "e")]
             )
@@ -316,6 +318,28 @@ class TestBadInputExitCodes:
     def test_prediction_mask_length_differs(self, scene, eval_one):
         n = scene.n_points
         assert eval_one(scene, f"scene scene_000 {n + 1} 1\ninstance 0 0.5 0 {n + 1}\n") == 3
+
+    def test_non_utf8_ply(self, workspace, tmp_path, predict, capsys):
+        raw = (workspace / "data" / "scene_000.ply").read_bytes()
+        bad = tmp_path / "bad.ply"
+        bad.write_bytes(raw.replace(b"end_header\n", b"end_header\n\xff", 1))
+        assert predict(scene=bad) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 14" in err and "UTF-8" in err
+
+    def test_non_utf8_predictions(self, scene, eval_one, capsys):
+        n = scene.n_points
+        text = f"scene scene_000 {n} 1\ninstance 0 0.5 {n}\xe9\n"
+        assert eval_one(scene, text.encode("latin-1")) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 2" in err and "UTF-8" in err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=1\n# caf\xe9\n")
+        assert cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 2" in err and "UTF-8" in err
 
     def test_truncated_checkpoint(self, workspace, tmp_path, predict):
         raw = (workspace / "runs" / "checkpoint.psgw").read_bytes()

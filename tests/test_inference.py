@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import rle_encode_loop
+from helpers import rle_decode_loop, rle_encode_loop
 from sceneseg import autodiff as ad, inference, scenegen
 from sceneseg.decoder import LayerPrediction
 from sceneseg.errors import ContractError, ParseError
@@ -286,6 +286,24 @@ class TestRle:
     def test_bad_total_rejected(self):
         with pytest.raises(ParseError):
             inference._rle_decode([2, 1], 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-3, 40), max_size=12), st.integers(-2, 2))
+    @example([], 0)
+    @example([0, 5], 0)
+    @example([3, -1, 2**70], 0)
+    @example([2**70, 1], 0)
+    def test_decode_matches_loop_oracle(self, runs, shift):
+        """Same mask or the same ParseError, for well-formed and broken runs."""
+        n = max(0, min(sum(r for r in runs if r > 0), 10**4) + shift)
+
+        def outcome(decode):
+            try:
+                return decode(runs, n).tobytes()
+            except ParseError as exc:
+                return str(exc)
+
+        assert outcome(inference._rle_decode) == outcome(rle_decode_loop)
 
 
 class TestPredictionFiles:

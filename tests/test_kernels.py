@@ -85,39 +85,3 @@ class TestFPS:
         pos = np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0], [0.5, 0, 0]])
         idx = kernels.farthest_point_sample(pos, 2, 0)
         assert idx[1] == 1
-
-
-class TestBackendEquivalence:
-    """The numba kernels and the numpy fallbacks must agree bit for bit."""
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend not active")
-    def test_fps(self):
-        rng = np.random.default_rng(4)
-        pos = rng.uniform(size=(300, 3))
-        a = kernels._fps_numba(pos, 40, 7)
-        b = kernels._fps_numpy(pos, 40, 7)
-        np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend not active")
-    def test_sphere_query(self):
-        rng = np.random.default_rng(5)
-        pos = rng.uniform(size=(400, 3))
-        keypts = np.ascontiguousarray(pos[:25])
-        for r, cap in [(0.2, 8), (0.5, 6), (2.0, 12)]:
-            ia = np.full((25, cap), -1, dtype=np.int64)
-            ca = np.zeros(25, dtype=np.int64)
-            kernels._sphere_query_numba(keypts, pos, r * r, cap, ia, ca)
-            ib = np.full((25, cap), -1, dtype=np.int64)
-            cb = np.zeros(25, dtype=np.int64)
-            kernels._sphere_query_numpy(keypts, pos, r * r, cap, ib, cb)
-            np.testing.assert_array_equal(ia, ib)
-            np.testing.assert_array_equal(ca, cb)
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend not active")
-    def test_min_dist(self):
-        rng = np.random.default_rng(6)
-        pos = rng.uniform(size=(200, 3))
-        idx = np.array([3, 77, 120], dtype=np.int64)
-        np.testing.assert_array_equal(
-            kernels._min_dist_numba(pos, idx), kernels._min_dist_numpy(pos, idx)
-        )

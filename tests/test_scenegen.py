@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import read_ply_loop, write_ply_loop
+from helpers import box_surface_loop, read_ply_loop, write_ply_loop
 from sceneseg import scenegen
 from sceneseg.errors import ContractError, DataError, ParseError
 
@@ -67,6 +67,14 @@ class TestGenerate:
             scenegen.generate_scene(0, scenegen.SceneSpec(n_objects=0))
         with pytest.raises(ContractError):
             scenegen.generate_scene(0, scenegen.SceneSpec(n_objects=5, n_points=400))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 300))
+    def test_box_surface_matches_loop_oracle(self, seed, n):
+        size = np.random.default_rng(seed).uniform(0.4, 0.9, size=3)
+        got = scenegen._sample_surface(np.random.default_rng(seed), 0, size, n)
+        want = box_surface_loop(np.random.default_rng(seed), size, n)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestVoxelize:

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from sceneseg import autodiff as ad, scenegen, training
-from sceneseg.decoder import LayerPrediction
+from sceneseg import autodiff as ad, config as cfgmod, scenegen, training
+from sceneseg.decoder import LayerPrediction, MultiHeadAttention
+from sceneseg.model import SegModel, seed_for
 from sceneseg.errors import ContractError, NumericError
 from sceneseg.training import Assignment, TrainConfig
 
-from helpers import micro_model, micro_scene
+from helpers import SMALL_CFG, composed_attention, micro_model, micro_scene
 
 
 def brute_force_cost(cost):
@@ -375,3 +376,26 @@ class TestFit:
         for name in m.store.names():
             if name.startswith("decoder.layer0.ffn"):
                 assert np.any(m.store.grad_of(name) != 0), name
+
+    def test_fused_attention_trains_like_composed_chain(self, monkeypatch):
+        cfg = cfgmod.load_config(None, SMALL_CFG)
+        spec = cfgmod.scene_spec(cfg)
+        scenes = [
+            scenegen.generate_scene(seed_for(cfg["seed"], f"scene{i}"), spec) for i in range(2)
+        ]
+
+        def train():
+            m = SegModel(cfgmod.model_config(cfg))
+            trace = training.fit(m, [m.prepare(s) for s in scenes], cfgmod.train_config(cfg))
+            rows = [(r.cls, r.score, r.bce, r.dice, r.foreground, r.total) for r in trace]
+            return rows, {n: m.store[n].value.tobytes() for n in m.store.names()}
+
+        fused = train()
+        monkeypatch.setattr(
+            MultiHeadAttention,
+            "__call__",
+            lambda self, z, f, mask=None, capture=None: self.out(
+                composed_attention(self.q(z), self.k(f), self.v(f), self.heads, mask, capture)
+            ),
+        )
+        assert train() == fused
