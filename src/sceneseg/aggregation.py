@@ -28,7 +28,6 @@ class AggregationConfig:
     cap: int = 32
     k_cand: int = 32
     width: int = 32  # local feature width (columns of the keypoint features)
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.r1 < self.r2:
@@ -87,10 +86,6 @@ def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
         balls.append(ball)
     coverage = np.array(balls) if balls else np.zeros((0, len(f)), dtype=bool)
     return CandidateSet(indices=np.array(indices, dtype=np.int64), coverage=coverage)
-
-
-farthest_point_sample = kernels.farthest_point_sample
-sphere_query = kernels.sphere_query_lists
 
 
 class LocalAggregator:

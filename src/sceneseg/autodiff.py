@@ -343,15 +343,27 @@ def concat_cols(tensors):
     return out
 
 
+def scatter_add(keys, weights, n, c):
+    """n x c zeros with weights[i] added at flat position keys[i] (row * c +
+    col). One np.bincount adds them in the order given, starting from 0.0,
+    so the bytes equal those of an unbuffered add-at into zeros."""
+    return np.bincount(keys.ravel(), weights=weights.ravel(), minlength=n * c).reshape(n, c)
+
+
+def _row_keys(idx, c):
+    return idx[:, None] * c + np.arange(c)
+
+
 def gather_rows(x, idx):
-    """Select rows by (repeatable) integer index; gradient scatter-adds back."""
+    """Select rows by (repeatable) non-negative integer index; gradient
+    scatter-adds back."""
     idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and idx.min() < 0:
+        raise ContractError(f"gather_rows: negative index {idx.min()}")
     out = Tensor(x.value[idx], (x,))
 
     def push(g):
-        gx = np.zeros_like(x.value)
-        np.add.at(gx, idx, g)
-        x._accumulate(gx)
+        x._accumulate(scatter_add(_row_keys(idx, x.shape[1]), g, *x.shape))
 
     out._push = push
     return out
@@ -367,8 +379,7 @@ def segment_mean(x, seg, n_seg):
     counts = np.bincount(seg, minlength=n_seg).astype(np.float64)
     if np.any(counts == 0):
         raise ContractError("segment_mean: empty segment")
-    sums = np.zeros((n_seg, x.shape[1]))
-    np.add.at(sums, seg, x.value)
+    sums = scatter_add(_row_keys(seg, x.shape[1]), x.value, n_seg, x.shape[1])
     out = Tensor(sums / counts[:, None], (x,))
 
     def push(g):
@@ -397,14 +408,11 @@ def group_max(x, groups, width=None):
         arg[i] = np.asarray(g, dtype=np.int64)[a]
     _record_structure(arg)
     out = Tensor(vals, (x,))
+    routed = arg >= 0  # empty groups route nowhere
+    keys = (arg * x.shape[1] + np.arange(width))[routed]
 
     def push(g):
-        gx = np.zeros_like(x.value)
-        for i in range(n):
-            if arg[i, 0] < 0 and np.all(arg[i] < 0):
-                continue
-            np.add.at(gx, (arg[i], np.arange(width)), g[i])
-        x._accumulate(gx)
+        x._accumulate(scatter_add(keys, g[routed], *x.shape))
 
     out._push = push
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, scenegen
 from .errors import ContractError
 
 
@@ -24,7 +24,6 @@ class BackboneConfig:
     base_voxel: float = 0.1
     channels: int = 32
     levels: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.levels < 1:
@@ -67,8 +66,7 @@ class Backbone:
 
         cells = np.floor(pos / cfg.base_voxel).astype(np.int64)
         cells -= cells.min(axis=0)
-        coords, p2v = np.unique(cells, axis=0, return_inverse=True)
-        p2v = p2v.ravel()
+        coords, p2v = scenegen.unique_rows(cells)
 
         offset = pos / cfg.base_voxel - np.floor(pos / cfg.base_voxel)
         point_in = ad.constant(np.concatenate([offset, col], axis=1))
@@ -79,8 +77,7 @@ class Backbone:
         level_coords = coords
         for i in range(cfg.levels):
             parent_cells = level_coords >> 1
-            parent_coords, child2parent = np.unique(parent_cells, axis=0, return_inverse=True)
-            child2parent = child2parent.ravel()
+            parent_coords, child2parent = scenegen.unique_rows(parent_cells)
             pooled = ad.segment_mean(feats[-1], child2parent, len(parent_coords))
             feats.append(self.down[i](pooled))
             maps.append(child2parent)

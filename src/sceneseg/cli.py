@@ -13,7 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod, inference, scenegen, training
-from .errors import CheckpointError, ConfigError, DataError, NumericError, ParseError
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    DataError,
+    GenerationError,
+    NumericError,
+    ParseError,
+)
 from .model import SegModel, seed_for
 
 PALETTE = np.array(
@@ -47,7 +54,12 @@ def cmd_gen(cfg, out_dir):
     _echo_config(cfg, out_dir)
     spec = cfgmod.scene_spec(cfg)
     for i in range(cfg["n_scenes"]):
-        scene = scenegen.generate_scene(seed_for(cfg["seed"], f"scene{i}"), spec)
+        try:
+            scene = scenegen.generate_scene(seed_for(cfg["seed"], f"scene{i}"), spec)
+        except GenerationError as exc:
+            raise ConfigError(
+                f"n_objects={spec.n_objects} do not fit in room_extent={spec.room_extent!r}: {exc}"
+            ) from None
         stem = out_dir / f"scene_{i:03d}"
         scenegen.write_ply(f"{stem}.ply", scene)
         with open(f"{stem}.labels", "w") as fh:

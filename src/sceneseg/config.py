@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from . import aggregation, backbone, decoder, model, scenegen, training
 from .errors import ConfigError, ParseError, read_text
 
@@ -44,6 +46,25 @@ DEFAULTS = {
     "infer.min_score": (float, 0.0),
 }
 
+# key -> smallest value the pipeline accepts
+MINIMUM = {
+    "n_scenes": 1,
+    "n_objects": 1,
+    "n_class": 1,
+    "room_extent": scenegen.MIN_ROOM_EXTENT,
+    "backbone.channels": 8,
+    "backbone.levels": 1,
+    "msa.cap": 1,
+    "msa.k_cand": 1,
+    "msa.width": 1,
+    "decoder.k": 1,
+    "decoder.d": 1,
+    "decoder.layers": 0,
+    "decoder.heads": 1,
+    "train.steps": 0,
+    "infer.top_k": 0,
+}
+
 
 def _parse_value(key, raw):
     typ = DEFAULTS[key][0]
@@ -56,9 +77,34 @@ def _parse_value(key, raw):
             return False
         raise ConfigError(f"bad boolean for {key}: {raw!r}")
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
-        raise ConfigError(f"bad {typ.__name__} for {key}: {raw!r}")
+        raise ConfigError(f"bad {typ.__name__} for {key}: {raw!r}") from None
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"bad float for {key}: {raw!r} is not finite")
+    return value
+
+
+def check_ranges(cfg):
+    """ConfigError naming the first key whose value the pipeline rejects."""
+
+    def bad(key, rule):
+        raise ConfigError(f"{key}={cfg[key]!r} out of range: must be {rule}")
+
+    for key, low in MINIMUM.items():
+        if cfg[key] < low:
+            bad(key, f">= {low}")
+    for key in ("backbone.base_voxel", "superpoints.coarse_size", "msa.r1"):
+        if cfg[key] <= 0:
+            bad(key, "> 0")
+    if cfg["n_points"] < 100 * cfg["n_objects"]:
+        bad("n_points", f">= 100 * n_objects = {100 * cfg['n_objects']}")
+    if cfg["msa.r1"] >= cfg["msa.r2"]:
+        bad("msa.r1", f"< msa.r2 = {cfg['msa.r2']!r}")
+    if cfg["decoder.d"] % cfg["decoder.heads"]:
+        bad("decoder.heads", f"a divisor of decoder.d = {cfg['decoder.d']}")
+    if not 0 < cfg["decoder.tau"] < 1:
+        bad("decoder.tau", "in (0, 1)")
 
 
 class RunConfig:
@@ -116,6 +162,7 @@ def load_config(path=None, overrides=()):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         cfg.set(key.strip(), value)
+    check_ranges(cfg)
     return cfg
 
 
@@ -134,7 +181,6 @@ def model_config(cfg: RunConfig) -> model.ModelConfig:
             base_voxel=cfg["backbone.base_voxel"],
             channels=cfg["backbone.channels"],
             levels=cfg["backbone.levels"],
-            seed=cfg["seed"],
         ),
         agg=aggregation.AggregationConfig(
             r1=cfg["msa.r1"],
@@ -144,7 +190,6 @@ def model_config(cfg: RunConfig) -> model.ModelConfig:
             cap=cfg["msa.cap"],
             k_cand=cfg["msa.k_cand"],
             width=cfg["msa.width"],
-            seed=cfg["seed"],
         ),
         dec=decoder.DecoderConfig(
             k=cfg["decoder.k"],

@@ -183,14 +183,18 @@ def _rle_encode(mask):
     return [0] + runs if len(mask) and mask[0] else runs
 
 
-def _rle_decode(runs, n):
-    """Boolean mask of n points from _rle_encode's run lengths."""
-    if min(runs, default=0) < 0:
-        raise ParseError(f"negative run length {next(r for r in runs if r < 0)}")
-    total = sum(runs)
+def _rle_decode(runs, n, line=None):
+    """Boolean mask of n points from _rle_encode's run lengths: an int64
+    array, or a sequence of Python ints of any size. Errors name `line`."""
+    runs = np.asarray(runs)
+    if runs.size and runs.min() < 0:
+        raise ParseError(f"negative run length {runs[runs < 0][0]}", line=line)
+    # an int64 sum of non-negative runs cannot wrap while size * max < 2**63
+    exact = runs.dtype == object or runs.size * int(runs.max(initial=0)) < 2**63
+    total = int(runs.sum()) if exact else sum(runs.tolist())
     if total != n:
-        raise ParseError(f"run lengths sum to {total}, expected {n}")
-    return np.repeat(np.arange(len(runs)) % 2 == 1, runs)
+        raise ParseError(f"run lengths sum to {total}, expected {n}", line=line)
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs.astype(np.int64))
 
 
 def write_predictions(path, scene_id, n_points, n_superpoints, instances):
@@ -214,20 +218,23 @@ def read_predictions(path):
         raise ParseError("non-integer point or superpoint count", line=1) from None
     instances = []
     for ln, text in enumerate(lines[1:], start=2):
-        parts = text.split()
+        parts = text.split(None, 3)
         if len(parts) < 4 or parts[0] != "instance":
             raise ParseError("bad instance line", line=ln)
         try:
             class_id, score = int(parts[1]), float(parts[2])
-            runs = [int(v) for v in parts[3:]]
         except ValueError:
             raise ParseError("non-numeric instance value", line=ln) from None
+        try:
+            runs = np.loadtxt([parts[3]], dtype=np.int64, comments=None, ndmin=1)
+        except ValueError:
+            raise ParseError("run lengths must be integers within int64", line=ln) from None
         instances.append(
             InstanceResult(
                 class_id=class_id,
                 final_score=score,
                 sp_mask=None,
-                point_mask=_rle_decode(runs, n_points),
+                point_mask=_rle_decode(runs, n_points, line=ln),
             )
         )
     return scene_id, n_sp, instances

@@ -8,7 +8,7 @@ as the semantic class, so the default vocabulary has three classes; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ MIN_INSTANCE_POINTS = 10
 @dataclass
 class Scene:
     points: np.ndarray  # N x 6: x, y, z (meters), r, g, b in [0, 1]
-    semantic: np.ndarray  # N class ids; floor points carry the class of nothing (=0? no: -1)
+    semantic: np.ndarray  # N class ids, -1 = floor/background
     instance: np.ndarray  # N instance ids, -1 = floor/background
     n_class: int
 
@@ -90,6 +90,9 @@ class SceneSpec:
 # generation
 
 _PLACE_RETRIES = 200
+_SIZE_RANGE = (0.4, 0.9)  # object extent per axis, metres
+_MARGIN = 0.1  # keeps objects separated
+MIN_ROOM_EXTENT = 2 * (_SIZE_RANGE[1] / 2 + _MARGIN)  # fits the widest object
 _OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])  # the two axes spanning each box face
 
 
@@ -132,6 +135,8 @@ def generate_scene(seed, spec: SceneSpec) -> Scene:
         raise ContractError("n_objects must be >= 1")
     if spec.n_points < 100 * spec.n_objects:
         raise ContractError("need n_points >= 100 * n_objects")
+    if spec.room_extent < MIN_ROOM_EXTENT:
+        raise ContractError(f"need room_extent >= {MIN_ROOM_EXTENT}")
     rng = np.random.default_rng(seed)
     ext = spec.room_extent
 
@@ -143,9 +148,9 @@ def generate_scene(seed, spec: SceneSpec) -> Scene:
     # place axis-aligned bounding boxes with bounded rejection sampling
     placed = []  # (center xy, half-extent xy)
     kinds = rng.integers(0, spec.n_class, size=spec.n_objects)
-    sizes = rng.uniform(0.4, 0.9, size=(spec.n_objects, 3))
+    sizes = rng.uniform(*_SIZE_RANGE, size=(spec.n_objects, 3))
     for i in range(spec.n_objects):
-        half = sizes[i, :2] * 0.5 + 0.1  # margin keeps objects separated
+        half = sizes[i, :2] * 0.5 + _MARGIN
         for _ in range(_PLACE_RETRIES):
             c = rng.uniform(half, ext - half)
             if all(np.any(np.abs(c - pc) > half + ph) for pc, ph in placed):
@@ -193,23 +198,31 @@ def generate_scene(seed, spec: SceneSpec) -> Scene:
 # voxelization and superpoints
 
 
+def unique_rows(cells):
+    """Distinct rows of an integer matrix in lexicographic order, and each
+    row's index among them: what np.unique returns along axis 0 with
+    return_inverse, from one lexsort and a row-change mask."""
+    order = np.lexsort(cells.T[::-1])
+    ordered = cells[order]
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 @dataclass
 class Voxelization:
     coords: np.ndarray  # V x 3 integer cells, lexicographically sorted
     point_to_voxel: np.ndarray  # N
-    voxel_to_points: list = field(repr=False)
 
 
 def voxelize(positions, voxel_size) -> Voxelization:
     if voxel_size <= 0:
         raise ContractError("voxel_size must be positive")
     cells = np.floor(np.asarray(positions)[:, :3] / voxel_size).astype(np.int64)
-    coords, inverse = np.unique(cells, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(len(coords) + 1))
-    v2p = [order[bounds[i] : bounds[i + 1]] for i in range(len(coords))]
-    return Voxelization(coords=coords, point_to_voxel=inverse, voxel_to_points=v2p)
+    coords, inverse = unique_rows(cells)
+    return Voxelization(coords=coords, point_to_voxel=inverse)
 
 
 def build_superpoints(scene: Scene, coarse_size) -> SuperpointPartition:

@@ -68,34 +68,20 @@ def hungarian(cost) -> Assignment:
     return Assignment(pairs=sorted(zip(rows.tolist(), cols.tolist())))
 
 
-def _weighted_bce_rows(pred_rows, gt_rows, weights):
-    """Per-row size-weighted BCE between probabilities and binary targets."""
-    p = np.clip(pred_rows, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    per = -(gt_rows * np.log(p) + (1.0 - gt_rows) * np.log(1.0 - p))
-    return per @ weights
-
-
-def _weighted_dice_rows(pred_rows, gt_rows, sizes, eps=DICE_EPS):
-    num = 2.0 * (pred_rows * gt_rows) @ sizes + eps
-    den = pred_rows @ sizes + gt_rows @ sizes + eps
-    return 1.0 - num / den
-
-
 def match_cost(pred, gt, sizes, lambda_cls=1.0, lambda_mask=1.0):
-    """K x K_gt matching cost: class NLL plus size-weighted BCE + Dice."""
+    """K x K_gt matching cost: class NLL plus size-weighted BCE + Dice, all
+    ground-truth columns at once as matrix products."""
     probs = pred.class_probs.value
     masks = pred.sp_mask.value
-    k_gt = len(gt.instance_classes)
     sizes = np.asarray(sizes, dtype=np.float64)
     w = sizes / sizes.sum()
-    cost = np.empty((len(probs), k_gt))
-    for j in range(k_gt):
-        g = gt.superpoint_masks[j].astype(np.float64)
-        nll = -np.log(np.maximum(probs[:, gt.instance_classes[j]], 1e-12))
-        cost[:, j] = lambda_cls * nll + lambda_mask * (
-            _weighted_bce_rows(masks, g, w) + _weighted_dice_rows(masks, g, sizes)
-        )
-    return cost
+    g = gt.superpoint_masks.astype(np.float64)
+    p = np.clip(masks, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    bce = -(np.log(p) @ (g * w).T + np.log(1.0 - p) @ ((1.0 - g) * w).T)
+    num = 2.0 * (masks @ (g * sizes).T) + DICE_EPS
+    den = (masks @ sizes)[:, None] + (g @ sizes)[None, :] + DICE_EPS
+    nll = -np.log(np.maximum(probs[:, gt.instance_classes], 1e-12))
+    return lambda_cls * nll + lambda_mask * (bce + 1.0 - num / den)
 
 
 def classification_loss(pred, assignment: Assignment, gt, n_class):
@@ -147,21 +133,15 @@ def bce_mask_loss(pred, assignment: Assignment, gt, sizes):
 
 
 def dice_loss(pred, assignment: Assignment, gt, sizes, eps=DICE_EPS):
+    """Mean over matched pairs of the size-weighted soft Dice loss."""
     if not assignment.pairs:
         return ad.constant([[0.0]])
     sizes = np.asarray(sizes, dtype=np.float64)
     p = ad.gather_rows(pred.sp_mask, assignment.query_idx)
     g = gt.superpoint_masks[assignment.gt_idx].astype(np.float64)
-    terms = []
-    for n in range(len(assignment.pairs)):
-        row = ad.gather_rows(p, [n])
-        num = ad.affine(ad.sum_all(ad.affine(row, scale=2.0 * sizes * g[n])), 1.0, eps)
-        den = ad.affine(ad.sum_all(ad.affine(row, scale=sizes)), 1.0, (g[n] @ sizes) + eps)
-        terms.append(ad.affine(ad.div(num, den), -1.0, 1.0))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return ad.affine(acc, 1.0 / len(terms))
+    num = ad.affine(ad.sum_rows(ad.affine(p, scale=2.0 * sizes * g)), 1.0, eps)
+    den = ad.affine(ad.sum_rows(ad.affine(p, scale=sizes)), 1.0, (g @ sizes)[:, None] + eps)
+    return ad.mean_all(ad.affine(ad.div(num, den), -1.0, 1.0))
 
 
 def foreground_loss(fg, scene):

@@ -1,13 +1,14 @@
 """Shared test utilities: finite-difference oracles, per-point loop oracles
 for the vectorised I/O and sampling code, the composed oracle of the fused
-attention op, and tiny scene and model builders."""
+attention op, the loop oracles of the vectorised training step, and tiny
+scene and model builders."""
 
 import numpy as np
 
-from sceneseg import aggregation, kernels
+from sceneseg import aggregation, inference, kernels
 from sceneseg import autodiff as ad
-from sceneseg import scenegen
-from sceneseg.errors import ParseError
+from sceneseg import scenegen, training
+from sceneseg.errors import ParseError, read_text
 
 
 def finite_diff(f, x, h=1e-4):
@@ -138,6 +139,33 @@ def rle_decode_loop(runs, n):
     if pos != n:
         raise ParseError(f"run lengths sum to {pos}, expected {n}")
     return out
+
+
+def read_predictions_loop(path):
+    """inference.read_predictions, converting one run at a time with int()."""
+    lines = read_text(path).splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) != 4 or header[0] != "scene":
+        raise ParseError("missing scene header", line=1)
+    _, scene_id, n_points, n_sp = header
+    try:
+        n_points, n_sp = int(n_points), int(n_sp)
+    except ValueError:
+        raise ParseError("non-integer point or superpoint count", line=1) from None
+    instances = []
+    for ln, text in enumerate(lines[1:], start=2):
+        parts = text.split()
+        if len(parts) < 4 or parts[0] != "instance":
+            raise ParseError("bad instance line", line=ln)
+        try:
+            class_id, score = int(parts[1]), float(parts[2])
+            runs = [int(v) for v in parts[3:]]
+        except ValueError:
+            raise ParseError("non-numeric instance value", line=ln) from None
+        instances.append(
+            inference.InstanceResult(class_id, score, None, rle_decode_loop(runs, n_points))
+        )
+    return scene_id, n_sp, instances
 
 
 def box_surface_loop(rng, size, n):
@@ -279,3 +307,70 @@ def composed_attention(q, k, v, heads, mask=None, capture=None):
             capture.append(w.value.copy())
         outs.append(ad.matmul(w, vh))
     return ad.concat_cols(outs)
+
+
+# ---------------------------------------------------------------------------
+# oracles of the vectorised training step
+
+
+def scatter_add_at(keys, weights, n, c):
+    """ad.scatter_add through np.add.at into zeros."""
+    out = np.zeros(n * c)
+    np.add.at(out, keys.ravel(), weights.ravel())
+    return out.reshape(n, c)
+
+
+def unique_rows_np(cells):
+    """scenegen.unique_rows through np.unique along axis 0."""
+    coords, inverse = np.unique(cells, axis=0, return_inverse=True)
+    return coords, inverse.ravel()
+
+
+def weighted_bce_rows(pred_rows, gt_rows, weights):
+    """Per-row size-weighted BCE between probabilities and binary targets."""
+    p = np.clip(pred_rows, training.PROB_CLAMP, 1.0 - training.PROB_CLAMP)
+    per = -(gt_rows * np.log(p) + (1.0 - gt_rows) * np.log(1.0 - p))
+    return per @ weights
+
+
+def weighted_dice_rows(pred_rows, gt_rows, sizes, eps=training.DICE_EPS):
+    num = 2.0 * (pred_rows * gt_rows) @ sizes + eps
+    den = pred_rows @ sizes + gt_rows @ sizes + eps
+    return 1.0 - num / den
+
+
+def match_cost_loop(pred, gt, sizes, lambda_cls=1.0, lambda_mask=1.0):
+    """training.match_cost, one ground-truth column at a time."""
+    probs = pred.class_probs.value
+    masks = pred.sp_mask.value
+    k_gt = len(gt.instance_classes)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    w = sizes / sizes.sum()
+    cost = np.empty((len(probs), k_gt))
+    for j in range(k_gt):
+        g = gt.superpoint_masks[j].astype(np.float64)
+        nll = -np.log(np.maximum(probs[:, gt.instance_classes[j]], 1e-12))
+        cost[:, j] = lambda_cls * nll + lambda_mask * (
+            weighted_bce_rows(masks, g, w) + weighted_dice_rows(masks, g, sizes)
+        )
+    return cost
+
+
+def dice_loss_per_pair(pred, assignment, gt, sizes, eps=training.DICE_EPS):
+    """training.dice_loss as one gathered row and one chain of nodes per
+    matched pair, summed by a chain of adds."""
+    if not assignment.pairs:
+        return ad.constant([[0.0]])
+    sizes = np.asarray(sizes, dtype=np.float64)
+    p = ad.gather_rows(pred.sp_mask, assignment.query_idx)
+    g = gt.superpoint_masks[assignment.gt_idx].astype(np.float64)
+    terms = []
+    for n in range(len(assignment.pairs)):
+        row = ad.gather_rows(p, [n])
+        num = ad.affine(ad.sum_all(ad.affine(row, scale=2.0 * sizes * g[n])), 1.0, eps)
+        den = ad.affine(ad.sum_all(ad.affine(row, scale=sizes)), 1.0, (g[n] @ sizes) + eps)
+        terms.append(ad.affine(ad.div(num, den), -1.0, 1.0))
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = ad.add(acc, t)
+    return ad.affine(acc, 1.0 / len(terms))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sceneseg import autodiff as ad
 from sceneseg.errors import ContractError, ShapeError
 
-from helpers import composed_attention, finite_diff, rel_err, slice_cols
+from helpers import composed_attention, finite_diff, rel_err, scatter_add_at, slice_cols
 
 
 class TestMatmul:
@@ -318,6 +319,77 @@ class TestAttention:
         for t in (q, k, v):
             fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
             assert rel_err(t.grad, fd) < 1e-6
+
+
+# signed zeros, infinities and magnitudes whose sums depend on their order
+SCATTER_VALUES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300]) | st.floats(
+    -1e6, 1e6, allow_nan=False
+)
+
+
+@st.composite
+def scatter_cases(draw):
+    """(n, row indices into n rows, one value row per index)."""
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(0, 4))
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), max_size=24)), dtype=np.int64)
+    return n, idx, draw(arrays(np.float64, (len(idx), c), elements=SCATTER_VALUES))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf is nan on both sides
+class TestScatterAdd:
+    """ad.scatter_add against np.add.at into zeros, the form it replaced in
+    gather_rows' backward, segment_mean's forward and group_max's backward."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scatter_cases())
+    @example((3, np.zeros(0, np.int64), np.zeros((0, 2))))
+    @example((4, np.array([2, 2, 2]), np.array([[0.0, -0.0], [-0.0, np.inf], [-0.0, -np.inf]])))
+    def test_same_bytes_as_add_at(self, case):
+        n, idx, rows = case
+        c = rows.shape[1]
+        want = np.zeros((n, c))
+        np.add.at(want, idx, rows)
+        keys = idx[:, None] * c + np.arange(c)
+        assert ad.scatter_add(keys, rows, n, c).tobytes() == want.tobytes()
+        assert scatter_add_at(keys, rows, n, c).tobytes() == want.tobytes()
+
+        # gather_rows' backward scatters the output gradient back
+        x = ad.Tensor(np.zeros((n, c)))
+        ad.backward(ad.sum_all(ad.mul(ad.gather_rows(x, idx), ad.constant(rows))))
+        assert x.grad.tobytes() == want.tobytes()
+
+        # segment_mean's forward sums rows per segment; every segment non-empty
+        seg = np.concatenate([idx, np.arange(n)])
+        full = np.concatenate([rows, np.ones((n, c))])
+        sums = np.zeros((n, c))
+        np.add.at(sums, seg, full)
+        got = ad.segment_mean(ad.constant(full), seg, n).value
+        assert got.tobytes() == (sums / np.bincount(seg)[:, None]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_group_max_gradient_same_bytes(self, data):
+        n = data.draw(st.integers(1, 8))
+        c = data.draw(st.integers(1, 4))
+        x_val = data.draw(arrays(np.float64, (n, c), elements=st.floats(-4, 4).map(round)))
+        g_val = data.draw(arrays(np.float64, (5, c), elements=SCATTER_VALUES))
+        # overlapping, repeated and empty groups
+        groups = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6), min_size=5, max_size=5))
+
+        def grad(scatter):
+            x = ad.Tensor(x_val.copy())
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ad, "scatter_add", scatter)
+                out = ad.group_max(x, groups)
+                ad.backward(ad.sum_all(ad.mul(out, ad.constant(g_val))))
+            return x.grad.tobytes()
+
+        assert grad(ad.scatter_add) == grad(scatter_add_at)
+
+    def test_gather_rows_rejects_negative_index(self):
+        with pytest.raises(ContractError, match="negative"):
+            ad.gather_rows(ad.constant(np.ones((3, 2))), [0, -1])
 
 
 class TestCheckpoint:

@@ -10,7 +10,7 @@ from helpers import finite_diff, micro_scene, rel_err
 
 def make_backbone(channels=8, levels=2, seed=0):
     store = ad.ParamStore()
-    cfg = BackboneConfig(base_voxel=0.15, channels=channels, levels=levels, seed=seed)
+    cfg = BackboneConfig(base_voxel=0.15, channels=channels, levels=levels)
     return Backbone(store, cfg, np.random.default_rng(seed)), store
 
 

@@ -253,6 +253,42 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestConfigRanges:
+    """Out-of-range values exit 2 with one line naming the key: before range
+    checks these ended in a traceback (exit 1) or in a silent success."""
+
+    @pytest.mark.parametrize(
+        "command, sets, key",
+        [
+            ("train", ["backbone.levels=0"], "backbone.levels"),
+            ("train", ["backbone.channels=4"], "backbone.channels"),
+            ("train", ["decoder.heads=3"], "decoder.heads"),
+            ("train", ["decoder.heads=0"], "decoder.heads"),
+            ("train", ["decoder.tau=1.5"], "decoder.tau"),
+            ("train", ["decoder.k=0"], "decoder.k"),
+            ("train", ["decoder.layers=-1"], "decoder.layers"),
+            ("train", ["msa.r1=0.5"], "msa.r1"),
+            ("train", ["msa.k_cand=0"], "msa.k_cand"),
+            ("train", ["train.steps=-1"], "train.steps"),
+            ("gen", ["n_points=0"], "n_points"),
+            ("gen", ["n_objects=-1"], "n_objects"),
+            ("gen", ["n_class=0"], "n_class"),
+            ("gen", ["room_extent=0.5"], "room_extent"),
+            ("gen", ["n_objects=40", "n_points=4000"], "n_objects"),
+            ("gen", ["n_scenes=0"], "n_scenes"),
+        ],
+    )
+    def test_exit_2_naming_the_key(self, workspace, tmp_path, capsys, command, sets, key):
+        out = tmp_path / "out"
+        args = [command, "--out", str(out)]
+        if command == "train":
+            args += ["--data", str(workspace / "data")]
+        assert run(args, sets) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0], err
+        assert not list(out.glob("*.ply")) and not (out / "checkpoint.psgw").exists()
+
+
 class TestBadInputExitCodes:
     """Each malformed input exits 3 with a one-line message, never 0 or 1."""
 

@@ -62,7 +62,7 @@ class TestBuilders:
         mc = cfgmod.model_config(cfg)
         assert mc.dec.k == 5
         assert mc.agg.r1 == 0.15
-        assert mc.seed == 3 and mc.backbone.seed == 3
+        assert mc.seed == 3
 
     def test_train_config_carries_values(self):
         cfg = cfgmod.load_config(None, ["train.steps=12", "train.deep_supervision=0"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import rle_decode_loop, rle_encode_loop
+from helpers import read_predictions_loop, rle_decode_loop, rle_encode_loop
 from sceneseg import autodiff as ad, inference, scenegen
 from sceneseg.decoder import LayerPrediction
 from sceneseg.errors import ContractError, ParseError
@@ -351,6 +351,74 @@ class TestPredictionFiles:
         with pytest.raises(ParseError) as info:
             inference.read_predictions(p)
         assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "runs, match",
+        [
+            ("1 x 3", "integers"),
+            ("1 2.5 1", "integers"),
+            (f"1 {2**70} 3", "integers"),
+            ("6 -2", "negative"),
+            ("1 2", "sum to 3, expected 4"),
+        ],
+    )
+    def test_bad_runs_name_the_line(self, tmp_path, runs, match):
+        p = tmp_path / "bad.pred.txt"
+        p.write_text(f"scene s 4 1\ninstance 0 0.5 0 4\ninstance 1 0.5 {runs}\n")
+        with pytest.raises(ParseError, match=f"^line 3: .*{match}") as info:
+            inference.read_predictions(p)
+        assert info.value.line == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 60).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        arrays(bool, n),
+                        st.sampled_from(["ok"] * 6 + ["short", "long", "negative", "huge", "text"]),
+                    ),
+                    max_size=5,
+                ),
+            )
+        )
+    )
+    def test_read_matches_loop_oracle(self, tmp_path_factory, case):
+        """Identical instances from a well-formed file; otherwise a ParseError
+        naming the first bad instance line, where the loop gave one too."""
+        n, lines = case
+        body = [f"scene s {n} 3"]
+        for i, (mask, fault) in enumerate(lines):
+            runs = inference._rle_encode(mask)
+            if fault == "short":
+                runs[-1] -= 1
+            elif fault == "long":
+                runs.append(1)
+            elif fault == "negative":
+                runs = [-1] + runs
+            elif fault == "huge":
+                runs = [2**70] + runs
+            runs = " ".join(map(str, runs)) + (" x" if fault == "text" else "")
+            body.append(f"instance {i % 3} {0.1 * i!r} {runs}")
+        path = tmp_path_factory.mktemp("pred") / "s.pred.txt"
+        path.write_text("\n".join(body) + "\n")
+        bad = [ln for ln, (_, fault) in enumerate(lines, start=2) if fault != "ok"]
+        if not bad:
+            sid, n_sp, got = inference.read_predictions(path)
+            assert (sid, n_sp) == read_predictions_loop(path)[:2] == ("s", 3)
+            want = read_predictions_loop(path)[2]
+            assert [(a.class_id, a.final_score) for a in got] == [
+                (b.class_id, b.final_score) for b in want
+            ]
+            assert [a.point_mask.tobytes() for a in got] == [b.point_mask.tobytes() for b in want]
+            return
+        with pytest.raises(ParseError) as info:
+            inference.read_predictions(path)
+        assert info.value.line == bad[0]
+        with pytest.raises(ParseError) as oracle:
+            read_predictions_loop(path)
+        assert oracle.value.line in (None, bad[0])
 
     def test_negative_run_rejected(self, tmp_path):
         p = tmp_path / "bad.pred.txt"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import box_surface_loop, read_ply_loop, write_ply_loop
+from helpers import box_surface_loop, read_ply_loop, unique_rows_np, write_ply_loop
 from sceneseg import scenegen
 from sceneseg.errors import ContractError, DataError, ParseError
 
@@ -93,12 +93,33 @@ class TestVoxelize:
         assert len(vox.coords) == len(want)
         assert {tuple(c) for c in vox.coords} == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.integers(1, 4).flatmap(
+                lambda c: arrays(
+                    np.int64,
+                    (n, c),
+                    elements=st.sampled_from([np.iinfo(np.int64).min, np.iinfo(np.int64).max])
+                    | st.integers(-3, 3),
+                )
+            )
+        )
+    )
+    def test_unique_rows_matches_np_unique(self, cells):
+        """Negatives, int64 extremes, repeated rows and a single row."""
+        coords, inverse = scenegen.unique_rows(cells)
+        want_coords, want_inverse = unique_rows_np(cells)
+        assert coords.dtype == want_coords.dtype and coords.shape == want_coords.shape
+        assert coords.tobytes() == want_coords.tobytes()
+        assert inverse.dtype == want_inverse.dtype
+        assert inverse.tobytes() == want_inverse.tobytes()
+
     def test_maps_consistent(self, scene):
         vox = scenegen.voxelize(scene.positions, 0.1)
-        for v, pts in enumerate(vox.voxel_to_points):
-            assert len(pts) > 0
-            assert np.all(vox.point_to_voxel[pts] == v)
-        assert sum(len(p) for p in vox.voxel_to_points) == scene.n_points
+        cells = np.floor(scene.positions / 0.1).astype(np.int64)
+        np.testing.assert_array_equal(vox.coords[vox.point_to_voxel], cells)
+        assert np.all(np.bincount(vox.point_to_voxel, minlength=len(vox.coords)) > 0)
 
 
 class TestSuperpoints:

@@ -2,14 +2,26 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sceneseg import autodiff as ad, config as cfgmod, scenegen, training
-from sceneseg.decoder import LayerPrediction, MultiHeadAttention
+from sceneseg import autodiff as ad, config as cfgmod, model, scenegen, training
+from sceneseg.aggregation import AggregationConfig
+from sceneseg.backbone import BackboneConfig
+from sceneseg.decoder import DecoderConfig, LayerPrediction, MultiHeadAttention
 from sceneseg.model import SegModel, seed_for
 from sceneseg.errors import ContractError, NumericError
 from sceneseg.training import Assignment, TrainConfig
 
-from helpers import SMALL_CFG, composed_attention, micro_model, micro_scene
+from helpers import (
+    SMALL_CFG,
+    composed_attention,
+    dice_loss_per_pair,
+    match_cost_loop,
+    micro_model,
+    micro_scene,
+    scatter_add_at,
+    unique_rows_np,
+)
 
 
 def brute_force_cost(cost):
@@ -41,6 +53,22 @@ def fake_gt(classes, sp_masks):
         point_masks=sp,  # point granularity unused by the loss terms under test
         superpoint_masks=sp,
     )
+
+
+@st.composite
+def matching_cases(draw):
+    """Random predictions against random ground truth: K queries, K_gt
+    instances over M superpoints, with some mask entries saturated at exactly
+    0 or 1 as a sigmoid can give."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, k_gt, m = draw(st.integers(1, 14)), draw(st.integers(1, 14)), draw(st.integers(1, 40))
+    n_class = draw(st.integers(1, 4))
+    masks = rng.uniform(size=(k, m))
+    saturated = rng.uniform(size=(k, m)) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    masks[saturated] = np.round(masks[saturated])
+    gt = fake_gt(rng.integers(0, n_class, size=k_gt), rng.uniform(size=(k_gt, m)) < 0.4)
+    pred = fake_pred(rng.dirichlet(np.ones(n_class + 1), size=k), masks)
+    return pred, gt, rng.integers(1, 50, size=m).astype(np.float64), rng
 
 
 class TestHungarian:
@@ -94,6 +122,18 @@ class TestMatchCost:
         c1 = training.match_cost(pred, gt, np.ones(5), lambda_cls=1.0, lambda_mask=1.0)
         c2 = training.match_cost(pred, gt, np.ones(5), lambda_cls=2.0, lambda_mask=2.0)
         np.testing.assert_allclose(c2, 2 * c1, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matching_cases())
+    def test_matches_per_gt_loop(self, case):
+        pred, gt, sizes, _ = case
+        got = training.match_cost(pred, gt, sizes, lambda_cls=0.7, lambda_mask=1.3)
+        want = match_cost_loop(pred, gt, sizes, lambda_cls=0.7, lambda_mask=1.3)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        pairs, want_pairs = training.hungarian(got).pairs, training.hungarian(want).pairs
+        if pairs != want_pairs:  # only on an exact tie of the loop's costs
+            total = lambda ps: sum(want[q, g] for q, g in ps)
+            assert abs(total(pairs) - total(want_pairs)) <= 1e-12
 
 
 class TestClassificationLoss:
@@ -244,6 +284,34 @@ class TestDiceLoss:
         assert v < 1e-2
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(matching_cases())
+    def test_matches_per_pair_chain(self, case):
+        """Byte-identical gradients. The value is identical below 8 pairs; from
+        8 on, numpy sums the terms pairwise instead of in a chain, so it may
+        differ by a few ulps (within one ulp per pair)."""
+        pred, gt, sizes, rng = case
+        k, k_gt = pred.sp_mask.shape[0], len(gt.instance_classes)
+        n = min(k, k_gt)
+        queries = np.sort(rng.choice(k, n, replace=False))
+        pairs = list(zip(queries.tolist(), rng.permutation(k_gt)[:n].tolist()))
+
+        def run(loss_fn):
+            leaf = ad.Tensor(pred.sp_mask.value.copy())
+            p = LayerPrediction(pred.class_probs, pred.iou_score, leaf)
+            loss = loss_fn(p, Assignment(pairs=pairs), gt, sizes)
+            ad.backward(loss)
+            return loss.value[0, 0], leaf.grad
+
+        value, grad = run(training.dice_loss)
+        want_value, want_grad = run(dice_loss_per_pair)
+        assert grad.tobytes() == want_grad.tobytes()
+        if n < 8:
+            assert value == want_value
+        else:
+            assert abs(value - want_value) <= n * np.spacing(want_value)
+
+
 class TestForegroundLoss:
     def make_scene(self, labels):
         n = len(labels)
@@ -377,20 +445,22 @@ class TestFit:
             if name.startswith("decoder.layer0.ffn"):
                 assert np.any(m.store.grad_of(name) != 0), name
 
-    def test_fused_attention_trains_like_composed_chain(self, monkeypatch):
+    @staticmethod
+    def train_small():
+        """Loss rows, structure hashes and final parameter bytes of a
+        10-step SMALL_CFG fit."""
         cfg = cfgmod.load_config(None, SMALL_CFG)
         spec = cfgmod.scene_spec(cfg)
         scenes = [
             scenegen.generate_scene(seed_for(cfg["seed"], f"scene{i}"), spec) for i in range(2)
         ]
+        m = SegModel(cfgmod.model_config(cfg))
+        trace = training.fit(m, [m.prepare(s) for s in scenes], cfgmod.train_config(cfg))
+        rows = [(r.cls, r.score, r.bce, r.dice, r.foreground, r.total, r.structure) for r in trace]
+        return rows, {n: m.store[n].value.tobytes() for n in m.store.names()}
 
-        def train():
-            m = SegModel(cfgmod.model_config(cfg))
-            trace = training.fit(m, [m.prepare(s) for s in scenes], cfgmod.train_config(cfg))
-            rows = [(r.cls, r.score, r.bce, r.dice, r.foreground, r.total) for r in trace]
-            return rows, {n: m.store[n].value.tobytes() for n in m.store.names()}
-
-        fused = train()
+    def test_fused_attention_trains_like_composed_chain(self, monkeypatch):
+        fused = self.train_small()
         monkeypatch.setattr(
             MultiHeadAttention,
             "__call__",
@@ -398,4 +468,32 @@ class TestFit:
                 composed_attention(self.q(z), self.k(f), self.v(f), self.heads, mask, capture)
             ),
         )
-        assert train() == fused
+        assert self.train_small() == fused
+
+    def test_vectorised_step_trains_like_loop_oracles(self, monkeypatch):
+        fast = self.train_small()
+        monkeypatch.setattr(ad, "scatter_add", scatter_add_at)
+        monkeypatch.setattr(training, "match_cost", match_cost_loop)
+        monkeypatch.setattr(training, "dice_loss", dice_loss_per_pair)
+        monkeypatch.setattr(scenegen, "unique_rows", unique_rows_np)
+        assert self.train_small() == fast
+
+    def test_tape_nodes_do_not_grow_with_instances(self):
+        """The loss adds the same nodes for 4 matched pairs as for 16."""
+        m = SegModel(
+            model.ModelConfig(
+                backbone=BackboneConfig(base_voxel=0.3, channels=8, levels=1),
+                agg=AggregationConfig(cap=8, k_cand=6, width=8),
+                dec=DecoderConfig(k=20, d=16, layers=1, heads=4),
+                coarse_size=0.6,
+            )
+        )
+
+        def nodes(n_objects):
+            spec = scenegen.SceneSpec(n_objects=n_objects, n_points=1600, room_extent=8.0)
+            prep = m.prepare(scenegen.generate_scene(5, spec))
+            assert len(prep.gt.instance_classes) == n_objects
+            report = training.scene_loss(m, prep, TrainConfig())
+            return len(ad._toposort(report.total_tensor))
+
+        assert nodes(4) == nodes(16)
