@@ -408,10 +408,10 @@ def group_max(x, groups, width=None):
         arg[i] = np.asarray(g, dtype=np.int64)[a]
     _record_structure(arg)
     out = Tensor(vals, (x,))
-    routed = arg >= 0  # empty groups route nowhere
-    keys = (arg * x.shape[1] + np.arange(width))[routed]
 
     def push(g):
+        routed = arg >= 0  # empty groups route nowhere
+        keys = (arg * x.shape[1] + np.arange(width))[routed]
         x._accumulate(scatter_add(keys, g[routed], *x.shape))
 
     out._push = push

@@ -283,7 +283,6 @@ class TestDiceLoss:
         v = training.dice_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(m)).value[0, 0]
         assert v < 1e-2
 
-
     @settings(max_examples=200, deadline=None)
     @given(matching_cases())
     def test_matches_per_pair_chain(self, case):
