@@ -1,8 +1,29 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Every value is a 2-D row-major numpy array. A fresh graph is built on each
-forward pass; `backward` walks it once in reverse topological order. All ops
-are pure given their inputs, so repeated runs are bit-identical.
+Every value is a 2-D numpy array. A fresh graph is built on each forward
+pass; `backward` walks it once in reverse topological order. All ops are pure
+given their inputs, so repeated runs are bit-identical.
+
+Fused ops (`linear`, `matmul_nt`, `attention`, `weighted_bce`) are one tape
+node each, with a hand-written backward that repeats the arithmetic of the
+composed chain it replaces, so values and gradients keep their bytes. Two
+rules keep them so:
+
+- Ownership. A push hands each parent its gradient through `_take` or
+  `_accumulate`. `_take(g)` keeps g itself as the parent's first `.grad`, so
+  g must be an array the push has just allocated and nothing else holds.
+  `_accumulate(g)` copies it first. Pushes that pass on their own incoming
+  gradient or a view of it must copy: `add` (both sides), `sub`'s `a`,
+  `add_bias`'s `x`, `concat_cols` (column slices), `transpose` (g.T) and
+  `sum_rows` (a read-only broadcast). Otherwise two nodes share one buffer,
+  and the next `+=` into either changes both.
+- Memory order. BLAS results depend on the operands' layout, not only on
+  their values, and a gradient's layout decides the path of every matmul
+  that later reads it. A taken gradient keeps the layout it was allocated
+  with, which is the layout `np.array` gives a contiguous copy. So a fused
+  op must hand on each gradient in the order (C or F) its chain produced:
+  `matmul_nt` gives `b` the F-ordered `(a.value.T @ g).T` of the transpose
+  chain, and multiplies by a C-ordered copy of `b.value.T` as that chain did.
 """
 
 from __future__ import annotations
@@ -49,8 +70,17 @@ class Tensor:
         return self.value.shape
 
     def _accumulate(self, g):
+        """Add a gradient this node must not keep: a copy becomes .grad."""
         if self.grad is None:
             self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
+
+    def _take(self, g):
+        """Add a float64 gradient the push has just allocated; the first one
+        becomes .grad without a copy (see the ownership rule above)."""
+        if self.grad is None:
+            self.grad = g
         else:
             self.grad += g
 
@@ -100,8 +130,26 @@ def matmul(a, b):
     out = Tensor(a.value @ b.value, (a, b))
 
     def push(g):
-        a._accumulate(g @ b.value.T)
-        b._accumulate(a.value.T @ g)
+        a._take(g @ b.value.T)
+        b._take(a.value.T @ g)
+
+    out._push = push
+    return out
+
+
+def matmul_nt(a, b):
+    """a @ b^T as one node, for the transpose chain matmul(a, transpose(b)).
+
+    b^T is multiplied as the C-ordered copy that chain made, and b's gradient
+    is the F-ordered transpose it handed on (see the memory-order rule)."""
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"matmul_nt {a.shape} x {b.shape}^T")
+    bt = b.value.T.copy()
+    out = Tensor(a.value @ bt, (a, b))
+
+    def push(g):
+        a._take(g @ bt.T)
+        b._take((a.value.T @ g).T)
 
     out._push = push
     return out
@@ -133,7 +181,7 @@ def sub(a, b):
 
     def push(g):
         a._accumulate(g)
-        b._accumulate(-g)
+        b._take(-g)
 
     out._push = push
     return out
@@ -145,8 +193,8 @@ def mul(a, b):
     out = Tensor(a.value * b.value, (a, b))
 
     def push(g):
-        a._accumulate(g * b.value)
-        b._accumulate(g * a.value)
+        a._take(g * b.value)
+        b._take(g * a.value)
 
     out._push = push
     return out
@@ -158,8 +206,8 @@ def div(a, b):
     out = Tensor(a.value / b.value, (a, b))
 
     def push(g):
-        a._accumulate(g / b.value)
-        b._accumulate(-g * a.value / (b.value * b.value))
+        a._take(g / b.value)
+        b._take(-g * a.value / (b.value * b.value))
 
     out._push = push
     return out
@@ -173,9 +221,9 @@ def affine(a, scale=1.0, shift=0.0):
     scale = np.asarray(scale, dtype=np.float64)
     out = Tensor(scale * a.value + shift, (a,))
     if scale.ndim == 0:
-        out._push = lambda g: a._accumulate(g * float(scale))
+        out._push = lambda g: a._take(g * float(scale))
     else:
-        out._push = lambda g: a._accumulate(g * scale)
+        out._push = lambda g: a._take(g * scale)
     return out
 
 
@@ -187,7 +235,25 @@ def add_bias(x, b):
 
     def push(g):
         x._accumulate(g)
-        b._accumulate(g.sum(axis=0, keepdims=True))
+        b._take(g.sum(axis=0, keepdims=True))
+
+    out._push = push
+    return out
+
+
+def linear(x, w, b):
+    """x @ w + b (b a 1xC row) as one node, for add_bias(matmul(x, w), b);
+    x @ w is not kept on the tape."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError(f"linear {x.shape} x {w.shape} + {b.shape}")
+    y = x.value @ w.value
+    y += b.value
+    out = Tensor(y, (x, w, b))
+
+    def push(g):
+        b._take(g.sum(axis=0, keepdims=True))
+        x._take(g @ w.value.T)
+        w._take(x.value.T @ g)
 
     out._push = push
     return out
@@ -196,20 +262,20 @@ def add_bias(x, b):
 def relu(x):
     _record_structure(x.value > 0.0)
     out = Tensor(np.maximum(x.value, 0.0), (x,))
-    out._push = lambda g: x._accumulate(g * (x.value > 0.0))
+    out._push = lambda g: x._take(g * (x.value > 0.0))
     return out
 
 
 def sigmoid(x):
     s = 1.0 / (1.0 + np.exp(-x.value))
     out = Tensor(s, (x,))
-    out._push = lambda g: x._accumulate(g * s * (1.0 - s))
+    out._push = lambda g: x._take(g * s * (1.0 - s))
     return out
 
 
 def log(x):
     out = Tensor(np.log(x.value), (x,))
-    out._push = lambda g: x._accumulate(g / x.value)
+    out._push = lambda g: x._take(g / x.value)
     return out
 
 
@@ -218,7 +284,7 @@ def clip(x, lo, hi):
     inside = (x.value > lo) & (x.value < hi)
     _record_structure(inside)
     out = Tensor(np.clip(x.value, lo, hi), (x,))
-    out._push = lambda g: x._accumulate(g * inside)
+    out._push = lambda g: x._take(g * inside)
     return out
 
 
@@ -238,7 +304,7 @@ def softmax_rows(x, extra=None):
 
     def push(g):
         inner = (g * s).sum(axis=1, keepdims=True)
-        x._accumulate(s * (g - inner))
+        x._take(s * (g - inner))
 
     out._push = push
     return out
@@ -294,9 +360,9 @@ def attention(q, k, v, heads, mask=None, capture=None):
         g = split(g)
         gs = g @ vh.transpose(0, 2, 1)
         gz = s * (gs - (gs * s).sum(axis=2, keepdims=True)) * scale
-        q._accumulate(merge(gz @ kt.transpose(0, 2, 1)))
-        k._accumulate(merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
-        v._accumulate(merge(s.transpose(0, 2, 1) @ g))
+        q._take(merge(gz @ kt.transpose(0, 2, 1)))
+        k._take(merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
+        v._take(merge(s.transpose(0, 2, 1) @ g))
 
     out._push = push
     return out
@@ -319,9 +385,9 @@ def layer_norm(x, gain, bias):
         dxh = g * gain.value
         n = x.shape[1]
         term = dxh - dxh.mean(axis=1, keepdims=True) - xhat * (dxh * xhat).mean(axis=1, keepdims=True)
-        x._accumulate(inv * term)
-        gain._accumulate((g * xhat).sum(axis=0, keepdims=True))
-        bias._accumulate(g.sum(axis=0, keepdims=True))
+        x._take(inv * term)
+        gain._take((g * xhat).sum(axis=0, keepdims=True))
+        bias._take(g.sum(axis=0, keepdims=True))
 
     out._push = push
     return out
@@ -363,7 +429,7 @@ def gather_rows(x, idx):
     out = Tensor(x.value[idx], (x,))
 
     def push(g):
-        x._accumulate(scatter_add(_row_keys(idx, x.shape[1]), g, *x.shape))
+        x._take(scatter_add(_row_keys(idx, x.shape[1]), g, *x.shape))
 
     out._push = push
     return out
@@ -384,7 +450,7 @@ def segment_mean(x, seg, n_seg):
 
     def push(g):
         out_g = g / counts[:, None]
-        x._accumulate(out_g[seg])
+        x._take(out_g[seg])
 
     out._push = push
     return out
@@ -412,7 +478,7 @@ def group_max(x, groups, width=None):
     def push(g):
         routed = arg >= 0  # empty groups route nowhere
         keys = (arg * x.shape[1] + np.arange(width))[routed]
-        x._accumulate(scatter_add(keys, g[routed], *x.shape))
+        x._take(scatter_add(keys, g[routed], *x.shape))
 
     out._push = push
     return out
@@ -420,7 +486,7 @@ def group_max(x, groups, width=None):
 
 def sum_all(x):
     out = Tensor([[x.value.sum()]], (x,))
-    out._push = lambda g: x._accumulate(np.full(x.shape, g[0, 0]))
+    out._push = lambda g: x._take(np.full(x.shape, g[0, 0]))
     return out
 
 
@@ -434,6 +500,35 @@ def sum_rows(x):
 def mean_all(x):
     n = x.value.size
     return affine(sum_all(x), 1.0 / n)
+
+
+def weighted_bce(p, pos_w, neg_w, lo, hi):
+    """1x1 sum(pos_w * log(c) + neg_w * log(1 - c)) with c = clip(p, lo, hi),
+    as one node. The weights are constants broadcastable to p's shape.
+
+    Each step mirrors the clip / log / affine / sum_all / add chain: the
+    same expressions in the same order, and the same gradient order (the
+    positive term reaches the clip first), so the bytes are those of the
+    chain. Like clip, it records where the clamp is inactive."""
+    pos_w = np.asarray(pos_w, dtype=np.float64)
+    neg_w = np.asarray(neg_w, dtype=np.float64)
+    inside = (p.value > lo) & (p.value < hi)
+    _record_structure(inside)
+    c = np.clip(p.value, lo, hi)
+    c1 = 1.0 - c
+    # + 0.0 turns -0.0 terms into 0.0, as the chain's affine shift did
+    pos = (pos_w * np.log(c) + 0.0).sum()
+    neg = (neg_w * np.log(c1) + 0.0).sum()
+    out = Tensor([[pos + neg]], (p,))
+
+    def push(g):
+        full = np.full(p.shape, g[0, 0])
+        gc = full * pos_w / c
+        gc -= full * neg_w / c1
+        p._take(gc * inside)
+
+    out._push = push
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +641,7 @@ class Linear:
         self.b = store.create(prefix + ".b", 1, fan_out, rng, fan_in=fan_in)
 
     def __call__(self, x):
-        return add_bias(matmul(x, self.w), self.b)
+        return linear(x, self.w, self.b)
 
 
 class MLP:

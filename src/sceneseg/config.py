@@ -210,7 +210,6 @@ def train_config(cfg: RunConfig) -> training.TrainConfig:
     return training.TrainConfig(
         lr=cfg["train.lr"],
         steps=cfg["train.steps"],
-        seed=cfg["seed"],
         w_cls=cfg["train.w_cls"],
         w_score=cfg["train.w_score"],
         w_bce=cfg["train.w_bce"],

@@ -118,7 +118,7 @@ class PredictionHead:
         return LayerPrediction(
             class_probs=ad.softmax_rows(self.cls(z)),
             iou_score=ad.sigmoid(self.score(z)),
-            sp_mask=ad.sigmoid(ad.matmul(z, ad.transpose(s_mask))),
+            sp_mask=ad.sigmoid(ad.matmul_nt(z, s_mask)),
         )
 
 

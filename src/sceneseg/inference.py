@@ -206,16 +206,21 @@ def write_predictions(path, scene_id, n_points, n_superpoints, instances):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_predictions(path):
+def read_predictions(path, n_points=None):
+    """(scene id, superpoint count, instances) of a prediction file. With
+    `n_points`, the scene's point count, a header that gives another count is
+    rejected before any mask is decoded, so it cannot size an allocation."""
     lines = read_text(path).splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 4 or header[0] != "scene":
         raise ParseError("missing scene header", line=1)
-    _, scene_id, n_points, n_sp = header
+    _, scene_id, n_header, n_sp = header
     try:
-        n_points, n_sp = int(n_points), int(n_sp)
+        n_header, n_sp = int(n_header), int(n_sp)
     except ValueError:
         raise ParseError("non-integer point or superpoint count", line=1) from None
+    if n_points is not None and n_header != n_points:
+        raise ParseError(f"header gives {n_header} points, the scene has {n_points}", line=1)
     instances = []
     for ln, text in enumerate(lines[1:], start=2):
         parts = text.split(None, 3)
@@ -234,7 +239,7 @@ def read_predictions(path):
                 class_id=class_id,
                 final_score=score,
                 sp_mask=None,
-                point_mask=_rle_decode(runs, n_points, line=ln),
+                point_mask=_rle_decode(runs, n_header, line=ln),
             )
         )
     return scene_id, n_sp, instances

@@ -32,7 +32,6 @@ class Assignment:
 class TrainConfig:
     lr: float = 1e-3
     steps: int = 500
-    seed: int = 0
     w_cls: float = 0.5
     w_score: float = 0.5
     w_bce: float = 1.0
@@ -125,10 +124,8 @@ def bce_mask_loss(pred, assignment: Assignment, gt, sizes):
     sizes = np.asarray(sizes, dtype=np.float64)
     w = sizes / sizes.sum()
     g = gt.superpoint_masks[assignment.gt_idx].astype(np.float64)
-    p = ad.clip(ad.gather_rows(pred.sp_mask, assignment.query_idx), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    pos = ad.affine(ad.log(p), scale=g * w)
-    neg = ad.affine(ad.log(ad.affine(p, -1.0, 1.0)), scale=(1.0 - g) * w)
-    total = ad.add(ad.sum_all(pos), ad.sum_all(neg))
+    p = ad.gather_rows(pred.sp_mask, assignment.query_idx)
+    total = ad.weighted_bce(p, g * w, (1.0 - g) * w, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return ad.affine(total, -1.0 / len(assignment.pairs))
 
 
@@ -147,10 +144,8 @@ def dice_loss(pred, assignment: Assignment, gt, sizes, eps=DICE_EPS):
 def foreground_loss(fg, scene):
     """BCE of the per-point foreground probability against instance membership."""
     labels = (scene.instance >= 0).astype(np.float64)[:, None]
-    p = ad.clip(fg, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    pos = ad.affine(ad.log(p), scale=labels)
-    neg = ad.affine(ad.log(ad.affine(p, -1.0, 1.0)), scale=1.0 - labels)
-    return ad.affine(ad.add(ad.sum_all(pos), ad.sum_all(neg)), -1.0 / scene.n_points)
+    total = ad.weighted_bce(fg, labels, 1.0 - labels, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return ad.affine(total, -1.0 / scene.n_points)
 
 
 def total_loss(preds, gt, sizes, fg, scene, cfg: TrainConfig) -> LossReport:

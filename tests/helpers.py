@@ -1,9 +1,10 @@
 """Shared test utilities: finite-difference oracles, per-point loop oracles
-for the vectorised I/O and sampling code, the composed oracle of the fused
-attention op, the loop oracles of the vectorised training step, and tiny
+for the vectorised I/O and sampling code, the composed oracles of the fused
+autodiff ops, the loop oracles of the vectorised training step, and tiny
 scene and model builders."""
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 from sceneseg import aggregation, inference, kernels
 from sceneseg import autodiff as ad
@@ -307,6 +308,43 @@ def composed_attention(q, k, v, heads, mask=None, capture=None):
             capture.append(w.value.copy())
         outs.append(ad.matmul(w, vh))
     return ad.concat_cols(outs)
+
+
+# ---------------------------------------------------------------------------
+# composed oracles of the fused linear, mask-logit and BCE ops
+
+
+def composed_linear(x, w, b):
+    """ad.linear as matmul then add_bias."""
+    return ad.add_bias(ad.matmul(x, w), b)
+
+
+def composed_matmul_nt(a, b):
+    """ad.matmul_nt as matmul over a transpose node."""
+    return ad.matmul(a, ad.transpose(b))
+
+
+def composed_weighted_bce(p, pos_w, neg_w, lo, hi):
+    """ad.weighted_bce as clip / log / affine / sum_all / add nodes."""
+    c = ad.clip(p, lo, hi)
+    pos = ad.affine(ad.log(c), scale=pos_w)
+    neg = ad.affine(ad.log(ad.affine(c, -1.0, 1.0)), scale=neg_w)
+    return ad.add(ad.sum_all(pos), ad.sum_all(neg))
+
+
+def shared_grads(nodes):
+    """Pairs of distinct nodes whose .grad arrays share memory."""
+    spans = sorted(
+        (byte_bounds(n.grad), i) for i, n in enumerate(nodes) if n.grad is not None and n.grad.size
+    )
+    pairs = []
+    for k, ((lo, hi), i) in enumerate(spans):
+        for (lo2, _), j in spans[k + 1 :]:
+            if lo2 >= hi:
+                break
+            if np.shares_memory(nodes[i].grad, nodes[j].grad):
+                pairs.append((nodes[i], nodes[j]))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

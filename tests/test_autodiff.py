@@ -6,7 +6,20 @@ from hypothesis.extra.numpy import arrays
 from sceneseg import autodiff as ad
 from sceneseg.errors import ContractError, ShapeError
 
-from helpers import composed_attention, finite_diff, rel_err, scatter_add_at, slice_cols
+from sceneseg import config, scenegen, training
+from sceneseg.model import SegModel, seed_for
+
+from helpers import (
+    composed_attention,
+    composed_linear,
+    composed_matmul_nt,
+    composed_weighted_bce,
+    finite_diff,
+    rel_err,
+    scatter_add_at,
+    shared_grads,
+    slice_cols,
+)
 
 
 class TestMatmul:
@@ -319,6 +332,250 @@ class TestAttention:
         for t in (q, k, v):
             fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
             assert rel_err(t.grad, fd) < 1e-6
+
+
+# How a fused op's output reaches the loss decides the layout of the gradient
+# its push receives: C from `mul`, F through `transpose`, and a C copy of a
+# column slice, accumulated twice, through `concat_cols`.
+CONSUMERS = {
+    "mul": lambda out, g: ad.sum_all(ad.mul(out, ad.constant(g))),
+    "transpose": lambda out, g: ad.sum_all(ad.mul(ad.transpose(out), ad.constant(g.T.copy()))),
+    "concat": lambda out, g: ad.sum_all(
+        ad.mul(ad.concat_cols([out, out]), ad.constant(np.concatenate([g, -0.5 * g], axis=1)))
+    ),
+}
+
+
+def fused_case(op, values, loss_of, shared=()):
+    """Run op on fresh leaves holding `values` (layout kept), back-propagate
+    loss_of(out), and return the output, the structure the op recorded and
+    the gradients of the output and of every leaf. `shared` lists (i, j)
+    pairs where argument j is the same tensor as argument i."""
+    leaves = [ad.Tensor(v.copy(order="K")) for v in values]
+    for i, j in shared:
+        leaves[j] = leaves[i]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "structure_trace", [])
+        out = op(*leaves)
+        structure = ad.structure_trace
+    ad.backward(loss_of(out))
+    return out.value, structure, [out.grad] + [t.grad for t in leaves]
+
+
+def assert_same_bytes_and_order(got, want):
+    out, structure, grads = got
+    want_out, want_structure, want_grads = want
+    assert out.tobytes() == want_out.tobytes()
+    assert (out.flags.c_contiguous, out.flags.f_contiguous) == (
+        want_out.flags.c_contiguous,
+        want_out.flags.f_contiguous,
+    )
+    assert structure == want_structure
+    for a, b in zip(grads, want_grads):
+        assert a.shape == b.shape and a.tobytes(order="A") == b.tobytes(order="A")
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+            b.flags.c_contiguous,
+            b.flags.f_contiguous,
+        )
+
+
+def draw_values(draw, shapes):
+    """Normal values in the shapes given, all C- or all F-ordered."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = draw(st.sampled_from("CF"))
+    return [np.asarray(rng.normal(size=s), order=order) for s in shapes], rng
+
+
+class TestLinear:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_same_bytes_as_matmul_add_bias(self, data):
+        rows = data.draw(st.integers(0, 30))
+        cin, cout = data.draw(st.integers(1, 70)), data.draw(st.integers(1, 70))
+        values, rng = draw_values(data.draw, [(rows, cin), (cin, cout), (1, cout)])
+        consumer = CONSUMERS[data.draw(st.sampled_from(sorted(CONSUMERS)))]
+        g = rng.normal(size=(rows, cout))
+        got = fused_case(ad.linear, values, lambda out: consumer(out, g))
+        want = fused_case(composed_linear, values, lambda out: consumer(out, g))
+        assert_same_bytes_and_order(got, want)
+
+    def test_one_tape_node(self):
+        x, w, b = (ad.Tensor(np.ones(s)) for s in [(3, 2), (2, 4), (1, 4)])
+        assert ad.linear(x, w, b).parents == (x, w, b)
+
+    def test_shape_errors(self):
+        x = ad.constant(np.ones((3, 2)))
+        with pytest.raises(ShapeError):
+            ad.linear(x, ad.constant(np.ones((3, 4))), ad.constant(np.ones((1, 4))))
+        with pytest.raises(ShapeError):
+            ad.linear(x, ad.constant(np.ones((2, 4))), ad.constant(np.ones((2, 4))))
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(17)
+        x, w, b = (ad.Tensor(rng.normal(size=s)) for s in [(5, 3), (3, 4), (1, 4)])
+        g = ad.constant(rng.normal(size=(5, 4)))
+
+        def loss():
+            y = ad.linear(x, w, b)
+            return ad.sum_all(ad.mul(ad.mul(y, y), g))
+
+        ad.backward(loss())
+        for t in (x, w, b):
+            fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
+            assert rel_err(t.grad, fd) < 1e-6
+
+
+class TestMatmulNT:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_same_bytes_as_matmul_transpose(self, data):
+        rows, d = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 70))
+        shared = data.draw(st.booleans())
+        m = rows if shared else data.draw(st.integers(1, 300))
+        values, rng = draw_values(data.draw, [(rows, d), (m, d)])
+        consumer = CONSUMERS[data.draw(st.sampled_from(sorted(CONSUMERS)))]
+        g = rng.normal(size=(rows, m))
+        pairs = [(0, 1)] if shared else []
+        got = fused_case(ad.matmul_nt, values, lambda out: consumer(out, g), pairs)
+        want = fused_case(composed_matmul_nt, values, lambda out: consumer(out, g), pairs)
+        assert_same_bytes_and_order(got, want)
+
+    def test_b_gradient_is_f_ordered(self):
+        rng = np.random.default_rng(3)
+        a, b = ad.Tensor(rng.normal(size=(4, 6))), ad.Tensor(rng.normal(size=(9, 6)))
+        ad.backward(ad.sum_all(ad.matmul_nt(a, b)))
+        assert b.grad.flags.f_contiguous and not b.grad.flags.c_contiguous
+
+    def test_shape_error(self):
+        with pytest.raises(ShapeError):
+            ad.matmul_nt(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 2))))
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(19)
+        a, b = ad.Tensor(rng.normal(size=(4, 3))), ad.Tensor(rng.normal(size=(6, 3)))
+        g = ad.constant(rng.normal(size=(4, 6)))
+
+        def loss():
+            return ad.sum_all(ad.mul(ad.sigmoid(ad.matmul_nt(a, b)), g))
+
+        ad.backward(loss())
+        for t in (a, b):
+            fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
+            assert rel_err(t.grad, fd) < 1e-6
+
+
+BCE_CLAMP = (training.PROB_CLAMP, 1.0 - training.PROB_CLAMP)
+
+
+@st.composite
+def bce_inputs(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 40))
+    (p,), rng = draw_values(draw, [(rows, cols)])
+    lo, hi = draw(st.sampled_from([BCE_CLAMP, (0.1, 0.9), (0.25, 0.5)]))
+    # probabilities in and out of the clamp, some exactly on its bounds
+    p[...] = rng.uniform(-0.2, 1.2, size=p.shape)
+    hits = rng.uniform(size=p.shape) < 0.2
+    p[hits] = rng.choice([0.0, 1.0, lo, hi], size=hits.sum())
+
+    def weights():
+        shape = draw(st.sampled_from([(rows, cols), (1, cols), (rows, 1), ()]))
+        w = rng.uniform(0.0, 2.0, size=shape)
+        return np.where(rng.uniform(size=shape) < 0.2, 0.0, w)  # zeros give -0.0 terms
+
+    return p, weights(), weights(), lo, hi, rng.normal()
+
+
+class TestWeightedBCE:
+    @settings(max_examples=150, deadline=None)
+    @given(bce_inputs())
+    def test_same_bytes_as_composed_chain(self, case):
+        p, pos_w, neg_w, lo, hi, scale = case
+
+        def case_of(op):
+            return fused_case(
+                lambda t: op(t, pos_w, neg_w, lo, hi), [p], lambda out: ad.affine(out, scale)
+            )
+
+        assert_same_bytes_and_order(case_of(ad.weighted_bce), case_of(composed_weighted_bce))
+
+    def test_one_tape_node(self):
+        p = ad.Tensor(np.full((2, 3), 0.5))
+        out = ad.weighted_bce(p, 1.0, 1.0, *BCE_CLAMP)
+        assert out.parents == (p,) and out.shape == (1, 1)
+
+    def test_hand_case(self):
+        p = ad.constant([[0.25, 0.5]])
+        out = ad.weighted_bce(p, [[2.0, 0.0]], [[0.0, 1.0]], *BCE_CLAMP)
+        np.testing.assert_allclose(out.value, [[2.0 * np.log(0.25) + np.log(0.5)]], rtol=1e-15)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(23)
+        p = ad.Tensor(rng.uniform(0.05, 0.95, size=(4, 7)))
+        pos_w, neg_w = rng.uniform(0.0, 2.0, size=(4, 7)), rng.uniform(0.0, 2.0, size=(1, 7))
+
+        def loss():
+            return ad.weighted_bce(p, pos_w, neg_w, *BCE_CLAMP)
+
+        ad.backward(loss())
+        fd = finite_diff(lambda: float(loss().value[0, 0]), p.value, h=1e-6)
+        assert rel_err(p.grad, fd) < 1e-6
+
+    def test_clamped_entries_get_no_gradient(self):
+        p = ad.Tensor([[0.0, 0.5, 1.0]])
+        ad.backward(ad.weighted_bce(p, 2.0, 1.0, *BCE_CLAMP))
+        assert p.grad[0, 0] == 0.0 and p.grad[0, 2] == 0.0 and p.grad[0, 1] != 0.0
+
+
+@pytest.fixture(scope="module")
+def default_step_nodes():
+    """Every tape node of one training step on the seed-1 default scene 0,
+    after the backward pass."""
+    cfg = config.RunConfig()
+    m = SegModel(config.model_config(cfg))
+    prep = m.prepare(scenegen.generate_scene(seed_for(1, "scene0"), scenegen.SceneSpec()))
+    report = training.scene_loss(m, prep, config.train_config(cfg))
+    ad.backward(report.total_tensor)
+    return ad._toposort(report.total_tensor)
+
+
+class TestGradientOwnership:
+    """A push may keep a gradient it allocated, but never one another node
+    holds: no two nodes' .grad may share memory after a backward pass."""
+
+    def test_default_training_step(self, default_step_nodes):
+        assert sum(n.grad is not None for n in default_step_nodes) > 700
+        assert shared_grads(default_step_nodes) == []
+
+    def test_default_step_tape_nodes(self, default_step_nodes):
+        assert len(default_step_nodes) <= 780
+
+    def test_add_of_one_tensor(self):
+        x = ad.Tensor(np.arange(6.0).reshape(2, 3))
+        c = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        s = ad.add(x, x)
+        loss = ad.sum_all(ad.mul(s, ad.constant(c)))
+        ad.backward(loss)
+        assert x.grad.tobytes() == (c + c).tobytes()
+        assert shared_grads(ad._toposort(loss)) == []
+
+    def test_matmul_of_one_tensor(self):
+        rng = np.random.default_rng(29)
+        a = ad.Tensor(rng.normal(size=(4, 4)))
+        c = rng.normal(size=(4, 4))
+        loss = ad.sum_all(ad.mul(ad.matmul(a, a), ad.constant(c)))
+        ad.backward(loss)
+        np.testing.assert_allclose(a.grad, c @ a.value.T + a.value.T @ c, rtol=1e-12)
+        assert shared_grads(ad._toposort(loss)) == []
+
+    def test_concat_cols(self):
+        rng = np.random.default_rng(31)
+        x, y = ad.Tensor(rng.normal(size=(3, 2))), ad.Tensor(rng.normal(size=(3, 4)))
+        c = rng.normal(size=(3, 8))
+        loss = ad.sum_all(ad.mul(ad.concat_cols([x, y, x]), ad.constant(c)))
+        ad.backward(loss)
+        assert x.grad.tobytes() == (c[:, :2] + c[:, 6:]).tobytes()
+        assert y.grad.tobytes() == np.ascontiguousarray(c[:, 2:6]).tobytes()
+        assert shared_grads(ad._toposort(loss)) == []
 
 
 # signed zeros, infinities and magnitudes whose sums depend on their order

@@ -355,6 +355,14 @@ class TestBadInputExitCodes:
         n = scene.n_points
         assert eval_one(scene, f"scene scene_000 {n + 1} 1\ninstance 0 0.5 0 {n + 1}\n") == 3
 
+    def test_huge_header_point_count(self, scene, eval_one, capsys):
+        # decoding this header's mask would ask numpy for 90.9 TiB
+        n = 99999999999999
+        assert eval_one(scene, f"scene scene_000 {n} 1\ninstance 0 0.5 {n}\n") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "scene_000.pred.txt" in err
+        assert f"header gives {n} points" in err
+
     def test_non_utf8_ply(self, workspace, tmp_path, predict, capsys):
         raw = (workspace / "data" / "scene_000.ply").read_bytes()
         bad = tmp_path / "bad.ply"

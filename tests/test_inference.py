@@ -426,6 +426,18 @@ class TestPredictionFiles:
         with pytest.raises(ParseError, match="negative"):
             inference.read_predictions(p)
 
+    def test_header_count_checked_against_scene_before_decoding(self, tmp_path, monkeypatch):
+        n = 99999999999999
+        p = tmp_path / "huge.pred.txt"
+        p.write_text(f"scene s {n} 1\ninstance 0 0.5 {n}\n")
+        monkeypatch.setattr(inference, "_rle_decode", None)  # decoding would fail loudly
+        with pytest.raises(ParseError, match=f"^line 1: header gives {n} points, the scene has 4$"):
+            inference.read_predictions(p, n_points=4)
+        monkeypatch.undo()
+        p.write_text("scene s 4 1\ninstance 0 0.5 1 3\n")
+        _, _, (inst,) = inference.read_predictions(p, n_points=4)
+        assert inst.point_mask.tolist() == [False, True, True, True]
+
 
 class TestReports:
     def make_report(self):

@@ -15,6 +15,9 @@ from sceneseg.training import Assignment, TrainConfig
 from helpers import (
     SMALL_CFG,
     composed_attention,
+    composed_linear,
+    composed_matmul_nt,
+    composed_weighted_bce,
     dice_loss_per_pair,
     match_cost_loop,
     micro_model,
@@ -467,6 +470,16 @@ class TestFit:
                 composed_attention(self.q(z), self.k(f), self.v(f), self.heads, mask, capture)
             ),
         )
+        assert self.train_small() == fused
+
+    def test_fused_ops_train_like_composed_chains(self, monkeypatch):
+        """The fused linear, mask-logit and BCE ops, and gradients kept
+        without a copy, give the bytes of the chains and copies they replace."""
+        fused = self.train_small()
+        monkeypatch.setattr(ad, "linear", composed_linear)
+        monkeypatch.setattr(ad, "matmul_nt", composed_matmul_nt)
+        monkeypatch.setattr(ad, "weighted_bce", composed_weighted_bce)
+        monkeypatch.setattr(ad.Tensor, "_take", ad.Tensor._accumulate)
         assert self.train_small() == fused
 
     def test_vectorised_step_trains_like_loop_oracles(self, monkeypatch):
