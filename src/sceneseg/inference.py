@@ -206,10 +206,10 @@ def write_predictions(path, scene_id, n_points, n_superpoints, instances):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_predictions(path, n_points=None):
-    """(scene id, superpoint count, instances) of a prediction file. With
-    `n_points`, the scene's point count, a header that gives another count is
-    rejected before any mask is decoded, so it cannot size an allocation."""
+def read_predictions(path, n_points):
+    """(scene id, superpoint count, instances) of a prediction file for a
+    scene of `n_points` points. A header that gives another count is rejected
+    before any mask is decoded, so it cannot size an allocation."""
     lines = read_text(path).splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 4 or header[0] != "scene":
@@ -219,7 +219,7 @@ def read_predictions(path, n_points=None):
         n_header, n_sp = int(n_header), int(n_sp)
     except ValueError:
         raise ParseError("non-integer point or superpoint count", line=1) from None
-    if n_points is not None and n_header != n_points:
+    if n_header != n_points:
         raise ParseError(f"header gives {n_header} points, the scene has {n_points}", line=1)
     instances = []
     for ln, text in enumerate(lines[1:], start=2):

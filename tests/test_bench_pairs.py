@@ -1,6 +1,7 @@
 """The verdict arithmetic of tools/bench_pairs.py."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -66,13 +67,35 @@ class TestClaimVerdict:
 class TestBoundVerdict:
     def test_relative_to_parent_median(self):
         v = bp.bound_verdict([100.0, 100.0], [109.0, 111.0], "lower", 0.1)
-        assert v["relative_worsening"] == pytest.approx(0.1) and v["within_bound"]
-        assert not bp.bound_verdict([100.0], [111.0], "lower", 0.1)["within_bound"]
+        assert v["relative_worsening"] == pytest.approx(0.1) and v["verdict"] == "within bound"
+        assert bp.bound_verdict([100.0], [111.0], "lower", 0.1)["verdict"] == "worse than bound"
         assert bp.bound_verdict([100.0], [50.0], "lower", 0.1)["relative_worsening"] == -0.5
 
     def test_zero_parent_median(self):
-        assert bp.bound_verdict([0.0], [0.0], "lower", 0.2)["within_bound"]
-        assert not bp.bound_verdict([0.0], [1.0], "lower", 0.2)["within_bound"]
+        assert bp.bound_verdict([0.0], [0.0], "lower", 0.2)["verdict"] == "within bound"
+        assert bp.bound_verdict([0.0], [1.0], "lower", 0.2)["verdict"] == "worse than bound"
+
+    def test_wide_parent_spread_is_unresolved(self):
+        parent = [100.0, 100.0, 100.0, 130.0, 130.0]  # IQR 30% of the median
+        change = [90.0, 90.0, 90.0, 105.0, 105.0]  # better median, loses one pair
+        v = bp.bound_verdict(parent, change, "lower", 0.25)
+        assert v["relative_iqr"] == {"parent": pytest.approx(0.3), "change": pytest.approx(0.15)}
+        assert v["relative_worsening"] < 0 and v["verdict"] == "unresolved"
+        assert bp.bound_verdict(parent, change, "lower", 0.3)["verdict"] == "within bound"
+
+    def test_wide_change_spread_is_unresolved(self):
+        parent = [100.0, 100.0, 100.0, 101.0, 101.0]
+        change = [70.0, 70.0, 100.0, 110.0, 110.0]  # IQR 40% of the parent's median
+        v = bp.bound_verdict(parent, change, "lower", 0.25)
+        assert v["relative_iqr"]["change"] == pytest.approx(0.4)
+        assert v["verdict"] == "unresolved"
+
+    def test_change_beating_every_parent_run_is_resolved(self):
+        parent = [100.0, 100.0, 100.0, 130.0, 130.0]
+        assert bp.bound_verdict(parent, [95.0] * 5, "lower", 0.25)["verdict"] == "within bound"
+        assert bp.bound_verdict(parent, [100.0] * 5, "lower", 0.25)["verdict"] == "unresolved"
+        assert bp.bound_verdict(parent, [131.0] * 5, "higher", 0.25)["verdict"] == "within bound"
+        assert bp.bound_verdict(parent, [130.0] * 5, "higher", 0.25)["verdict"] == "unresolved"
 
 
 def test_parse_seeds():
@@ -98,3 +121,16 @@ def test_summarise_marks_the_claim_and_loss():
     out = bp.summarise(pairs, metrics, "peak_rss_mb")
     assert not out["loss_equal_in_every_pair"]
     assert not out["metrics"]["peak_rss_mb"]["claim"]["holds"]
+
+
+def test_bench_6_summaries_follow_from_its_pairs():
+    """The committed BENCH_6.json holds the summaries its own pairs give."""
+    root = Path(__file__).resolve().parent.parent
+    metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    doc = json.loads((root / "BENCH_6.json").read_text())
+    for entry in doc["workloads"].values():
+        want = json.loads(json.dumps(bp.summarise(entry["pairs"], metrics, entry["claim"])))
+        assert {k: entry[k] for k in want} == want
+    cluttered = doc["workloads"]["train-cluttered"]["metrics"]
+    assert cluttered["op_ms"]["verdict"] == "unresolved"
+    assert cluttered["peak_rss_mb"]["claim"]["holds"]

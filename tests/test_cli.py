@@ -134,7 +134,8 @@ class TestPredict:
             run(["predict", "--checkpoint", str(ckpt), "--scene", str(scene), "--out", str(out)])
             == 0
         )
-        sid, n_sp, instances = inference.read_predictions(out / "scene_001.pred.txt")
+        n_points = scenegen.read_ply(scene).n_points
+        sid, n_sp, instances = inference.read_predictions(out / "scene_001.pred.txt", n_points)
         assert sid == "scene_001"
         for inst in instances:
             assert 0 <= inst.class_id < 3

@@ -320,7 +320,7 @@ class TestPredictionFiles:
         ]
         path = tmp_path / "scene_000.pred.txt"
         inference.write_predictions(path, "scene_000", 30, 7, instances)
-        sid, n_sp, back = inference.read_predictions(path)
+        sid, n_sp, back = inference.read_predictions(path, 30)
         assert sid == "scene_000" and n_sp == 7
         assert len(back) == 3
         for a, b in zip(instances, back):
@@ -332,7 +332,7 @@ class TestPredictionFiles:
         p = tmp_path / "bad.txt"
         p.write_text("nope\n")
         with pytest.raises(ParseError):
-            inference.read_predictions(p)
+            inference.read_predictions(p, 4)
 
     @pytest.mark.parametrize(
         "body, line",
@@ -349,7 +349,7 @@ class TestPredictionFiles:
         p = tmp_path / "bad.pred.txt"
         p.write_text(body)
         with pytest.raises(ParseError) as info:
-            inference.read_predictions(p)
+            inference.read_predictions(p, 4)
         assert info.value.line == line
 
     @pytest.mark.parametrize(
@@ -366,7 +366,7 @@ class TestPredictionFiles:
         p = tmp_path / "bad.pred.txt"
         p.write_text(f"scene s 4 1\ninstance 0 0.5 0 4\ninstance 1 0.5 {runs}\n")
         with pytest.raises(ParseError, match=f"^line 3: .*{match}") as info:
-            inference.read_predictions(p)
+            inference.read_predictions(p, 4)
         assert info.value.line == 3
 
     @settings(max_examples=200, deadline=None)
@@ -405,7 +405,7 @@ class TestPredictionFiles:
         path.write_text("\n".join(body) + "\n")
         bad = [ln for ln, (_, fault) in enumerate(lines, start=2) if fault != "ok"]
         if not bad:
-            sid, n_sp, got = inference.read_predictions(path)
+            sid, n_sp, got = inference.read_predictions(path, n)
             assert (sid, n_sp) == read_predictions_loop(path)[:2] == ("s", 3)
             want = read_predictions_loop(path)[2]
             assert [(a.class_id, a.final_score) for a in got] == [
@@ -414,7 +414,7 @@ class TestPredictionFiles:
             assert [a.point_mask.tobytes() for a in got] == [b.point_mask.tobytes() for b in want]
             return
         with pytest.raises(ParseError) as info:
-            inference.read_predictions(path)
+            inference.read_predictions(path, n)
         assert info.value.line == bad[0]
         with pytest.raises(ParseError) as oracle:
             read_predictions_loop(path)
@@ -424,7 +424,7 @@ class TestPredictionFiles:
         p = tmp_path / "bad.pred.txt"
         p.write_text("scene s 4 1\ninstance 0 0.5 6 -2\n")
         with pytest.raises(ParseError, match="negative"):
-            inference.read_predictions(p)
+            inference.read_predictions(p, 4)
 
     def test_header_count_checked_against_scene_before_decoding(self, tmp_path, monkeypatch):
         n = 99999999999999
@@ -432,10 +432,10 @@ class TestPredictionFiles:
         p.write_text(f"scene s {n} 1\ninstance 0 0.5 {n}\n")
         monkeypatch.setattr(inference, "_rle_decode", None)  # decoding would fail loudly
         with pytest.raises(ParseError, match=f"^line 1: header gives {n} points, the scene has 4$"):
-            inference.read_predictions(p, n_points=4)
+            inference.read_predictions(p, 4)
         monkeypatch.undo()
         p.write_text("scene s 4 1\ninstance 0 0.5 1 3\n")
-        _, _, (inst,) = inference.read_predictions(p, n_points=4)
+        _, _, (inst,) = inference.read_predictions(p, 4)
         assert inst.point_mask.tolist() == [False, True, True, True]
 
 

@@ -15,7 +15,11 @@ The claim rule: the claimed metric is better on at least nine tenths of the
 pairs (ties count for neither), over at least ten pairs, the medians differ
 in the claimed direction by more than the parent's interquartile range, and
 `loss` is equal in every pair. Every other metric is checked against its
-BENCHMARK.json bound, taken as a fraction of the parent's median.
+BENCHMARK.json bound, taken as a fraction of the parent's median. A metric
+whose interquartile range on either side exceeds that bound is unresolved,
+since such runs cannot show a worsening up to the bound, unless every
+change run beats every parent run. Runs last BENCHMARK.json's
+`run_seconds`.
 """
 
 from __future__ import annotations
@@ -78,13 +82,29 @@ def claim_verdict(parent, change, better, loss_equal=True):
     }
 
 
+def _relative(diff, base):
+    return diff / abs(base) if base else (0.0 if diff <= 0 else math.inf)
+
+
 def bound_verdict(parent, change, better, bound):
-    """Whether the change's median is worse than the parent's by more than
-    `bound`, a fraction of the parent's median."""
-    p_med, c_med = quartiles(parent)[1], quartiles(change)[1]
+    """"within bound" or "worse than bound": whether the change's median is
+    worse than the parent's by more than `bound`, a fraction of the parent's
+    median. "unresolved" when either side's IQR, as that fraction, exceeds
+    the bound and not every change run beats every parent run."""
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
     worse = c_med - p_med if better == "lower" else p_med - c_med
-    rel = worse / abs(p_med) if p_med else (0.0 if worse <= 0 else math.inf)
-    return {"relative_worsening": rel, "bound": bound, "within_bound": rel <= bound}
+    rel = _relative(worse, p_med)
+    spread = {"parent": _relative(p_q3 - p_q1, p_med), "change": _relative(c_q3 - c_q1, p_med)}
+    if better == "lower":
+        separated = max(change) < min(parent)
+    else:
+        separated = min(change) > max(parent)
+    if max(spread.values()) > bound and not separated:
+        verdict = "unresolved"
+    else:
+        verdict = "within bound" if rel <= bound else "worse than bound"
+    return {"relative_worsening": rel, "relative_iqr": spread, "bound": bound, "verdict": verdict}
 
 
 def parse_seeds(text):
@@ -152,7 +172,6 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="commit of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="e.g. 201-210 or 201,203")
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--claim", help="end-to-end metric the change claims to improve")
     parser.add_argument("--name", required=True,
                         help="output is BENCH_<name>.json at the repo root")
@@ -175,7 +194,7 @@ def main(argv=None):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], args.workload, seed, args.seconds)
+                pair[side] = run_once(trees[side], args.workload, seed, bench["run_seconds"])
             pairs.append(pair)
             values = {s: {k: v["value"] for k, v in pair[s]["metrics"].items()} for s in order}
             print(json.dumps({"seed": seed, "first": order[0], **values}), flush=True)
@@ -183,7 +202,7 @@ def main(argv=None):
     doc.update(shas)
     doc.setdefault("workloads", {})[args.workload] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+                   f"--seconds {bench['run_seconds']:g} --trace 0",
         "claim": args.claim,
         "all_correct": all(p[s]["correct"] and p[s]["failed"] == 0 for p in pairs for s in trees),
         **summarise(pairs, metrics, args.claim),
