@@ -4,10 +4,10 @@ Every value is a 2-D numpy array. A fresh graph is built on each forward
 pass; `backward` walks it once in reverse topological order. All ops are pure
 given their inputs, so repeated runs are bit-identical.
 
-Fused ops (`linear`, `matmul_nt`, `attention`, `weighted_bce`) are one tape
-node each, with a hand-written backward that repeats the arithmetic of the
-composed chain it replaces, so values and gradients keep their bytes. Two
-rules keep them so:
+Fused ops (`linear`, `attention`, `weighted_bce`) are one tape node each,
+with a hand-written backward that repeats the arithmetic of the composed
+chain it replaces, so values and gradients keep their bytes. Three rules keep
+the bytes and bound the memory:
 
 - Ownership. A push hands each parent its gradient through `_take` or
   `_accumulate`. `_take(g)` keeps g itself as the parent's first `.grad`, so
@@ -20,10 +20,17 @@ rules keep them so:
 - Memory order. BLAS results depend on the operands' layout, not only on
   their values, and a gradient's layout decides the path of every matmul
   that later reads it. A taken gradient keeps the layout it was allocated
-  with, which is the layout `np.array` gives a contiguous copy. So a fused
-  op must hand on each gradient in the order (C or F) its chain produced:
-  `matmul_nt` gives `b` the F-ordered `(a.value.T @ g).T` of the transpose
-  chain, and multiplies by a C-ordered copy of `b.value.T` as that chain did.
+  with; `_accumulate` copies in the layout it is given, so `transpose`
+  hands on an F-ordered copy of g.T. A fused op must hand on each gradient
+  in the order (C or F) its chain produced. Made C-ordered, the mask
+  features' gradient changes the parameter bytes within 12 default steps.
+- Lifetime. `backward` releases the tape as it walks it: once a node has
+  pushed, its parents become () and its push a sentinel that raises
+  ContractError, so a step peaks at the forward tape, not the tape plus
+  every gradient. Tensors the caller holds keep `value` and `.grad`, but a
+  graph is walked once: a second `backward` from its root, or through a
+  new graph on a consumed tensor, raises. Leaves have no push and are never
+  released. Count a tape with `_toposort` before its `backward`.
 """
 
 from __future__ import annotations
@@ -107,17 +114,27 @@ def _toposort(root):
     return order
 
 
+def _released(g):
+    raise ContractError("tape node reached again after its backward pass")
+
+
 def backward(loss):
-    """Accumulate d(loss)/d(node) into .grad for every node reachable from loss."""
+    """Accumulate d(loss)/d(node) into .grad for every node reachable from
+    loss, releasing each node once it has pushed (the lifetime rule)."""
     if loss.shape != (1, 1):
         raise ContractError(f"loss must be scalar (1x1), got {loss.shape}")
     order = _toposort(loss)
     for node in order:
         node.grad = None
     loss.grad = np.ones((1, 1))
-    for node in reversed(order):
-        if node._push is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._push is None:
+            continue
+        if node.grad is not None:
             node._push(node.grad)
+        node.parents = ()
+        node._push = _released
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +149,6 @@ def matmul(a, b):
     def push(g):
         a._take(g @ b.value.T)
         b._take(a.value.T @ g)
-
-    out._push = push
-    return out
-
-
-def matmul_nt(a, b):
-    """a @ b^T as one node, for the transpose chain matmul(a, transpose(b)).
-
-    b^T is multiplied as the C-ordered copy that chain made, and b's gradient
-    is the F-ordered transpose it handed on (see the memory-order rule)."""
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"matmul_nt {a.shape} x {b.shape}^T")
-    bt = b.value.T.copy()
-    out = Tensor(a.value @ bt, (a, b))
-
-    def push(g):
-        a._take(g @ bt.T)
-        b._take((a.value.T @ g).T)
 
     out._push = push
     return out

@@ -107,18 +107,18 @@ class DecoderLayer:
 
 class PredictionHead:
     """Class distribution (with an extra "no instance" slot), IoU score, and
-    superpoint mask sigmoid(Z S_mask^T) per query."""
+    superpoint mask sigmoid(Z S_mask^T) per query, given S_mask^T."""
 
     def __init__(self, store, cfg: DecoderConfig, rng):
         d = cfg.d
         self.cls = ad.MLP(store, "head.cls", [d, d, cfg.n_class + 1], ["relu", "none"], rng)
         self.score = ad.MLP(store, "head.score", [d, d, 1], ["relu", "none"], rng)
 
-    def __call__(self, z, s_mask):
+    def __call__(self, z, s_mask_t):
         return LayerPrediction(
             class_probs=ad.softmax_rows(self.cls(z)),
             iou_score=ad.sigmoid(self.score(z)),
-            sp_mask=ad.sigmoid(ad.matmul_nt(z, s_mask)),
+            sp_mask=ad.sigmoid(ad.matmul(z, s_mask_t)),
         )
 
 
@@ -137,14 +137,15 @@ class Decoder:
         queries). `capture`, if a list, receives per-layer lists of per-head
         masked cross-attention weights over superpoints."""
         z = self.query
-        preds = [self.head(z, s_mask)]
+        s_mask_t = ad.transpose(s_mask)
+        preds = [self.head(z, s_mask_t)]
         masks = [build_attention_mask(preds[0].sp_mask.value, self.cfg.tau)]
         for layer in self.layers:
             layer_capture = [] if capture is not None else None
             z = layer(z, f_g, f_l, masks[-1], use_local, use_global, capture=layer_capture)
             if capture is not None:
                 capture.append(layer_capture)
-            preds.append(self.head(z, s_mask))
+            preds.append(self.head(z, s_mask_t))
             masks.append(build_attention_mask(preds[-1].sp_mask.value, self.cfg.tau))
         self.attention_masks = masks
         return preds

@@ -252,7 +252,7 @@ def fit(model, preps, cfg: TrainConfig, on_step=None):
                 raise NumericError(f"non-finite loss component {name!r} at step {step}")
         ad.backward(report.total_tensor)
         opt.step()
-        report.total_tensor = None  # drop the graph so the trace stays small
+        report.total_tensor = None  # backward released the tape; drop its spent root
         trace.append(report)
         if on_step is not None:
             on_step(step, report)

@@ -1,7 +1,7 @@
 """Shared test utilities: finite-difference oracles, per-point loop oracles
 for the vectorised I/O and sampling code, the composed oracles of the fused
-autodiff ops, the loop oracles of the vectorised training step, and tiny
-scene and model builders."""
+autodiff ops, the tape-keeping oracle of `backward`, the loop oracles of the
+vectorised training step, and tiny scene and model builders."""
 
 import numpy as np
 from numpy.lib.array_utils import byte_bounds
@@ -9,7 +9,7 @@ from numpy.lib.array_utils import byte_bounds
 from sceneseg import aggregation, inference, kernels
 from sceneseg import autodiff as ad
 from sceneseg import scenegen, training
-from sceneseg.errors import ParseError, read_text
+from sceneseg.errors import ContractError, ParseError, read_text
 
 
 def finite_diff(f, x, h=1e-4):
@@ -311,17 +311,12 @@ def composed_attention(q, k, v, heads, mask=None, capture=None):
 
 
 # ---------------------------------------------------------------------------
-# composed oracles of the fused linear, mask-logit and BCE ops
+# composed oracles of the fused linear and BCE ops, and the tape-keeping backward
 
 
 def composed_linear(x, w, b):
     """ad.linear as matmul then add_bias."""
     return ad.add_bias(ad.matmul(x, w), b)
-
-
-def composed_matmul_nt(a, b):
-    """ad.matmul_nt as matmul over a transpose node."""
-    return ad.matmul(a, ad.transpose(b))
 
 
 def composed_weighted_bce(p, pos_w, neg_w, lo, hi):
@@ -345,6 +340,20 @@ def shared_grads(nodes):
             if np.shares_memory(nodes[i].grad, nodes[j].grad):
                 pairs.append((nodes[i], nodes[j]))
     return pairs
+
+
+def backward_keep_tape(loss):
+    """ad.backward without releasing the tape: every node keeps its parents,
+    its push and its .grad after the walk. Same arithmetic, same push order."""
+    if loss.shape != (1, 1):
+        raise ContractError(f"loss must be scalar (1x1), got {loss.shape}")
+    order = ad._toposort(loss)
+    for node in order:
+        node.grad = None
+    loss.grad = np.ones((1, 1))
+    for node in reversed(order):
+        if node._push is not None and node.grad is not None:
+            node._push(node.grad)
 
 
 # ---------------------------------------------------------------------------

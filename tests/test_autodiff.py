@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,9 +12,9 @@ from sceneseg import config, scenegen, training
 from sceneseg.model import SegModel, seed_for
 
 from helpers import (
+    backward_keep_tape,
     composed_attention,
     composed_linear,
-    composed_matmul_nt,
     composed_weighted_bce,
     finite_diff,
     rel_err,
@@ -425,45 +427,6 @@ class TestLinear:
             assert rel_err(t.grad, fd) < 1e-6
 
 
-class TestMatmulNT:
-    @settings(max_examples=120, deadline=None)
-    @given(st.data())
-    def test_same_bytes_as_matmul_transpose(self, data):
-        rows, d = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 70))
-        shared = data.draw(st.booleans())
-        m = rows if shared else data.draw(st.integers(1, 300))
-        values, rng = draw_values(data.draw, [(rows, d), (m, d)])
-        consumer = CONSUMERS[data.draw(st.sampled_from(sorted(CONSUMERS)))]
-        g = rng.normal(size=(rows, m))
-        pairs = [(0, 1)] if shared else []
-        got = fused_case(ad.matmul_nt, values, lambda out: consumer(out, g), pairs)
-        want = fused_case(composed_matmul_nt, values, lambda out: consumer(out, g), pairs)
-        assert_same_bytes_and_order(got, want)
-
-    def test_b_gradient_is_f_ordered(self):
-        rng = np.random.default_rng(3)
-        a, b = ad.Tensor(rng.normal(size=(4, 6))), ad.Tensor(rng.normal(size=(9, 6)))
-        ad.backward(ad.sum_all(ad.matmul_nt(a, b)))
-        assert b.grad.flags.f_contiguous and not b.grad.flags.c_contiguous
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            ad.matmul_nt(ad.constant(np.ones((2, 3))), ad.constant(np.ones((3, 2))))
-
-    def test_finite_differences(self):
-        rng = np.random.default_rng(19)
-        a, b = ad.Tensor(rng.normal(size=(4, 3))), ad.Tensor(rng.normal(size=(6, 3)))
-        g = ad.constant(rng.normal(size=(4, 6)))
-
-        def loss():
-            return ad.sum_all(ad.mul(ad.sigmoid(ad.matmul_nt(a, b)), g))
-
-        ad.backward(loss())
-        for t in (a, b):
-            fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
-            assert rel_err(t.grad, fd) < 1e-6
-
-
 BCE_CLAMP = (training.PROB_CLAMP, 1.0 - training.PROB_CLAMP)
 
 
@@ -526,16 +489,22 @@ class TestWeightedBCE:
         assert p.grad[0, 0] == 0.0 and p.grad[0, 2] == 0.0 and p.grad[0, 1] != 0.0
 
 
-@pytest.fixture(scope="module")
-def default_step_nodes():
-    """Every tape node of one training step on the seed-1 default scene 0,
-    after the backward pass."""
+def default_step():
+    """The loss report of one training step on the seed-1 default scene 0."""
     cfg = config.RunConfig()
     m = SegModel(config.model_config(cfg))
     prep = m.prepare(scenegen.generate_scene(seed_for(1, "scene0"), scenegen.SceneSpec()))
-    report = training.scene_loss(m, prep, config.train_config(cfg))
+    return training.scene_loss(m, prep, config.train_config(cfg))
+
+
+@pytest.fixture(scope="module")
+def default_step_nodes():
+    """Every tape node of one default training step, held through its
+    backward pass."""
+    report = default_step()
+    nodes = ad._toposort(report.total_tensor)
     ad.backward(report.total_tensor)
-    return ad._toposort(report.total_tensor)
+    return nodes
 
 
 class TestGradientOwnership:
@@ -554,28 +523,136 @@ class TestGradientOwnership:
         c = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
         s = ad.add(x, x)
         loss = ad.sum_all(ad.mul(s, ad.constant(c)))
+        nodes = ad._toposort(loss)
         ad.backward(loss)
         assert x.grad.tobytes() == (c + c).tobytes()
-        assert shared_grads(ad._toposort(loss)) == []
+        assert shared_grads(nodes) == []
 
     def test_matmul_of_one_tensor(self):
         rng = np.random.default_rng(29)
         a = ad.Tensor(rng.normal(size=(4, 4)))
         c = rng.normal(size=(4, 4))
         loss = ad.sum_all(ad.mul(ad.matmul(a, a), ad.constant(c)))
+        nodes = ad._toposort(loss)
         ad.backward(loss)
         np.testing.assert_allclose(a.grad, c @ a.value.T + a.value.T @ c, rtol=1e-12)
-        assert shared_grads(ad._toposort(loss)) == []
+        assert shared_grads(nodes) == []
 
     def test_concat_cols(self):
         rng = np.random.default_rng(31)
         x, y = ad.Tensor(rng.normal(size=(3, 2))), ad.Tensor(rng.normal(size=(3, 4)))
         c = rng.normal(size=(3, 8))
         loss = ad.sum_all(ad.mul(ad.concat_cols([x, y, x]), ad.constant(c)))
+        nodes = ad._toposort(loss)
         ad.backward(loss)
         assert x.grad.tobytes() == (c[:, :2] + c[:, 6:]).tobytes()
         assert y.grad.tobytes() == np.ascontiguousarray(c[:, 2:6]).tobytes()
-        assert shared_grads(ad._toposort(loss)) == []
+        assert shared_grads(nodes) == []
+
+
+# Small graphs with shared subexpressions. Every tensor is n x n: the unary
+# and binary ops take any earlier tensors, so a tensor may feed one op twice
+# (add(x, x)) or feed many ops; "concat" is matmul(concat_cols([x, y, x]), w).
+GRAPH_OPS = {
+    "add": lambda x, y, w: ad.add(x, y),
+    "sub": lambda x, y, w: ad.sub(x, y),
+    "mul": lambda x, y, w: ad.mul(x, y),
+    "matmul": lambda x, y, w: ad.matmul(x, y),
+    "transpose": lambda x, y, w: ad.transpose(x),
+    "sigmoid": lambda x, y, w: ad.sigmoid(x),
+    "affine": lambda x, y, w: ad.affine(x, 0.5, -0.25),
+    "concat": lambda x, y, w: ad.matmul(ad.concat_cols([x, y, x]), w),
+}
+
+
+@st.composite
+def shared_graphs(draw):
+    """(leaf values, the w leaf of "concat", loss weights, program, held):
+    program steps are (op, i, j) over the tensors so far, leaves first, and
+    held marks the interior tensors the test keeps."""
+    n = draw(st.integers(1, 5))
+    leaves, rng = draw_values(draw, [(n, n)] * 3 + [(3 * n, n)])
+    program = [("add", 0, 0), ("concat", 0, 1), ("mul", 0, 4)]  # leaf 0 has three consumers
+    for _ in range(draw(st.integers(0, 8))):
+        size = 3 + len(program)
+        op = draw(st.sampled_from(sorted(GRAPH_OPS)))
+        program.append((op, draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))))
+    held = draw(st.lists(st.booleans(), min_size=len(program), max_size=len(program)))
+    return leaves, rng.normal(size=(n, n)), program, held
+
+
+def run_shared_graph(case, walk):
+    """Build the graph on fresh leaves, walk it back with `walk`, and return
+    the gradients of the leaves and of the held interior tensors."""
+    values, g, program, held = case
+    *leaves, w = [ad.Tensor(v.copy(order="K")) for v in values]
+    tensors = list(leaves)
+    for op, i, j in program:
+        tensors.append(GRAPH_OPS[op](tensors[i], tensors[j], w))
+    loss = ad.sum_all(ad.mul(tensors[-1], ad.constant(g)))
+    for t in tensors[3:-1]:
+        loss = ad.add(loss, ad.sum_all(t))
+    kept = [t for t, keep in zip(tensors[3:], held) if keep]
+    del tensors
+    walk(loss)
+    return [t.grad for t in leaves + [w] + kept]
+
+
+class TestTapeLifetime:
+    """backward frees each node once its consumers have pushed, keeps the
+    bytes of the walk that keeps the tape, and refuses a consumed graph."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shared_graphs())
+    def test_same_gradients_as_keeping_the_tape(self, case):
+        got = run_shared_graph(case, ad.backward)
+        want = run_shared_graph(case, backward_keep_tape)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.tobytes(order="A") == b.tobytes(order="A")
+                assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+                    b.flags.c_contiguous,
+                    b.flags.f_contiguous,
+                )
+
+    def test_default_step_leaves_only_the_root(self):
+        report = default_step()
+        ad.backward(report.total_tensor)
+        assert ad._toposort(report.total_tensor) == [report.total_tensor]
+
+    def test_backward_peak_is_the_forward_tape(self):
+        tracemalloc.start()
+        try:
+            root = default_step().total_tensor
+            tracemalloc.reset_peak()
+            start, _ = tracemalloc.get_traced_memory()
+            ad.backward(root)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * start
+
+    def test_second_backward_raises(self):
+        x = ad.Tensor([[0.5, -1.0]])
+        loss = ad.sum_all(ad.sigmoid(x))
+        ad.backward(loss)
+        with pytest.raises(ContractError, match="after its backward pass"):
+            ad.backward(loss)
+
+    def test_backward_through_consumed_tensor_raises(self):
+        x = ad.Tensor([[0.5, -1.0]])
+        h = ad.sigmoid(x)
+        ad.backward(ad.sum_all(h))
+        with pytest.raises(ContractError, match="after its backward pass"):
+            ad.backward(ad.sum_all(ad.mul(h, h)))
+
+    def test_leaves_are_not_released(self):
+        x = ad.Tensor([[0.5, -1.0]])
+        ad.backward(ad.sum_all(ad.sigmoid(x)))
+        first = x.grad.copy()
+        ad.backward(ad.sum_all(ad.sigmoid(x)))
+        assert x.grad.tobytes() == first.tobytes()
 
 
 # signed zeros, infinities and magnitudes whose sums depend on their order

@@ -292,7 +292,7 @@ class TestPredictionHead:
             layer.b.value[:] = 0
         z = ad.constant(np.random.default_rng(1).normal(size=(cfg.k, cfg.d)))
         s_mask = ad.constant(np.random.default_rng(2).normal(size=(5, cfg.d)))
-        pred = head(z, s_mask)
+        pred = head(z, ad.transpose(s_mask))
         np.testing.assert_allclose(
             pred.class_probs.value, np.full((cfg.k, cfg.n_class + 1), 1 / (cfg.n_class + 1))
         )
@@ -304,6 +304,20 @@ class TestPredictionHead:
         rng = np.random.default_rng(3)
         z = rng.normal(size=(cfg.k, cfg.d))
         s = rng.normal(size=(7, cfg.d))
-        pred = head(ad.constant(z), ad.constant(s))
+        pred = head(ad.constant(z), ad.transpose(ad.constant(s)))
         want = 1.0 / (1.0 + np.exp(-(z @ s.T)))
         np.testing.assert_allclose(pred.sp_mask.value, want, atol=1e-12)
+
+    def test_mask_feature_gradient_is_f_ordered(self):
+        """The gradient of S_mask is the F-ordered copy of g.T that its
+        transpose hands on; a C-ordered one would change later matmul bytes."""
+        cfg = micro_cfg()
+        dec = Decoder(ad.ParamStore(), cfg, 6, np.random.default_rng(0))
+        rng = np.random.default_rng(4)
+        s_mask = ad.Tensor(rng.normal(size=(9, cfg.d)))
+        preds = dec.run(None, ad.constant(rng.normal(size=(3, 6))), s_mask, use_global=False)
+        loss = preds[0].sp_mask
+        for p in preds[1:]:
+            loss = ad.add(loss, p.sp_mask)
+        ad.backward(ad.sum_all(loss))
+        assert s_mask.grad.flags.f_contiguous and not s_mask.grad.flags.c_contiguous

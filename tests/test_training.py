@@ -14,9 +14,9 @@ from sceneseg.training import Assignment, TrainConfig
 
 from helpers import (
     SMALL_CFG,
+    backward_keep_tape,
     composed_attention,
     composed_linear,
-    composed_matmul_nt,
     composed_weighted_bce,
     dice_loss_per_pair,
     match_cost_loop,
@@ -473,14 +473,18 @@ class TestFit:
         assert self.train_small() == fused
 
     def test_fused_ops_train_like_composed_chains(self, monkeypatch):
-        """The fused linear, mask-logit and BCE ops, and gradients kept
-        without a copy, give the bytes of the chains and copies they replace."""
+        """The fused linear and BCE ops, and gradients kept without a copy,
+        give the bytes of the chains and copies they replace."""
         fused = self.train_small()
         monkeypatch.setattr(ad, "linear", composed_linear)
-        monkeypatch.setattr(ad, "matmul_nt", composed_matmul_nt)
         monkeypatch.setattr(ad, "weighted_bce", composed_weighted_bce)
         monkeypatch.setattr(ad.Tensor, "_take", ad.Tensor._accumulate)
         assert self.train_small() == fused
+
+    def test_releasing_backward_trains_like_keeping_the_tape(self, monkeypatch):
+        released = self.train_small()
+        monkeypatch.setattr(ad, "backward", backward_keep_tape)
+        assert self.train_small() == released
 
     def test_vectorised_step_trains_like_loop_oracles(self, monkeypatch):
         fast = self.train_small()
