@@ -567,12 +567,13 @@ GRAPH_OPS = {
 
 @st.composite
 def shared_graphs(draw):
-    """(leaf values, the w leaf of "concat", loss weights, program, held):
-    program steps are (op, i, j) over the tensors so far, leaves first, and
-    held marks the interior tensors the test keeps."""
+    """(leaf values, the last the w of "concat"; loss weights; program;
+    held): program steps are (op, i, j) over the tensors so far, the three
+    n x n leaves first, and held marks the interior tensors the test keeps."""
     n = draw(st.integers(1, 5))
     leaves, rng = draw_values(draw, [(n, n)] * 3 + [(3 * n, n)])
-    program = [("add", 0, 0), ("concat", 0, 1), ("mul", 0, 4)]  # leaf 0 has three consumers
+    # add(x, x) is tensor 3; its consumers are concat, mul and the loss
+    program = [("add", 0, 0), ("concat", 3, 1), ("mul", 3, 4)]
     for _ in range(draw(st.integers(0, 8))):
         size = 3 + len(program)
         op = draw(st.sampled_from(sorted(GRAPH_OPS)))

@@ -123,14 +123,25 @@ def test_summarise_marks_the_claim_and_loss():
     assert not out["metrics"]["peak_rss_mb"]["claim"]["holds"]
 
 
-def test_bench_6_summaries_follow_from_its_pairs():
-    """The committed BENCH_6.json holds the summaries its own pairs give."""
+def committed_bench(name):
+    """BENCH_<name>.json's workloads, after checking that each holds the
+    summaries its own pairs give."""
     root = Path(__file__).resolve().parent.parent
     metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
-    doc = json.loads((root / "BENCH_6.json").read_text())
+    doc = json.loads((root / f"BENCH_{name}.json").read_text())
     for entry in doc["workloads"].values():
         want = json.loads(json.dumps(bp.summarise(entry["pairs"], metrics, entry["claim"])))
         assert {k: entry[k] for k in want} == want
-    cluttered = doc["workloads"]["train-cluttered"]["metrics"]
+    return doc["workloads"]
+
+
+def test_bench_6_summaries_follow_from_its_pairs():
+    cluttered = committed_bench(6)["train-cluttered"]["metrics"]
     assert cluttered["op_ms"]["verdict"] == "unresolved"
     assert cluttered["peak_rss_mb"]["claim"]["holds"]
+
+
+def test_bench_7_summaries_follow_from_its_pairs():
+    workloads = committed_bench(7)
+    assert all(w["all_correct"] and w["loss_equal_in_every_pair"] for w in workloads.values())
+    assert workloads["train-cluttered"]["metrics"]["peak_rss_mb"]["claim"]["holds"]
