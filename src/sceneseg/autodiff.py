@@ -2,11 +2,12 @@
 
 Every value is a 2-D numpy array. A fresh graph is built on each forward
 pass; `backward` walks it once in reverse topological order. All ops are pure
-given their inputs, so repeated runs are bit-identical.
+given their inputs, so repeated runs are bit-identical. Every op hands its
+push to the `Tensor` constructor, which alone decides whether it is kept.
 
 Fused ops (`linear`, `attention`, `weighted_bce`) are one tape node each,
 with a hand-written backward that repeats the arithmetic of the composed
-chain it replaces, so values and gradients keep their bytes. Three rules keep
+chain it replaces, so values and gradients keep their bytes. Four rules keep
 the bytes and bound the memory:
 
 - Ownership. A push hands each parent its gradient through `_take` or
@@ -31,10 +32,17 @@ the bytes and bound the memory:
   graph is walked once: a second `backward` from its root, or through a
   new graph on a consumed tensor, raises. Leaves have no push and are never
   released. Count a tape with `_toposort` before its `backward`.
+- Tape off. Inside `with no_tape():` a tensor keeps its value but no parents
+  and no push, so each intermediate array is freed as soon as the forward
+  code drops it; inference runs this way. Its push becomes a sentinel:
+  `backward` from such a tensor, or through a taped graph that reaches one,
+  raises ContractError instead of leaving gradients silently missing. The
+  values are those of the taped pass, byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 
@@ -56,6 +64,26 @@ def _record_structure(pattern):
         structure_trace.append(pattern.tobytes())
 
 
+# False inside `no_tape()`: new tensors then record no parents and no push.
+_taping = True
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Build tensors without a tape inside the block (the tape-off rule).
+    Nests; the previous mode is restored on exit, also on an exception."""
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
+
+
+def _untaped(g):
+    raise ContractError("backward reached a tensor made under no_tape()")
+
+
 class FullyMaskedRowError(ValueError):
     """A softmax row contained only -inf entries; caller decides the fallback."""
 
@@ -68,6 +96,8 @@ class Tensor:
         if self.value.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got shape {self.value.shape}")
         self.grad = None
+        if push is not None and not _taping:
+            parents, push = (), _untaped
         self.parents = parents
         self._push = push
         self.name = name
@@ -144,72 +174,60 @@ def backward(loss):
 def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul {a.shape} x {b.shape}")
-    out = Tensor(a.value @ b.value, (a, b))
 
     def push(g):
         a._take(g @ b.value.T)
         b._take(a.value.T @ g)
 
-    out._push = push
-    return out
+    return Tensor(a.value @ b.value, (a, b), push)
 
 
 def transpose(a):
-    out = Tensor(a.value.T.copy(), (a,))
-    out._push = lambda g: a._accumulate(g.T)
-    return out
+    return Tensor(a.value.T.copy(), (a,), lambda g: a._accumulate(g.T))
 
 
 def add(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"add {a.shape} vs {b.shape}")
-    out = Tensor(a.value + b.value, (a, b))
 
     def push(g):
         a._accumulate(g)
         b._accumulate(g)
 
-    out._push = push
-    return out
+    return Tensor(a.value + b.value, (a, b), push)
 
 
 def sub(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"sub {a.shape} vs {b.shape}")
-    out = Tensor(a.value - b.value, (a, b))
 
     def push(g):
         a._accumulate(g)
         b._take(-g)
 
-    out._push = push
-    return out
+    return Tensor(a.value - b.value, (a, b), push)
 
 
 def mul(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"mul {a.shape} vs {b.shape}")
-    out = Tensor(a.value * b.value, (a, b))
 
     def push(g):
         a._take(g * b.value)
         b._take(g * a.value)
 
-    out._push = push
-    return out
+    return Tensor(a.value * b.value, (a, b), push)
 
 
 def div(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"div {a.shape} vs {b.shape}")
-    out = Tensor(a.value / b.value, (a, b))
 
     def push(g):
         a._take(g / b.value)
         b._take(-g * a.value / (b.value * b.value))
 
-    out._push = push
-    return out
+    return Tensor(a.value / b.value, (a, b), push)
 
 
 def affine(a, scale=1.0, shift=0.0):
@@ -218,26 +236,23 @@ def affine(a, scale=1.0, shift=0.0):
     `scale` and `shift` may be scalars or arrays broadcastable to a's shape.
     """
     scale = np.asarray(scale, dtype=np.float64)
-    out = Tensor(scale * a.value + shift, (a,))
     if scale.ndim == 0:
-        out._push = lambda g: a._take(g * float(scale))
+        push = lambda g: a._take(g * float(scale))
     else:
-        out._push = lambda g: a._take(g * scale)
-    return out
+        push = lambda g: a._take(g * scale)
+    return Tensor(scale * a.value + shift, (a,), push)
 
 
 def add_bias(x, b):
     """Add a 1xC bias row to every row of x."""
     if b.shape != (1, x.shape[1]):
         raise ShapeError(f"bias {b.shape} for input {x.shape}")
-    out = Tensor(x.value + b.value, (x, b))
 
     def push(g):
         x._accumulate(g)
         b._take(g.sum(axis=0, keepdims=True))
 
-    out._push = push
-    return out
+    return Tensor(x.value + b.value, (x, b), push)
 
 
 def linear(x, w, b):
@@ -247,44 +262,34 @@ def linear(x, w, b):
         raise ShapeError(f"linear {x.shape} x {w.shape} + {b.shape}")
     y = x.value @ w.value
     y += b.value
-    out = Tensor(y, (x, w, b))
 
     def push(g):
         b._take(g.sum(axis=0, keepdims=True))
         x._take(g @ w.value.T)
         w._take(x.value.T @ g)
 
-    out._push = push
-    return out
+    return Tensor(y, (x, w, b), push)
 
 
 def relu(x):
     _record_structure(x.value > 0.0)
-    out = Tensor(np.maximum(x.value, 0.0), (x,))
-    out._push = lambda g: x._take(g * (x.value > 0.0))
-    return out
+    return Tensor(np.maximum(x.value, 0.0), (x,), lambda g: x._take(g * (x.value > 0.0)))
 
 
 def sigmoid(x):
     s = 1.0 / (1.0 + np.exp(-x.value))
-    out = Tensor(s, (x,))
-    out._push = lambda g: x._take(g * s * (1.0 - s))
-    return out
+    return Tensor(s, (x,), lambda g: x._take(g * s * (1.0 - s)))
 
 
 def log(x):
-    out = Tensor(np.log(x.value), (x,))
-    out._push = lambda g: x._take(g / x.value)
-    return out
+    return Tensor(np.log(x.value), (x,), lambda g: x._take(g / x.value))
 
 
 def clip(x, lo, hi):
     """Clamp values; gradient is zero where the clamp is active."""
     inside = (x.value > lo) & (x.value < hi)
     _record_structure(inside)
-    out = Tensor(np.clip(x.value, lo, hi), (x,))
-    out._push = lambda g: x._take(g * inside)
-    return out
+    return Tensor(np.clip(x.value, lo, hi), (x,), lambda g: x._take(g * inside))
 
 
 def softmax_rows(x, extra=None):
@@ -299,14 +304,12 @@ def softmax_rows(x, extra=None):
         raise FullyMaskedRowError("softmax row has no finite entry")
     e = np.exp(z - m)
     s = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(s, (x,))
 
     def push(g):
         inner = (g * s).sum(axis=1, keepdims=True)
         x._take(s * (g - inner))
 
-    out._push = push
-    return out
+    return Tensor(s, (x,), push)
 
 
 def attention(q, k, v, heads, mask=None, capture=None):
@@ -353,7 +356,6 @@ def attention(q, k, v, heads, mask=None, capture=None):
     s = e / e.sum(axis=2, keepdims=True)
     if capture is not None:
         capture.extend(w.copy() for w in s)
-    out = Tensor(merge(s @ vh), (q, k, v))
 
     def push(g):
         g = split(g)
@@ -363,8 +365,7 @@ def attention(q, k, v, heads, mask=None, capture=None):
         k._take(merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
         v._take(merge(s.transpose(0, 2, 1) @ g))
 
-    out._push = push
-    return out
+    return Tensor(merge(s @ vh), (q, k, v), push)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -378,7 +379,6 @@ def layer_norm(x, gain, bias):
     var = ((x.value - mu) ** 2).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.value - mu) * inv
-    out = Tensor(xhat * gain.value + bias.value, (x, gain, bias))
 
     def push(g):
         dxh = g * gain.value
@@ -388,8 +388,7 @@ def layer_norm(x, gain, bias):
         gain._take((g * xhat).sum(axis=0, keepdims=True))
         bias._take(g.sum(axis=0, keepdims=True))
 
-    out._push = push
-    return out
+    return Tensor(xhat * gain.value + bias.value, (x, gain, bias), push)
 
 
 def concat_cols(tensors):
@@ -397,15 +396,13 @@ def concat_cols(tensors):
     rows = tensors[0].shape[0]
     if any(t.shape[0] != rows for t in tensors):
         raise ShapeError("concat_cols row mismatch")
-    out = Tensor(np.concatenate([t.value for t in tensors], axis=1), tuple(tensors))
     offsets = np.cumsum([0] + widths)
 
     def push(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
             t._accumulate(g[:, a:b])
 
-    out._push = push
-    return out
+    return Tensor(np.concatenate([t.value for t in tensors], axis=1), tuple(tensors), push)
 
 
 def scatter_add(keys, weights, n, c):
@@ -425,13 +422,11 @@ def gather_rows(x, idx):
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and idx.min() < 0:
         raise ContractError(f"gather_rows: negative index {idx.min()}")
-    out = Tensor(x.value[idx], (x,))
 
     def push(g):
         x._take(scatter_add(_row_keys(idx, x.shape[1]), g, *x.shape))
 
-    out._push = push
-    return out
+    return Tensor(x.value[idx], (x,), push)
 
 
 def segment_mean(x, seg, n_seg):
@@ -445,14 +440,12 @@ def segment_mean(x, seg, n_seg):
     if np.any(counts == 0):
         raise ContractError("segment_mean: empty segment")
     sums = scatter_add(_row_keys(seg, x.shape[1]), x.value, n_seg, x.shape[1])
-    out = Tensor(sums / counts[:, None], (x,))
 
     def push(g):
         out_g = g / counts[:, None]
         x._take(out_g[seg])
 
-    out._push = push
-    return out
+    return Tensor(sums / counts[:, None], (x,), push)
 
 
 def group_max(x, groups, width=None):
@@ -472,28 +465,23 @@ def group_max(x, groups, width=None):
         vals[i] = block[a, np.arange(width)]
         arg[i] = np.asarray(g, dtype=np.int64)[a]
     _record_structure(arg)
-    out = Tensor(vals, (x,))
 
     def push(g):
         routed = arg >= 0  # empty groups route nowhere
         keys = (arg * x.shape[1] + np.arange(width))[routed]
         x._take(scatter_add(keys, g[routed], *x.shape))
 
-    out._push = push
-    return out
+    return Tensor(vals, (x,), push)
 
 
 def sum_all(x):
-    out = Tensor([[x.value.sum()]], (x,))
-    out._push = lambda g: x._take(np.full(x.shape, g[0, 0]))
-    return out
+    return Tensor([[x.value.sum()]], (x,), lambda g: x._take(np.full(x.shape, g[0, 0])))
 
 
 def sum_rows(x):
     """Column vector of per-row sums."""
-    out = Tensor(x.value.sum(axis=1, keepdims=True), (x,))
-    out._push = lambda g: x._accumulate(np.broadcast_to(g, x.shape))
-    return out
+    push = lambda g: x._accumulate(np.broadcast_to(g, x.shape))
+    return Tensor(x.value.sum(axis=1, keepdims=True), (x,), push)
 
 
 def mean_all(x):
@@ -518,7 +506,6 @@ def weighted_bce(p, pos_w, neg_w, lo, hi):
     # + 0.0 turns -0.0 terms into 0.0, as the chain's affine shift did
     pos = (pos_w * np.log(c) + 0.0).sum()
     neg = (neg_w * np.log(c1) + 0.0).sum()
-    out = Tensor([[pos + neg]], (p,))
 
     def push(g):
         full = np.full(p.shape, g[0, 0])
@@ -526,8 +513,7 @@ def weighted_bce(p, pos_w, neg_w, lo, hi):
         gc -= full * neg_w / c1
         p._take(gc * inside)
 
-    out._push = push
-    return out
+    return Tensor([[pos + neg]], (p,), push)
 
 
 # ---------------------------------------------------------------------------

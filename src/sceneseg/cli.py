@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config as cfgmod, inference, scenegen, training
+from . import autodiff as ad, config as cfgmod, inference, scenegen, training
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -104,7 +104,8 @@ def cmd_predict(cfg, checkpoint, scene_path, out_dir):
     scene = scenegen.read_ply(scene_path)
     model = _restore_model(cfg, checkpoint)
     prep = model.prepare(scene)
-    out = model.forward(prep)
+    with ad.no_tape():
+        out = model.forward(prep)
     top_k = cfg["infer.top_k"] or None
     instances = inference.predict(
         out.preds[-1], prep.partition, top_k=top_k, min_score=cfg["infer.min_score"]
@@ -153,7 +154,8 @@ def cmd_inspect_attn(cfg, checkpoint, scene_path, layer, head, out_path):
     scene = scenegen.read_ply(scene_path)
     model = _restore_model(cfg, checkpoint)
     prep = model.prepare(scene)
-    out = model.forward(prep, capture_attention=True)
+    with ad.no_tape():
+        out = model.forward(prep, capture_attention=True)
     weights = out.attention[layer][head]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)

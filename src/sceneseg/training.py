@@ -17,15 +17,25 @@ DICE_EPS = 1.0
 
 @dataclass
 class Assignment:
-    pairs: list  # (query index, gt index), query indices ascending
+    """Matched pairs as two int64 index arrays, query indices ascending."""
+
+    query_idx: np.ndarray
+    gt_idx: np.ndarray
+
+    @classmethod
+    def of(cls, pairs):
+        """From (query index, gt index) pairs, query indices ascending."""
+        q, g = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        return cls(query_idx=q, gt_idx=g)
+
+    def __len__(self):
+        return len(self.query_idx)
 
     @property
-    def query_idx(self):
-        return np.array([q for q, _ in self.pairs], dtype=np.int64)
-
-    @property
-    def gt_idx(self):
-        return np.array([g for _, g in self.pairs], dtype=np.int64)
+    def pairs(self):
+        """[(query index, gt index), ...] as Python ints; its repr is what
+        `total_loss` hashes into `structure`."""
+        return list(zip(self.query_idx.tolist(), self.gt_idx.tolist()))
 
 
 @dataclass
@@ -60,11 +70,12 @@ def hungarian(cost) -> Assignment:
     """Min-cost one-to-one assignment over min(K, K_gt) pairs."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
-        return Assignment(pairs=[])
+        return Assignment.of([])
     if not np.all(np.isfinite(cost)):
         raise ContractError("cost matrix must be finite")
     rows, cols = linear_sum_assignment(cost)
-    return Assignment(pairs=sorted(zip(rows.tolist(), cols.tolist())))
+    order = np.argsort(rows)
+    return Assignment(query_idx=rows[order].astype(np.int64), gt_idx=cols[order].astype(np.int64))
 
 
 def match_cost(pred, gt, sizes, lambda_cls=1.0, lambda_mask=1.0):
@@ -87,8 +98,7 @@ def classification_loss(pred, assignment: Assignment, gt, n_class):
     """Mean NLL over all queries; unmatched ones target the "no instance" slot."""
     k = pred.class_probs.shape[0]
     targets = np.full(k, n_class, dtype=np.int64)
-    for qi, gi in assignment.pairs:
-        targets[qi] = gt.instance_classes[gi]
+    targets[assignment.query_idx] = gt.instance_classes[assignment.gt_idx]
     onehot = np.zeros((k, n_class + 1))
     onehot[np.arange(k), targets] = 1.0
     logp = ad.log(ad.clip(pred.class_probs, 1e-12, 1.0))
@@ -99,9 +109,9 @@ def iou_targets(pred, assignment: Assignment, gt, sizes):
     """Point-weighted IoU of each matched query's binarized mask vs its gt mask.
 
     These are measured targets for the scoring branch: detached constants."""
-    out = np.zeros(len(assignment.pairs))
+    out = np.zeros(len(assignment))
     sizes = np.asarray(sizes, dtype=np.float64)
-    for n, (qi, gi) in enumerate(assignment.pairs):
+    for n, (qi, gi) in enumerate(zip(assignment.query_idx, assignment.gt_idx)):
         p = pred.sp_mask.value[qi] > 0.5
         g = gt.superpoint_masks[gi]
         union = sizes[p | g].sum()
@@ -110,7 +120,7 @@ def iou_targets(pred, assignment: Assignment, gt, sizes):
 
 
 def score_loss(pred, assignment: Assignment, gt, sizes):
-    if not assignment.pairs:
+    if not len(assignment):
         return ad.constant([[0.0]])
     t = iou_targets(pred, assignment, gt, sizes)[:, None]
     s = ad.gather_rows(pred.iou_score, assignment.query_idx)
@@ -119,19 +129,19 @@ def score_loss(pred, assignment: Assignment, gt, sizes):
 
 
 def bce_mask_loss(pred, assignment: Assignment, gt, sizes):
-    if not assignment.pairs:
+    if not len(assignment):
         return ad.constant([[0.0]])
     sizes = np.asarray(sizes, dtype=np.float64)
     w = sizes / sizes.sum()
     g = gt.superpoint_masks[assignment.gt_idx].astype(np.float64)
     p = ad.gather_rows(pred.sp_mask, assignment.query_idx)
     total = ad.weighted_bce(p, g * w, (1.0 - g) * w, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return ad.affine(total, -1.0 / len(assignment.pairs))
+    return ad.affine(total, -1.0 / len(assignment))
 
 
 def dice_loss(pred, assignment: Assignment, gt, sizes, eps=DICE_EPS):
     """Mean over matched pairs of the size-weighted soft Dice loss."""
-    if not assignment.pairs:
+    if not len(assignment):
         return ad.constant([[0.0]])
     sizes = np.asarray(sizes, dtype=np.float64)
     p = ad.gather_rows(pred.sp_mask, assignment.query_idx)
@@ -172,7 +182,7 @@ def total_loss(preds, gt, sizes, fg, scene, cfg: TrainConfig) -> LossReport:
             cost = match_cost(pred, gt, sizes, cfg.lambda_cls, cfg.lambda_mask)
             assignment = hungarian(cost)
         else:
-            assignment = Assignment(pairs=[])
+            assignment = Assignment.of([])
         h.update(repr(assignment.pairs).encode())
         h.update((pred.sp_mask.value > 0.5).tobytes())
         l_cls = classification_loss(pred, assignment, gt, n_class)

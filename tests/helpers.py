@@ -281,15 +281,13 @@ def candidate_sample_quadratic(positions, f, beta, k_cand, rq):
 
 def slice_cols(x, a, b):
     """Columns a:b of x as a tape node; the gradient is zero-padded back."""
-    out = ad.Tensor(x.value[:, a:b].copy(), (x,))
 
     def push(g):
         gx = np.zeros_like(x.value)
         gx[:, a:b] = g
         x._accumulate(gx)
 
-    out._push = push
-    return out
+    return ad.Tensor(x.value[:, a:b].copy(), (x,), push)
 
 
 def composed_attention(q, k, v, heads, mask=None, capture=None):
@@ -406,13 +404,13 @@ def match_cost_loop(pred, gt, sizes, lambda_cls=1.0, lambda_mask=1.0):
 def dice_loss_per_pair(pred, assignment, gt, sizes, eps=training.DICE_EPS):
     """training.dice_loss as one gathered row and one chain of nodes per
     matched pair, summed by a chain of adds."""
-    if not assignment.pairs:
+    if not len(assignment):
         return ad.constant([[0.0]])
     sizes = np.asarray(sizes, dtype=np.float64)
     p = ad.gather_rows(pred.sp_mask, assignment.query_idx)
     g = gt.superpoint_masks[assignment.gt_idx].astype(np.float64)
     terms = []
-    for n in range(len(assignment.pairs)):
+    for n in range(len(assignment)):
         row = ad.gather_rows(p, [n])
         num = ad.affine(ad.sum_all(ad.affine(row, scale=2.0 * sizes * g[n])), 1.0, eps)
         den = ad.affine(ad.sum_all(ad.affine(row, scale=sizes)), 1.0, (g[n] @ sizes) + eps)

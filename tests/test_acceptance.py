@@ -1,12 +1,18 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 The overfit runs train real models and take a few minutes; run with -s to see
-the criterion lines as they complete.
+the criterion lines as they complete. The four 2000-step trainings of criteria
+7 and 8 are independent seeded runs, so they run two at a time in a spawn
+pool whose workers use one BLAS thread each.
 """
 
+import contextlib
 import functools
 import itertools
+import multiprocessing
+import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,11 +97,58 @@ def train_pipeline(steps=2000, use_local=True, use_global=True, layers=6):
     return trace, report
 
 
+# the full model first: criterion 7 waits for it alone
+ABLATIONS = {
+    "full": {},
+    "local_only": {"use_global": False},
+    "global_only": {"use_local": False},
+    "no_layers": {"layers": 0},
+}
+# seconds to wait for one pooled run: criterion 7's own limit; a worker that
+# dies loses its task, and an unbounded get would then wait forever
+RUN_TIMEOUT = 900
+ONE_BLAS_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+@contextlib.contextmanager
+def training_pool(processes=2):
+    """A spawn pool whose workers start with one BLAS thread each; it is
+    terminated on exit."""
+    with mock.patch.dict(os.environ, ONE_BLAS_THREAD):
+        pool = multiprocessing.get_context("spawn").Pool(processes)
+    with pool:
+        yield pool
+
+
+def start_ablations(pool, steps=2000):
+    return {
+        name: pool.apply_async(train_pipeline, kwds={"steps": steps, **kw})
+        for name, kw in ABLATIONS.items()
+    }
+
+
 @pytest.fixture(scope="module")
 def overfit_run():
+    """(trace, report, seconds) of the full run, and the pending results of
+    every run in ABLATIONS."""
     t0 = time.time()
-    trace, report = train_pipeline()
-    return trace, report, time.time() - t0
+    with training_pool() as pool:
+        runs = start_ablations(pool)
+        trace, report = runs["full"].get(RUN_TIMEOUT)
+        yield trace, report, time.time() - t0, runs
+
+
+def test_pooled_runs_match_serial_runs():
+    """Short runs of every ABLATIONS entry give the same reports, to the
+    last bit of every float, two at a time as one at a time. Both sides use
+    one BLAS thread: OpenBLAS's thread count changes the bits of a run."""
+    runs = {}
+    for processes in (2, 1):
+        with training_pool(processes) as pool:
+            assert pool.apply(os.getenv, ("OPENBLAS_NUM_THREADS",)) == "1"
+            pending = start_ablations(pool, steps=12)
+            runs[processes] = {name: repr(r.get(RUN_TIMEOUT)) for name, r in pending.items()}
+    assert runs[2] == runs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +235,7 @@ def test_hungarian_oracle():
 
 @criterion(3, "loss identities")
 def test_loss_identities(monkeypatch):
-    one_pair = Assignment(pairs=[(0, 0)])
+    one_pair = Assignment.of([(0, 0)])
     gt_same = make_gt([0], [[True, False, True, False]])
     pred_same = constant_pred(np.ones((1, 2)), [0.5], [[1.0, 0.0, 1.0, 0.0]])
     assert training.dice_loss(pred_same, one_pair, gt_same, np.ones(4), eps=0.0).value[0, 0] == 0.0
@@ -315,7 +368,7 @@ def test_evaluator_correctness():
 
 @criterion(7, "end-to-end overfit")
 def test_end_to_end_overfit(overfit_run):
-    trace, report, elapsed = overfit_run
+    trace, report, elapsed, _ = overfit_run
     assert elapsed < 900, f"took {elapsed:.0f}s"
     assert report.ap25 >= 0.90, f"AP25 {report.ap25}"
     assert report.ap50 >= 0.70, f"AP50 {report.ap50}"
@@ -326,7 +379,7 @@ def test_end_to_end_overfit(overfit_run):
 
 @criterion(8, "ablation structure")
 def test_ablation_structure(overfit_run):
-    _, full_report, _ = overfit_run
+    _, full_report, _, runs = overfit_run
 
     def valid(rep):
         assert rep.classes, "no classes with ground truth"
@@ -335,9 +388,9 @@ def test_ablation_structure(overfit_run):
         for v in (rep.map_, rep.ap50, rep.ap25):
             assert 0.0 <= v <= 1.0
 
-    _, local_only = train_pipeline(use_global=False)
-    _, global_only = train_pipeline(use_local=False)
-    _, no_layers = train_pipeline(layers=0)
+    _, local_only = runs["local_only"].get(RUN_TIMEOUT)
+    _, global_only = runs["global_only"].get(RUN_TIMEOUT)
+    _, no_layers = runs["no_layers"].get(RUN_TIMEOUT)
     for rep in (local_only, global_only, no_layers):
         valid(rep)
     assert full_report.ap25 >= local_only.ap25

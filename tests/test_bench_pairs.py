@@ -2,6 +2,11 @@
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -145,3 +150,29 @@ def test_bench_7_summaries_follow_from_its_pairs():
     workloads = committed_bench(7)
     assert all(w["all_correct"] and w["loss_equal_in_every_pair"] for w in workloads.values())
     assert workloads["train-cluttered"]["metrics"]["peak_rss_mb"]["claim"]["holds"]
+
+
+def test_sigterm_removes_the_exported_trees(tmp_path):
+    """A SIGTERM mid-run exits non-zero and leaves no bench_pairs_* tree."""
+    tool = Path(bp.__file__)
+    proc = subprocess.Popen(
+        [sys.executable, str(tool), "--parent", "HEAD", "--change", "HEAD",
+         "--workload", "train-default", "--seeds", "1", "--name", "sigterm_check"],
+        env={**os.environ, "TMPDIR": str(tmp_path)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60.0
+        while not list(tmp_path.glob("bench_pairs_*")):
+            assert proc.poll() is None, proc.stderr.read().decode()
+            assert time.monotonic() < deadline, "no bench_pairs_* directory appeared"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) != 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert list(tmp_path.glob("bench_pairs_*")) == []
+    assert not (tool.parent.parent / "BENCH_sigterm_check.json").exists()

@@ -233,6 +233,33 @@ class TestInspectAttn:
         assert code == 2
 
 
+class TestUntaped:
+    """predict and inspect-attn run the forward pass without a tape."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["predict", "--out", "pred"],
+         ["inspect-attn", "--layer", "1", "--head", "0", "--out", "a.csv"]],
+        ids=["predict", "inspect-attn"],
+    )
+    def test_forward_outputs_have_no_parents(self, workspace, tmp_path, monkeypatch, args):
+        outs = []
+        forward = SegModel.forward
+
+        def recording_forward(self, *a, **kw):
+            outs.append(forward(self, *a, **kw))
+            return outs[-1]
+
+        monkeypatch.setattr(SegModel, "forward", recording_forward)
+        *head, last = args
+        code = run(head + [str(tmp_path / last),
+                           "--checkpoint", str(workspace / "runs" / "checkpoint.psgw"),
+                           "--scene", str(workspace / "data" / "scene_000.ply")])
+        assert code == 0 and len(outs) == 1
+        tensors = [outs[0].foreground] + [t for p in outs[0].preds for t in vars(p).values()]
+        assert all(t.parents == () for t in tensors)
+
+
 class TestExitCodes:
     def test_unknown_config_key_exit_2(self, tmp_path):
         assert cli.main(["gen", "--out", str(tmp_path / "x"), "--set", "bogus.key=1"]) == 2

@@ -144,7 +144,7 @@ class TestClassificationLoss:
         gt = fake_gt([1, 0], np.eye(2, 4, dtype=bool))
         probs = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         pred = fake_pred(probs, np.zeros((2, 4)))
-        a = Assignment(pairs=[(0, 0), (1, 1)])
+        a = Assignment.of([(0, 0), (1, 1)])
         loss = training.classification_loss(pred, a, gt, 3)
         assert loss.value[0, 0] == 0.0
 
@@ -152,7 +152,7 @@ class TestClassificationLoss:
         gt = fake_gt([2], [[True, False]])
         probs = np.full((3, 4), 0.25)
         pred = fake_pred(probs, np.zeros((3, 2)))
-        a = Assignment(pairs=[(1, 0)])
+        a = Assignment.of([(1, 0)])
         loss = training.classification_loss(pred, a, gt, 3)
         assert abs(loss.value[0, 0] - np.log(4)) < 1e-12
 
@@ -160,7 +160,7 @@ class TestClassificationLoss:
         gt = fake_gt([0, 1], np.eye(2, 3, dtype=bool))
         probs = np.array([[0.7, 0.1, 0.1, 0.1], [0.3, 0.1, 0.3, 0.3]])
         pred = fake_pred(probs, np.zeros((2, 3)))
-        a = Assignment(pairs=[(0, 0), (1, 1)])
+        a = Assignment.of([(0, 0), (1, 1)])
         loss = training.classification_loss(pred, a, gt, 3)
         want = -(np.log(0.7) + np.log(0.1)) / 2  # ~= 1.3297
         assert abs(loss.value[0, 0] - want) < 1e-12
@@ -170,7 +170,7 @@ class TestClassificationLoss:
         gt = fake_gt([0], [[True]])
         probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
         pred = fake_pred(probs, np.zeros((2, 1)))
-        a = Assignment(pairs=[(0, 0)])
+        a = Assignment.of([(0, 0)])
         loss = training.classification_loss(pred, a, gt, 3)
         assert loss.value[0, 0] == 0.0
 
@@ -180,14 +180,14 @@ class TestScoreLoss:
         gt = fake_gt([0], [[True, True, False]])
         masks = np.array([[0.9, 0.9, 0.1]])  # binarized == gt, so IoU target = 1
         pred = fake_pred(np.ones((1, 2)), masks, scores=[[1.0]])
-        loss = training.score_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(3))
+        loss = training.score_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(3))
         assert loss.value[0, 0] == 0.0
 
     def test_s_one_iou_zero(self):
         gt = fake_gt([0], [[False, False, True]])
         masks = np.array([[0.9, 0.9, 0.1]])  # disjoint from gt
         pred = fake_pred(np.ones((1, 2)), masks, scores=[[1.0]])
-        loss = training.score_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(3))
+        loss = training.score_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(3))
         assert loss.value[0, 0] == 1.0
 
     def test_hand_case(self):
@@ -195,13 +195,13 @@ class TestScoreLoss:
         gt = fake_gt([0], [[False, True]])
         masks = np.array([[0.8, 0.8]])
         pred = fake_pred(np.ones((1, 2)), masks, scores=[[0.6]])
-        loss = training.score_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(2))
+        loss = training.score_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(2))
         assert abs(loss.value[0, 0] - 0.01) < 1e-12
 
     def test_no_pairs(self):
         pred = fake_pred(np.ones((2, 2)), np.zeros((2, 3)))
         gt = fake_gt([], np.zeros((0, 3), dtype=bool))
-        assert training.score_loss(pred, Assignment(pairs=[]), gt, np.ones(3)).value[0, 0] == 0.0
+        assert training.score_loss(pred, Assignment.of([]), gt, np.ones(3)).value[0, 0] == 0.0
 
     def test_target_detached(self):
         gt = fake_gt([0], [[True, False]])
@@ -211,7 +211,7 @@ class TestScoreLoss:
             iou_score=ad.Tensor(np.array([[0.3]])),
             sp_mask=masks,
         )
-        loss = training.score_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(2))
+        loss = training.score_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(2))
         ad.backward(loss)
         assert masks.grad is None or not np.any(masks.grad)
 
@@ -221,19 +221,19 @@ class TestBceMaskLoss:
         gt = fake_gt([0], [[True, False, True]])
         masks = np.array([[1.0, 0.0, 1.0]])
         pred = fake_pred(np.ones((1, 2)), masks)
-        loss = training.bce_mask_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(3))
+        loss = training.bce_mask_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(3))
         assert loss.value[0, 0] < 1e-6
 
     def test_half_everywhere(self):
         gt = fake_gt([0], [[True, False, True, False]])
         pred = fake_pred(np.ones((1, 2)), np.full((1, 4), 0.5))
-        loss = training.bce_mask_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(4))
+        loss = training.bce_mask_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(4))
         assert abs(loss.value[0, 0] - np.log(2)) < 1e-12
 
     def test_hand_case(self):
         gt = fake_gt([0], [[True, False]])
         pred = fake_pred(np.ones((1, 2)), np.array([[0.9, 0.2]]))
-        loss = training.bce_mask_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(2))
+        loss = training.bce_mask_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(2))
         want = -(np.log(0.9) + np.log(0.8)) / 2  # ~= 0.1643
         assert abs(loss.value[0, 0] - want) < 1e-12
 
@@ -242,7 +242,7 @@ class TestBceMaskLoss:
         gt = fake_gt([0], [[True, False]])
         pred = fake_pred(np.ones((1, 2)), np.array([[0.5, 1e-9]]))
         loss = training.bce_mask_loss(
-            pred, Assignment(pairs=[(0, 0)]), gt, np.array([3, 1])
+            pred, Assignment.of([(0, 0)]), gt, np.array([3, 1])
         ).value[0, 0]
         assert abs(loss - 0.75 * np.log(2)) < 1e-7
 
@@ -251,19 +251,19 @@ class TestDiceLoss:
     def test_identical_exact_zero_eps0(self):
         gt = fake_gt([0], [[True, False, True, False]])
         pred = fake_pred(np.ones((1, 2)), np.array([[1.0, 0.0, 1.0, 0.0]]))
-        loss = training.dice_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(4), eps=0.0)
+        loss = training.dice_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(4), eps=0.0)
         assert loss.value[0, 0] == 0.0
 
     def test_disjoint_exact_one_eps0(self):
         gt = fake_gt([0], [[False, False, True, True]])
         pred = fake_pred(np.ones((1, 2)), np.array([[1.0, 1.0, 0.0, 0.0]]))
-        loss = training.dice_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(4), eps=0.0)
+        loss = training.dice_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(4), eps=0.0)
         assert loss.value[0, 0] == 1.0
 
     def test_hand_case_eps0(self):
         gt = fake_gt([0], [[False, True, True, False]])
         pred = fake_pred(np.ones((1, 2)), np.array([[1.0, 1.0, 0.0, 0.0]]))
-        loss = training.dice_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(4), eps=0.0)
+        loss = training.dice_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(4), eps=0.0)
         assert loss.value[0, 0] == 0.5
 
     def test_range_with_smoothing(self):
@@ -273,7 +273,7 @@ class TestDiceLoss:
             gt = fake_gt([0], rng.uniform(size=(1, m)) > 0.5)
             pred = fake_pred(np.ones((1, 2)), rng.uniform(size=(1, m)))
             v = training.dice_loss(
-                pred, Assignment(pairs=[(0, 0)]), gt, rng.integers(1, 9, size=m)
+                pred, Assignment.of([(0, 0)]), gt, rng.integers(1, 9, size=m)
             ).value[0, 0]
             assert 0.0 <= v < 1.0
 
@@ -283,7 +283,7 @@ class TestDiceLoss:
         g[:40] = True
         gt = fake_gt([0], g[None])
         pred = fake_pred(np.ones((1, 2)), g[None].astype(float))
-        v = training.dice_loss(pred, Assignment(pairs=[(0, 0)]), gt, np.ones(m)).value[0, 0]
+        v = training.dice_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(m)).value[0, 0]
         assert v < 1e-2
 
     @settings(max_examples=200, deadline=None)
@@ -301,7 +301,7 @@ class TestDiceLoss:
         def run(loss_fn):
             leaf = ad.Tensor(pred.sp_mask.value.copy())
             p = LayerPrediction(pred.class_probs, pred.iou_score, leaf)
-            loss = loss_fn(p, Assignment(pairs=pairs), gt, sizes)
+            loss = loss_fn(p, Assignment.of(pairs), gt, sizes)
             ad.backward(loss)
             return loss.value[0, 0], leaf.grad
 

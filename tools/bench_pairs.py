@@ -19,7 +19,8 @@ BENCHMARK.json bound, taken as a fraction of the parent's median. A metric
 whose interquartile range on either side exceeds that bound is unresolved,
 since such runs cannot show a worsening up to the bound, unless every
 change run beats every parent run. Runs last BENCHMARK.json's
-`run_seconds`.
+`run_seconds`. SIGTERM stops the tool like an exception: the running
+perfbench child is killed and both trees are removed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import io
 import json
 import math
+import signal
 import statistics
 import subprocess
 import sys
@@ -141,6 +143,12 @@ def run_once(tree, workload, seed, seconds):
     return json.loads(lines[-1])
 
 
+def _exit_on_sigterm(signum, frame):
+    # SystemExit unwinds through subprocess.run, which kills its child, and
+    # through TemporaryDirectory, which removes the trees
+    raise SystemExit(f"stopped by signal {signum}")
+
+
 def summarise(pairs, metrics, claim):
     """Per-metric quartiles of both sides, wins and verdicts over the pairs."""
     loss_equal = all(
@@ -184,6 +192,7 @@ def main(argv=None):
     out_path = ROOT / f"BENCH_{args.name}.json"
 
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
         shas = {side: export(getattr(args, side), trees[side]) for side in trees}
