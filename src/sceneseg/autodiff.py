@@ -34,10 +34,11 @@ the bytes and bound the memory:
   released. Count a tape with `_toposort` before its `backward`.
 - Tape off. Inside `with no_tape():` a tensor keeps its value but no parents
   and no push, so each intermediate array is freed as soon as the forward
-  code drops it; inference runs this way. Its push becomes a sentinel:
-  `backward` from such a tensor, or through a taped graph that reaches one,
-  raises ContractError instead of leaving gradients silently missing. The
-  values are those of the taped pass, byte for byte.
+  code drops it; the CLI's `predict` and `inspect-attn` run this way. Its
+  push becomes a sentinel: `backward` from such a tensor, or through a
+  taped graph that reaches one, raises ContractError instead of leaving
+  gradients silently missing. The values are those of the taped pass,
+  byte for byte.
 """
 
 from __future__ import annotations

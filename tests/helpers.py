@@ -107,6 +107,11 @@ def micro_model(seed=0, k=4, d=16, layers=2):
     return model.SegModel(cfg)
 
 
+def forward_tensors(out):
+    """The foreground and every layer's prediction tensors of a ForwardResult."""
+    return [out.foreground] + [t for p in out.preds for t in vars(p).values()]
+
+
 # ---------------------------------------------------------------------------
 # loop oracles: the straightforward per-point forms of vectorised code
 

@@ -17,6 +17,7 @@ from helpers import (
     composed_linear,
     composed_weighted_bce,
     finite_diff,
+    forward_tensors,
     rel_err,
     scatter_add_at,
     shared_grads,
@@ -667,10 +668,6 @@ def forward_bytes(model, prep):
     return layers, out.foreground.value.tobytes(), out.keypoints.tobytes(), out.structure, attention
 
 
-def untaped_outputs(out):
-    return [out.foreground] + [t for p in out.preds for t in vars(p).values()]
-
-
 class TestNoTape:
     """no_tape() builds the same values without a tape, and a backward pass
     that would need the missing tape raises."""
@@ -688,7 +685,7 @@ class TestNoTape:
             untaped = forward_bytes(m, prep)
             out = m.forward(prep)
         assert untaped == taped
-        assert all(t.parents == () for t in untaped_outputs(out))
+        assert all(t.parents == () for t in forward_tensors(out))
 
     def test_untaped_forward_peak_is_well_below_the_taped_one(self):
         m = SegModel(config.model_config(config.RunConfig()))

@@ -152,6 +152,13 @@ def test_bench_7_summaries_follow_from_its_pairs():
     assert workloads["train-cluttered"]["metrics"]["peak_rss_mb"]["claim"]["holds"]
 
 
+def test_bench_8_summaries_follow_from_its_pairs():
+    workloads = committed_bench(8)
+    assert set(workloads) == {"predict-dense", "train-default", "train-cluttered"}
+    assert all(w["all_correct"] and w["loss_equal_in_every_pair"] for w in workloads.values())
+    assert workloads["predict-dense"]["metrics"]["peak_rss_mb"]["claim"]["holds"]
+
+
 def test_sigterm_removes_the_exported_trees(tmp_path):
     """A SIGTERM mid-run exits non-zero and leaves no bench_pairs_* tree."""
     tool = Path(bp.__file__)

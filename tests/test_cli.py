@@ -6,6 +6,8 @@ import pytest
 from sceneseg import cli, config as cfgmod, inference, scenegen
 from sceneseg.model import SegModel
 
+from helpers import forward_tensors
+
 SMALL = [
     "n_scenes=2",
     "n_objects=2",
@@ -237,12 +239,11 @@ class TestUntaped:
     """predict and inspect-attn run the forward pass without a tape."""
 
     @pytest.mark.parametrize(
-        "args",
-        [["predict", "--out", "pred"],
-         ["inspect-attn", "--layer", "1", "--head", "0", "--out", "a.csv"]],
-        ids=["predict", "inspect-attn"],
+        "command, extra", [("predict", []), ("inspect-attn", ["--layer", "1", "--head", "0"])]
     )
-    def test_forward_outputs_have_no_parents(self, workspace, tmp_path, monkeypatch, args):
+    def test_forward_outputs_have_no_parents(
+        self, workspace, tmp_path, monkeypatch, command, extra
+    ):
         outs = []
         forward = SegModel.forward
 
@@ -251,13 +252,11 @@ class TestUntaped:
             return outs[-1]
 
         monkeypatch.setattr(SegModel, "forward", recording_forward)
-        *head, last = args
-        code = run(head + [str(tmp_path / last),
-                           "--checkpoint", str(workspace / "runs" / "checkpoint.psgw"),
-                           "--scene", str(workspace / "data" / "scene_000.ply")])
+        code = run([command, *extra, "--out", str(tmp_path / "out"),
+                    "--checkpoint", str(workspace / "runs" / "checkpoint.psgw"),
+                    "--scene", str(workspace / "data" / "scene_000.ply")])
         assert code == 0 and len(outs) == 1
-        tensors = [outs[0].foreground] + [t for p in outs[0].preds for t in vars(p).values()]
-        assert all(t.parents == () for t in tensors)
+        assert all(t.parents == () for t in forward_tensors(outs[0]))
 
 
 class TestExitCodes:

@@ -102,6 +102,16 @@ class TestHungarian:
     def test_empty(self):
         assert training.hungarian(np.zeros((0, 0))).pairs == []
 
+    def test_index_arrays_and_hashed_pairs(self):
+        """Two int64 arrays, query indices ascending; `pairs` has the repr
+        that total_loss hashes into the structure digest."""
+        cost = np.array([[5.0, 0.0], [9.0, 9.0], [0.0, 5.0]])
+        a = training.hungarian(cost)
+        assert a.query_idx.dtype == np.int64 and a.gt_idx.dtype == np.int64
+        assert a.query_idx.tolist() == [0, 2] and a.gt_idx.tolist() == [1, 0]
+        assert repr(a.pairs) == "[(0, 1), (2, 0)]" and len(a) == 2
+        assert repr(Assignment.of([]).pairs) == "[]"
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractError):
             training.hungarian(np.array([[1.0, np.inf], [0.0, 1.0]]))
