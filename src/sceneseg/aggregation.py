@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .errors import ContractError
+from .errors import ContractError, at_least, require
 
 
 @dataclass
@@ -30,8 +30,8 @@ class AggregationConfig:
     width: int = 32  # local feature width (columns of the keypoint features)
 
     def __post_init__(self):
-        if not 0 < self.r1 < self.r2:
-            raise ContractError("need 0 < r1 < r2")
+        require(0 < self.r1 < self.r2, self, "r1", f"in (0, r2 = {self.r2!r})")
+        at_least(self, cap=1, k_cand=1, width=1)
 
 
 @dataclass
@@ -67,8 +67,6 @@ def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
     One distance row per pick keeps both the running distance to the picks
     and the running eligibility (eligible_points, updated incrementally).
     """
-    if k_cand < 1:
-        raise ContractError("k_cand must be >= 1")
     positions = np.asarray(positions, dtype=np.float64)
     f = np.asarray(f).ravel()
     ok = eligible_points(f, None, beta)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad, scenegen
-from .errors import ContractError
+from .errors import ContractError, at_least, require
 
 
 @dataclass
@@ -26,10 +26,8 @@ class BackboneConfig:
     levels: int = 2
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ContractError("levels must be >= 1")
-        if self.channels < 8:
-            raise ContractError("channels must be >= 8")
+        require(self.base_voxel > 0, self, "base_voxel", "> 0")
+        at_least(self, channels=8, levels=1)
 
 
 class Backbone:

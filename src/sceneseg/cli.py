@@ -73,6 +73,11 @@ def cmd_train(cfg, data_dir, out_dir):
     out_dir = Path(out_dir)
     _echo_config(cfg, out_dir)
     scenes = _load_scenes(data_dir)
+    n_class = cfg["n_class"]
+    for stem, scene in scenes.items():
+        top = scene.semantic[scene.instance >= 0].max(initial=-1)
+        if top >= n_class:
+            raise DataError(f"{stem}.ply: instance class {top} does not fit n_class={n_class}")
     model = SegModel(cfgmod.model_config(cfg))
     preps = [model.prepare(scenes[k]) for k in sorted(scenes)]
     tcfg = cfgmod.train_config(cfg)
@@ -92,20 +97,21 @@ def cmd_train(cfg, data_dir, out_dir):
     return 0
 
 
-def _restore_model(cfg, checkpoint):
+def _untaped_forward(cfg, checkpoint, scene_path, capture_attention=False):
+    """The prepared scene and the untaped forward pass of the checkpoint's model."""
+    scene = scenegen.read_ply(scene_path)
     model = SegModel(cfgmod.model_config(cfg))
     model.store.load(checkpoint)
-    return model
+    prep = model.prepare(scene)
+    with ad.no_tape():
+        return prep, model.forward(prep, capture_attention=capture_attention)
 
 
 def cmd_predict(cfg, checkpoint, scene_path, out_dir):
     out_dir = Path(out_dir)
     _echo_config(cfg, out_dir)
-    scene = scenegen.read_ply(scene_path)
-    model = _restore_model(cfg, checkpoint)
-    prep = model.prepare(scene)
-    with ad.no_tape():
-        out = model.forward(prep)
+    prep, out = _untaped_forward(cfg, checkpoint, scene_path)
+    scene = prep.scene
     top_k = cfg["infer.top_k"] or None
     instances = inference.predict(
         out.preds[-1], prep.partition, top_k=top_k, min_score=cfg["infer.min_score"]
@@ -151,11 +157,9 @@ def cmd_inspect_attn(cfg, checkpoint, scene_path, layer, head, out_path):
         raise ConfigError(f"layer {layer} out of range [0, {cfg['decoder.layers']})")
     if not 0 <= head < cfg["decoder.heads"]:
         raise ConfigError(f"head {head} out of range [0, {cfg['decoder.heads']})")
-    scene = scenegen.read_ply(scene_path)
-    model = _restore_model(cfg, checkpoint)
-    prep = model.prepare(scene)
-    with ad.no_tape():
-        out = model.forward(prep, capture_attention=True)
+    if not cfg["model.use_global"]:
+        raise ConfigError("model.use_global=false: no masked cross-attention runs to inspect")
+    _, out = _untaped_forward(cfg, checkpoint, scene_path, capture_attention=True)
     weights = out.attention[layer][head]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from . import aggregation, backbone, decoder, model, scenegen, training
-from .errors import ConfigError, ParseError, read_text
+from .errors import ConfigError, ContractError, ParseError, read_text
 
 # key -> (type, default); booleans accept true/false/1/0/yes/no
 DEFAULTS = {
@@ -46,25 +47,6 @@ DEFAULTS = {
     "infer.min_score": (float, 0.0),
 }
 
-# key -> smallest value the pipeline accepts
-MINIMUM = {
-    "n_scenes": 1,
-    "n_objects": 1,
-    "n_class": 1,
-    "room_extent": scenegen.MIN_ROOM_EXTENT,
-    "backbone.channels": 8,
-    "backbone.levels": 1,
-    "msa.cap": 1,
-    "msa.k_cand": 1,
-    "msa.width": 1,
-    "decoder.k": 1,
-    "decoder.d": 1,
-    "decoder.layers": 0,
-    "decoder.heads": 1,
-    "train.steps": 0,
-    "infer.top_k": 0,
-}
-
 
 def _parse_value(key, raw):
     typ = DEFAULTS[key][0]
@@ -86,25 +68,14 @@ def _parse_value(key, raw):
 
 
 def check_ranges(cfg):
-    """ConfigError naming the first key whose value the pipeline rejects."""
-
-    def bad(key, rule):
-        raise ConfigError(f"{key}={cfg[key]!r} out of range: must be {rule}")
-
-    for key, low in MINIMUM.items():
+    """ConfigError naming the first key whose value the pipeline rejects. The
+    rules of every key a dataclass holds live in that dataclass."""
+    for key, low in (("n_scenes", 1), ("infer.top_k", 0)):
         if cfg[key] < low:
-            bad(key, f">= {low}")
-    for key in ("backbone.base_voxel", "superpoints.coarse_size", "msa.r1"):
-        if cfg[key] <= 0:
-            bad(key, "> 0")
-    if cfg["n_points"] < 100 * cfg["n_objects"]:
-        bad("n_points", f">= 100 * n_objects = {100 * cfg['n_objects']}")
-    if cfg["msa.r1"] >= cfg["msa.r2"]:
-        bad("msa.r1", f"< msa.r2 = {cfg['msa.r2']!r}")
-    if cfg["decoder.d"] % cfg["decoder.heads"]:
-        bad("decoder.heads", f"a divisor of decoder.d = {cfg['decoder.d']}")
-    if not 0 < cfg["decoder.tau"] < 1:
-        bad("decoder.tau", "in (0, 1)")
+            raise ConfigError(f"{key}={cfg[key]!r} out of range: must be >= {low}")
+    scene_spec(cfg)
+    model_config(cfg)
+    train_config(cfg)
 
 
 class RunConfig:
@@ -166,55 +137,30 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
+def _fill(cls, cfg, prefix, named=None, **given):
+    """cls(...) with each field read from the key <prefix><field>, or from the
+    key `named` maps it to; a rejected field's error names its key."""
+    keys = {f.name: prefix + f.name for f in fields(cls) if prefix + f.name in DEFAULTS}
+    keys.update(named or {})
+    try:
+        return cls(**{f: cfg[key] for f, key in keys.items()}, **given)
+    except ContractError as exc:
+        raise ConfigError(keys[exc.field] + str(exc).removeprefix(exc.field)) from None
+
+
 def scene_spec(cfg: RunConfig) -> scenegen.SceneSpec:
-    return scenegen.SceneSpec(
-        n_objects=cfg["n_objects"],
-        n_points=cfg["n_points"],
-        n_class=cfg["n_class"],
-        room_extent=cfg["room_extent"],
-    )
+    return _fill(scenegen.SceneSpec, cfg, "")
 
 
 def model_config(cfg: RunConfig) -> model.ModelConfig:
-    return model.ModelConfig(
-        backbone=backbone.BackboneConfig(
-            base_voxel=cfg["backbone.base_voxel"],
-            channels=cfg["backbone.channels"],
-            levels=cfg["backbone.levels"],
-        ),
-        agg=aggregation.AggregationConfig(
-            r1=cfg["msa.r1"],
-            r2=cfg["msa.r2"],
-            rq=cfg["msa.rq"],
-            beta=cfg["msa.beta"],
-            cap=cfg["msa.cap"],
-            k_cand=cfg["msa.k_cand"],
-            width=cfg["msa.width"],
-        ),
-        dec=decoder.DecoderConfig(
-            k=cfg["decoder.k"],
-            d=cfg["decoder.d"],
-            layers=cfg["decoder.layers"],
-            heads=cfg["decoder.heads"],
-            tau=cfg["decoder.tau"],
-            n_class=cfg["n_class"],
-        ),
-        coarse_size=cfg["superpoints.coarse_size"],
-        use_local=cfg["model.use_local"],
-        use_global=cfg["model.use_global"],
-        seed=cfg["seed"],
+    return _fill(
+        model.ModelConfig, cfg, "model.",
+        {"coarse_size": "superpoints.coarse_size", "seed": "seed"},
+        backbone=_fill(backbone.BackboneConfig, cfg, "backbone."),
+        agg=_fill(aggregation.AggregationConfig, cfg, "msa."),
+        dec=_fill(decoder.DecoderConfig, cfg, "decoder.", {"n_class": "n_class"}),
     )
 
 
 def train_config(cfg: RunConfig) -> training.TrainConfig:
-    return training.TrainConfig(
-        lr=cfg["train.lr"],
-        steps=cfg["train.steps"],
-        w_cls=cfg["train.w_cls"],
-        w_score=cfg["train.w_score"],
-        w_bce=cfg["train.w_bce"],
-        w_dice=cfg["train.w_dice"],
-        deep_supervision=cfg["train.deep_supervision"],
-        lambda_cls=cfg["train.lambda_cls"],
-        lambda_mask=cfg["train.lambda_mask"],
-    )
+    return _fill(training.TrainConfig, cfg, "train.")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError
+from .errors import at_least, require
 
 
 @dataclass
@@ -29,10 +29,9 @@ class DecoderConfig:
     n_class: int = 3
 
     def __post_init__(self):
-        if self.d % self.heads:
-            raise ContractError("d must be divisible by heads")
-        if not 0 < self.tau < 1:
-            raise ContractError("tau must be in (0, 1)")
+        at_least(self, k=1, d=1, layers=0, heads=1)
+        require(self.d % self.heads == 0, self, "heads", f"a divisor of d = {self.d}")
+        require(0 < self.tau < 1, self, "tau", "in (0, 1)")
 
 
 @dataclass

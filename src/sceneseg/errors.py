@@ -8,7 +8,12 @@ class ShapeError(ValueError):
 
 
 class ContractError(ValueError):
-    """A documented precondition was violated."""
+    """A documented precondition was violated; `field` names the dataclass
+    field whose value broke it, when one did."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class ConfigError(ValueError):
@@ -39,6 +44,20 @@ class NumericError(RuntimeError):
 
 class CheckpointError(ValueError):
     """Checkpoint incompatible with the configured model."""
+
+
+def require(ok, obj, field, rule):
+    """Unless ok, a ContractError naming `field` of `obj`, its value and the
+    `rule` it breaks."""
+    if not ok:
+        value = getattr(obj, field)
+        raise ContractError(f"{field}={value!r} out of range: must be {rule}", field)
+
+
+def at_least(obj, **lows):
+    """require(field >= low) for each field=low, in order."""
+    for field, low in lows.items():
+        require(getattr(obj, field) >= low, obj, field, f">= {low}")
 
 
 def read_text(path):

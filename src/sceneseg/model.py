@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aggregation, autodiff as ad, backbone as bb, decoder as dec, scenegen
+from .errors import require
 
 
 def seed_for(global_seed, name):
@@ -25,6 +26,9 @@ class ModelConfig:
     use_local: bool = True
     use_global: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        require(self.coarse_size > 0, self, "coarse_size", "> 0")
 
 
 @dataclass

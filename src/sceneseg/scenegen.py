@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, GenerationError, ParseError, read_text
+from .errors import ContractError, DataError, GenerationError, ParseError, at_least, read_text, require
 
 CLASS_NAMES = ("box", "sphere", "cylinder")
 FLOOR_INSTANCE = -1
@@ -85,6 +85,12 @@ class SceneSpec:
     floor_fraction: float = 0.3
     noise: float = 0.01
 
+    def __post_init__(self):
+        at_least(self, n_objects=1)
+        n = 100 * self.n_objects
+        require(self.n_points >= n, self, "n_points", f">= 100 * n_objects = {n}")
+        at_least(self, n_class=1, room_extent=MIN_ROOM_EXTENT)
+
 
 # ---------------------------------------------------------------------------
 # generation
@@ -131,12 +137,6 @@ def _sample_surface(rng, kind, size, n):
 
 def generate_scene(seed, spec: SceneSpec) -> Scene:
     """Deterministic procedural scene: floor plane + non-overlapping primitives."""
-    if spec.n_objects < 1:
-        raise ContractError("n_objects must be >= 1")
-    if spec.n_points < 100 * spec.n_objects:
-        raise ContractError("need n_points >= 100 * n_objects")
-    if spec.room_extent < MIN_ROOM_EXTENT:
-        raise ContractError(f"need room_extent >= {MIN_ROOM_EXTENT}")
     rng = np.random.default_rng(seed)
     ext = spec.room_extent
 

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
-from .errors import ContractError, NumericError
+from .errors import ContractError, NumericError, at_least
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1.0
@@ -52,6 +52,9 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
+
+    def __post_init__(self):
+        at_least(self, steps=0)
 
 
 @dataclass

@@ -227,6 +227,12 @@ class TestLocalAggregator:
         with pytest.raises(ContractError):
             agg.AggregationConfig(r1=0.5, r2=0.3)
 
+    @pytest.mark.parametrize("kw", [{"r1": 0.0}, {"cap": 0}, {"k_cand": 0}, {"width": 0}])
+    def test_config_validation(self, kw):
+        with pytest.raises(ContractError) as exc:
+            agg.AggregationConfig(**kw)
+        assert exc.value.field == next(iter(kw))
+
 
 class TestGlobalProjector:
     def test_identity_projection(self):

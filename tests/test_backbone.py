@@ -109,3 +109,6 @@ class TestBackbone:
             BackboneConfig(levels=0)
         with pytest.raises(ContractError):
             BackboneConfig(channels=4)
+        # a zero voxel once cast NaN cells to int64 and ran without complaint
+        with pytest.raises(ContractError):
+            BackboneConfig(base_voxel=0.0)

@@ -303,6 +303,12 @@ class TestConfigRanges:
             ("gen", ["room_extent=0.5"], "room_extent"),
             ("gen", ["n_objects=40", "n_points=4000"], "n_objects"),
             ("gen", ["n_scenes=0"], "n_scenes"),
+            ("train", ["msa.cap=0"], "msa.cap"),
+            ("train", ["msa.width=0"], "msa.width"),
+            ("train", ["decoder.d=0"], "decoder.d"),
+            ("train", ["backbone.base_voxel=0"], "backbone.base_voxel"),
+            ("train", ["superpoints.coarse_size=-0.5"], "superpoints.coarse_size"),
+            ("train", ["infer.top_k=-1"], "infer.top_k"),
         ],
     )
     def test_exit_2_naming_the_key(self, workspace, tmp_path, capsys, command, sets, key):
@@ -314,6 +320,41 @@ class TestConfigRanges:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0], err
         assert not list(out.glob("*.ply")) and not (out / "checkpoint.psgw").exists()
+
+
+class TestFixedExits:
+    """Inputs that once ended in an IndexError traceback (exit 1), or trained
+    without complaint, now exit with a one-line message."""
+
+    def test_inspect_attn_without_masked_attention_exit_2(self, workspace, tmp_path, capsys):
+        code = run(
+            ["inspect-attn", "--checkpoint", str(workspace / "runs" / "checkpoint.psgw"),
+             "--scene", str(workspace / "data" / "scene_000.ply"),
+             "--layer", "0", "--head", "0", "--out", str(tmp_path / "a.csv")],
+            ["model.use_global=false"],
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "model.use_global" in err
+        assert not (tmp_path / "a.csv").exists()
+
+    @pytest.mark.parametrize("n_class", [1, 2])
+    def test_train_rejects_classes_beyond_n_class_exit_3(
+        self, workspace, tmp_path, capsys, n_class
+    ):
+        data = tmp_path / "data"
+        data.mkdir()
+        scene = scenegen.read_ply(workspace / "data" / "scene_000.ply")
+        scene.semantic[scene.instance >= 0] = 0
+        scenegen.write_ply(data / "scene_000.ply", scene)
+        scene.semantic[scene.instance == 0] = 2
+        scenegen.write_ply(data / "scene_001.ply", scene)
+        out = tmp_path / "run"
+        code = run(["train", "--data", str(data), "--out", str(out)], [f"n_class={n_class}"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "scene_001.ply" in err and "class 2" in err
+        assert not (out / "loss.csv").exists() and not (out / "checkpoint.psgw").exists()
 
 
 class TestBadInputExitCodes:

@@ -280,6 +280,11 @@ class TestDecoder:
             micro_cfg(tau=0.0)
         with pytest.raises(ContractError):
             micro_cfg(tau=1.5)
+        # zero heads once raised ZeroDivisionError in the divisor check
+        with pytest.raises(ContractError):
+            micro_cfg(heads=0)
+        with pytest.raises(ContractError):
+            micro_cfg(k=0)
 
 
 class TestPredictionHead:

@@ -67,6 +67,11 @@ class TestGenerate:
             scenegen.generate_scene(0, scenegen.SceneSpec(n_objects=0))
         with pytest.raises(ContractError):
             scenegen.generate_scene(0, scenegen.SceneSpec(n_objects=5, n_points=400))
+        # zero classes once failed inside numpy (high <= 0)
+        with pytest.raises(ContractError):
+            scenegen.generate_scene(0, scenegen.SceneSpec(n_class=0))
+        with pytest.raises(ContractError):
+            scenegen.generate_scene(0, scenegen.SceneSpec(room_extent=1.0))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 300))
