@@ -3,46 +3,37 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from . import aggregation, backbone, decoder, model, scenegen, training
 from .errors import ConfigError, ContractError, ParseError, read_text
 
+# the dataclasses that hold config keys: each field with a plain default is
+# the key <prefix><field> and gives that key its type and default
+_PREFIX = {
+    scenegen.SceneSpec: "",
+    backbone.BackboneConfig: "backbone.",
+    aggregation.AggregationConfig: "msa.",
+    decoder.DecoderConfig: "decoder.",
+    model.ModelConfig: "model.",
+    training.TrainConfig: "train.",
+}
+# <prefix><field> -> key, for the keys named otherwise
+_RENAMED = {"decoder.n_class": "n_class", "model.coarse_size": "superpoints.coarse_size",
+            "model.seed": "seed"}
+
+
+def _fields(cls):
+    """(field, key) for each field of cls that has a plain default."""
+    for f in fields(cls):
+        if f.default is not MISSING:
+            key = _PREFIX[cls] + f.name
+            yield f, _RENAMED.get(key, key)
+
+
 # key -> (type, default); booleans accept true/false/1/0/yes/no
-DEFAULTS = {
-    "seed": (int, 0),
+DEFAULTS = {key: (type(f.default), f.default) for cls in _PREFIX for f, key in _fields(cls)} | {
     "n_scenes": (int, 4),
-    "n_objects": (int, 4),
-    "n_points": (int, 2000),
-    "n_class": (int, 3),
-    "room_extent": (float, 4.0),
-    "backbone.base_voxel": (float, 0.1),
-    "backbone.channels": (int, 32),
-    "backbone.levels": (int, 2),
-    "superpoints.coarse_size": (float, 0.25),
-    "msa.r1": (float, 0.2),
-    "msa.r2": (float, 0.4),
-    "msa.beta": (float, 0.3),
-    "msa.cap": (int, 32),
-    "msa.rq": (float, 0.3),
-    "msa.k_cand": (int, 32),
-    "msa.width": (int, 32),
-    "decoder.k": (int, 20),
-    "decoder.d": (int, 64),
-    "decoder.layers": (int, 6),
-    "decoder.heads": (int, 8),
-    "decoder.tau": (float, 0.5),
-    "model.use_local": (bool, True),
-    "model.use_global": (bool, True),
-    "train.lr": (float, 1e-3),
-    "train.steps": (int, 500),
-    "train.w_cls": (float, 0.5),
-    "train.w_score": (float, 0.5),
-    "train.w_bce": (float, 1.0),
-    "train.w_dice": (float, 1.0),
-    "train.deep_supervision": (bool, True),
-    "train.lambda_cls": (float, 1.0),
-    "train.lambda_mask": (float, 1.0),
     "infer.top_k": (int, 0),  # 0 means keep all K
     "infer.min_score": (float, 0.0),
 }
@@ -137,11 +128,10 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
-def _fill(cls, cfg, prefix, named=None, **given):
-    """cls(...) with each field read from the key <prefix><field>, or from the
-    key `named` maps it to; a rejected field's error names its key."""
-    keys = {f.name: prefix + f.name for f in fields(cls) if prefix + f.name in DEFAULTS}
-    keys.update(named or {})
+def _fill(cls, cfg, **given):
+    """cls(...) with each field that has a plain default read from its key; a
+    rejected field's error names its key."""
+    keys = {f.name: key for f, key in _fields(cls)}
     try:
         return cls(**{f: cfg[key] for f, key in keys.items()}, **given)
     except ContractError as exc:
@@ -149,18 +139,17 @@ def _fill(cls, cfg, prefix, named=None, **given):
 
 
 def scene_spec(cfg: RunConfig) -> scenegen.SceneSpec:
-    return _fill(scenegen.SceneSpec, cfg, "")
+    return _fill(scenegen.SceneSpec, cfg)
 
 
 def model_config(cfg: RunConfig) -> model.ModelConfig:
     return _fill(
-        model.ModelConfig, cfg, "model.",
-        {"coarse_size": "superpoints.coarse_size", "seed": "seed"},
-        backbone=_fill(backbone.BackboneConfig, cfg, "backbone."),
-        agg=_fill(aggregation.AggregationConfig, cfg, "msa."),
-        dec=_fill(decoder.DecoderConfig, cfg, "decoder.", {"n_class": "n_class"}),
+        model.ModelConfig, cfg,
+        backbone=_fill(backbone.BackboneConfig, cfg),
+        agg=_fill(aggregation.AggregationConfig, cfg),
+        dec=_fill(decoder.DecoderConfig, cfg),
     )
 
 
 def train_config(cfg: RunConfig) -> training.TrainConfig:
-    return _fill(training.TrainConfig, cfg, "train.")
+    return _fill(training.TrainConfig, cfg)

@@ -29,7 +29,7 @@ class DecoderConfig:
     n_class: int = 3
 
     def __post_init__(self):
-        at_least(self, k=1, d=1, layers=0, heads=1)
+        at_least(self, k=1, d=1, layers=0, heads=1, n_class=1)
         require(self.d % self.heads == 0, self, "heads", f"a divisor of d = {self.d}")
         require(0 < self.tau < 1, self, "tau", "in (0, 1)")
 

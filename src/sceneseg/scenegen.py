@@ -82,8 +82,6 @@ class SceneSpec:
     n_points: int = 2000
     n_class: int = 3
     room_extent: float = 4.0
-    floor_fraction: float = 0.3
-    noise: float = 0.01
 
     def __post_init__(self):
         at_least(self, n_objects=1)
@@ -98,6 +96,8 @@ class SceneSpec:
 _PLACE_RETRIES = 200
 _SIZE_RANGE = (0.4, 0.9)  # object extent per axis, metres
 _MARGIN = 0.1  # keeps objects separated
+_FLOOR_FRACTION = 0.3  # share of the points on the floor
+_COLOR_NOISE = 0.01  # standard deviation of the per-point color jitter
 MIN_ROOM_EXTENT = 2 * (_SIZE_RANGE[1] / 2 + _MARGIN)  # fits the widest object
 _OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])  # the two axes spanning each box face
 
@@ -140,7 +140,7 @@ def generate_scene(seed, spec: SceneSpec) -> Scene:
     rng = np.random.default_rng(seed)
     ext = spec.room_extent
 
-    n_floor = int(spec.n_points * spec.floor_fraction)
+    n_floor = int(spec.n_points * _FLOOR_FRACTION)
     n_obj_pts = spec.n_points - n_floor
     per_obj = np.full(spec.n_objects, n_obj_pts // spec.n_objects)
     per_obj[: n_obj_pts % spec.n_objects] += 1
@@ -165,7 +165,7 @@ def generate_scene(seed, spec: SceneSpec) -> Scene:
         [
             floor_xy,
             np.zeros((n_floor, 1)),
-            np.full((n_floor, 3), 0.55) + rng.normal(0, spec.noise, size=(n_floor, 3)),
+            np.full((n_floor, 3), 0.55) + rng.normal(0, _COLOR_NOISE, size=(n_floor, 3)),
         ],
         axis=1,
     )
@@ -179,7 +179,7 @@ def generate_scene(seed, spec: SceneSpec) -> Scene:
         center = np.array([placed[i][0][0], placed[i][0][1], sizes[i, 2] * 0.5 + 0.05])
         pos = surf + center
         base = rng.uniform(0.1, 0.9, size=3)
-        col = np.clip(base + rng.normal(0, spec.noise, size=(len(pos), 3)), 0.0, 1.0)
+        col = np.clip(base + rng.normal(0, _COLOR_NOISE, size=(len(pos), 3)), 0.0, 1.0)
         chunks.append(np.concatenate([pos, col], axis=1))
         sem_chunks.append(np.full(len(pos), kind, dtype=np.int64))
         inst_chunks.append(np.full(len(pos), i, dtype=np.int64))

@@ -13,6 +13,7 @@ from .errors import ContractError, NumericError, at_least
 
 PROB_CLAMP = 1e-7
 DICE_EPS = 1.0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -49,9 +50,6 @@ class TrainConfig:
     deep_supervision: bool = True
     lambda_cls: float = 1.0
     lambda_mask: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         at_least(self, steps=0)
@@ -232,15 +230,15 @@ class Adam:
     def step(self):
         cfg = self.cfg
         self.t += 1
-        b1c = 1.0 - cfg.beta1**self.t
-        b2c = 1.0 - cfg.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for name in self.store.names():
             g = self.store.grad_of(name)
-            self.m[name] = cfg.beta1 * self.m[name] + (1 - cfg.beta1) * g
-            self.v[name] = cfg.beta2 * self.v[name] + (1 - cfg.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
             mhat = self.m[name] / b1c
             vhat = self.v[name] / b2c
-            self.store[name].value -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            self.store[name].value -= cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def scene_loss(model, prep, cfg: TrainConfig) -> LossReport:
@@ -251,18 +249,27 @@ def scene_loss(model, prep, cfg: TrainConfig) -> LossReport:
 def fit(model, preps, cfg: TrainConfig, on_step=None):
     """Round-robin gradient descent over the prepared scenes.
 
-    Returns the loss trace as a list of LossReport. Aborts with NumericError
-    naming the first non-finite loss component.
+    Returns the loss trace as a list of LossReport. Raises ContractError
+    before the first step when a scene holds an instance class the model has
+    no slot for; aborts with NumericError naming the first non-finite loss
+    component and its step.
     """
     if not preps:
         raise ContractError("need at least one scene")
+    n_class = model.cfg.dec.n_class
+    top = max(p.gt.instance_classes.max(initial=-1) for p in preps)
+    if top >= n_class:
+        raise ContractError(f"instance class {top} does not fit n_class={n_class}")
     opt = Adam(model.store, cfg)
     trace = []
     for step in range(cfg.steps):
-        report = scene_loss(model, preps[step % len(preps)], cfg)
-        for name in ("cls", "score", "bce", "dice", "foreground", "total"):
-            if not np.isfinite(getattr(report, name)):
-                raise NumericError(f"non-finite loss component {name!r} at step {step}")
+        try:
+            report = scene_loss(model, preps[step % len(preps)], cfg)
+            for name in ("cls", "score", "bce", "dice", "foreground", "total"):
+                if not np.isfinite(getattr(report, name)):
+                    raise NumericError(f"non-finite loss component {name!r}")
+        except NumericError as exc:
+            raise NumericError(f"{exc} at step {step}") from None
         ad.backward(report.total_tensor)
         opt.step()
         report.total_tensor = None  # backward released the tape; drop its spent root

@@ -1,3 +1,4 @@
+import typing
 from dataclasses import fields
 
 import pytest
@@ -116,6 +117,27 @@ class TestBuilders:
         spec = cfgmod.scene_spec(cfg)
         assert spec.n_points == 800 and spec.n_objects == 3
 
+    def test_defaults_build_the_dataclass_defaults(self):
+        cfg = cfgmod.RunConfig()
+        assert cfgmod.scene_spec(cfg) == scenegen.SceneSpec()
+        assert cfgmod.model_config(cfg) == model.ModelConfig()
+        assert cfgmod.train_config(cfg) == training.TrainConfig()
+        assert scenegen.SceneSpec().n_class == decoder.DecoderConfig().n_class
+
+    def test_each_key_has_its_field_type(self):
+        renamed = {"superpoints.coarse_size": "model.coarse_size", "seed": "model.seed",
+                   "n_class": "decoder.n_class"}
+        hints = {}
+        for prefix, cls in [("", scenegen.SceneSpec), ("backbone.", backbone.BackboneConfig),
+                            ("msa.", aggregation.AggregationConfig),
+                            ("decoder.", decoder.DecoderConfig), ("model.", model.ModelConfig),
+                            ("train.", training.TrainConfig)]:
+            hints.update({prefix + f: hint for f, hint in typing.get_type_hints(cls).items()})
+        for key, (typ, default) in cfgmod.DEFAULTS.items():
+            if key not in {"n_scenes", "infer.top_k", "infer.min_score"}:
+                assert typ is hints[renamed.get(key, key)], key
+            assert type(default) is typ, key
+
     def test_every_key_reaches_its_dataclass(self):
         assert set(NON_DEFAULT) == set(cfgmod.DEFAULTS)
         assert all(v != cfgmod.DEFAULTS[k][1] for k, v in NON_DEFAULT.items())
@@ -147,6 +169,7 @@ class TestComponentRanges:
             (lambda: aggregation.AggregationConfig(cap=0), "cap"),
             (lambda: training.TrainConfig(steps=-1), "steps"),
             (lambda: model.ModelConfig(coarse_size=0.0), "coarse_size"),
+            pytest.param(lambda: decoder.DecoderConfig(n_class=0), "n_class", id="decoder-n_class"),
         ],
     )
     def test_contract_error_names_the_field(self, make, field):

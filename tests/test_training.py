@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -440,8 +441,21 @@ class TestFit:
     def test_nan_abort_names_component(self):
         m = micro_model(seed=1)
         m.store["decoder.query"].value[0, 0] = np.nan
-        with pytest.raises(NumericError, match="cls|score|bce|dice|foreground|total"):
+        with pytest.raises(NumericError, match="cls|score|bce|dice|foreground|total") as exc:
             training.fit(m, [self.prepared(m)], TrainConfig(steps=3))
+        assert str(exc.value).endswith(" at step 0")
+
+    @pytest.mark.parametrize("n_class", [1, 2])
+    def test_refuses_a_class_the_model_has_no_slot_for(self, n_class):
+        """The seed-3 four-object room holds classes 0 and 2; without a slot
+        for class 2, fit stops before its first step."""
+        cfg = micro_model().cfg
+        m = SegModel(dataclasses.replace(cfg, dec=dataclasses.replace(cfg.dec, n_class=n_class)))
+        prep = m.prepare(micro_scene(seed=3, n_points=400, n_objects=4))
+        steps = []
+        with pytest.raises(ContractError, match=f"instance class 2 does not fit n_class={n_class}"):
+            training.fit(m, [prep], TrainConfig(steps=1), on_step=lambda s, r: steps.append(s))
+        assert steps == []
 
     def test_requires_scenes(self):
         with pytest.raises(ContractError):
