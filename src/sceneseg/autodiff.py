@@ -14,10 +14,10 @@ the bytes and bound the memory:
   `_accumulate`. `_take(g)` keeps g itself as the parent's first `.grad`, so
   g must be an array the push has just allocated and nothing else holds.
   `_accumulate(g)` copies it first. Pushes that pass on their own incoming
-  gradient or a view of it must copy: `add` (both sides), `sub`'s `a`,
-  `add_bias`'s `x`, `concat_cols` (column slices), `transpose` (g.T) and
-  `sum_rows` (a read-only broadcast). Otherwise two nodes share one buffer,
-  and the next `+=` into either changes both.
+  gradient or a view of it must copy: `add` (both sides), `concat_cols`
+  (column slices), `transpose` (g.T) and `sum_rows` (a read-only
+  broadcast). Otherwise two nodes share one buffer, and the next `+=` into
+  either changes both.
 - Memory order. BLAS results depend on the operands' layout, not only on
   their values, and a gradient's layout decides the path of every matmul
   that later reads it. A taken gradient keeps the layout it was allocated
@@ -198,17 +198,6 @@ def add(a, b):
     return Tensor(a.value + b.value, (a, b), push)
 
 
-def sub(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"sub {a.shape} vs {b.shape}")
-
-    def push(g):
-        a._accumulate(g)
-        b._take(-g)
-
-    return Tensor(a.value - b.value, (a, b), push)
-
-
 def mul(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"mul {a.shape} vs {b.shape}")
@@ -244,21 +233,9 @@ def affine(a, scale=1.0, shift=0.0):
     return Tensor(scale * a.value + shift, (a,), push)
 
 
-def add_bias(x, b):
-    """Add a 1xC bias row to every row of x."""
-    if b.shape != (1, x.shape[1]):
-        raise ShapeError(f"bias {b.shape} for input {x.shape}")
-
-    def push(g):
-        x._accumulate(g)
-        b._take(g.sum(axis=0, keepdims=True))
-
-    return Tensor(x.value + b.value, (x, b), push)
-
-
 def linear(x, w, b):
-    """x @ w + b (b a 1xC row) as one node, for add_bias(matmul(x, w), b);
-    x @ w is not kept on the tape."""
+    """x @ w + b (b a 1xC row) as one node, for matmul(x, w) plus a bias row
+    added to every row; x @ w is not kept on the tape."""
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError(f"linear {x.shape} x {w.shape} + {b.shape}")
     y = x.value @ w.value

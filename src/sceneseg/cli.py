@@ -1,6 +1,7 @@
 """Command-line front end: gen / train / predict / eval / inspect-attn.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error (an OSError on a path
+included), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -62,10 +63,7 @@ def cmd_gen(cfg, out_dir):
             ) from None
         stem = out_dir / f"scene_{i:03d}"
         scenegen.write_ply(f"{stem}.ply", scene)
-        with open(f"{stem}.labels", "w") as fh:
-            fh.write(f"n_class {scene.n_class}\n")
-            for s, inst in zip(scene.semantic, scene.instance):
-                fh.write(f"{s} {inst}\n")
+        scenegen.write_labels(f"{stem}.labels", scene)
     return 0
 
 
@@ -232,7 +230,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ParseError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, ParseError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

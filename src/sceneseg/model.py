@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aggregation, autodiff as ad, backbone as bb, decoder as dec, scenegen
-from .errors import require
+from .errors import DataError, require
 
 
 def seed_for(global_seed, name):
@@ -60,6 +60,13 @@ class SegModel:
         self.decoder = dec.Decoder(self.store, cfg.dec, cfg.agg.width, rng("decoder"))
 
     def prepare(self, scene: scenegen.Scene) -> PreparedScene:
+        """Superpoints and ground truth; DataError when a coordinate is too far
+        out for its voxel cell index to fit int64 with room to spare."""
+        cell = min(self.cfg.coarse_size, self.cfg.backbone.base_voxel)
+        reach = np.abs(scene.positions).max()
+        if not reach / cell < 2.0**62:
+            raise DataError(f"coordinate {reach:g} is {reach / cell:.3g} voxel cells of "
+                            f"{cell:g} m from the origin; an int64 cell index needs < 2**62")
         partition = scenegen.build_superpoints(scene, self.cfg.coarse_size)
         return PreparedScene(
             scene=scene, partition=partition, gt=scenegen.ground_truth(scene, partition)

@@ -267,8 +267,91 @@ def ground_truth(scene: Scene, partition: SuperpointPartition | None = None) -> 
 # PLY I/O (ASCII, with semantic/instance integer properties)
 
 
-_PLY_ROW = "%.8f %.8f %.8f %.8f %.8f %.8f %d %d\n"
 _PLY_CHUNK = 4096  # rows formatted per write; bounds the text held in memory
+_EXACT_LIMIT = 2.0**52 / 1e8  # keeps |x| * 1e8 below 2**52, where p - rint(p) is exact
+_INT_LIMIT = 10**8  # eight digits, the width of a float field's integer part
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter for a double
+_PAIRS = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), np.uint16)  # "00".."99"
+_TENS = 10 ** np.arange(1, 8)  # n >= 10**k has k + 1 digits
+# _KEEP[k] as 8 bytes: k zero bytes, then 8 - k bytes of ones
+_KEEP = np.array([np.uint8([0] * k + [255] * (8 - k)).view(np.uint64)[0] for k in range(8)])
+
+
+def _fixed8(x):
+    """round(|x| * 1e8) half to even over the exact product, as %.8f rounds.
+    p + e is that product (Dekker's two-product; 1e8 has 19 significant
+    bits, so each partial product is exact). rint(p) is the answer unless p
+    lies on a tie, which the sign of e breaks."""
+    a = np.abs(x)
+    p = a * 1e8
+    t = a * _SPLIT
+    hi = t - (t - a)
+    e = (hi * 1e8 - p) + (a - hi) * 1e8
+    r = np.rint(p)
+    tie = p - r
+    return r.astype(np.int64) + ((tie == 0.5) & (e > 0)) - ((tie == -0.5) & (e < 0))
+
+
+def _digits(n):
+    """The eight ASCII digits of each n in [0, 1e8), from the two-digit table."""
+    hi, lo = np.divmod(n.astype(np.uint32), 10_000)
+    return _PAIRS.take(np.stack([hi // 100, hi % 100, lo // 100, lo % 100], -1)).view(np.uint8)
+
+
+def _significant(n):
+    """_digits with NUL for each leading zero, as %d writes none."""
+    lead = 7 - np.searchsorted(_TENS, n, side="right")
+    return (_digits(n).view(np.uint64) & _KEEP[lead][..., None]).view(np.uint8)
+
+
+def _exact_rows(floats, ints):
+    """Rows of `%.8f` fields for the float columns then `%d` fields for the
+    int columns, space-separated: each field is rendered NUL-padded to a
+    fixed width of sign, 8 digits, point, 8 digits and separator, and one
+    mask drops the padding."""
+    nf = floats.shape[1]
+    units = _fixed8(floats)
+    whole = np.concatenate([units // 10**8, np.abs(ints)], axis=1)
+    buf = np.zeros(whole.shape + (19,), np.uint8)
+    buf[..., 0] = np.concatenate([np.signbit(floats), ints < 0], axis=1) * ord("-")
+    buf[..., 1:9] = _significant(whole)
+    buf[:, :nf, 9] = ord(".")
+    buf[:, :nf, 10:18] = _digits(units % 10**8)
+    buf[..., 18] = ord(" ")
+    buf[:, -1, 18] = ord("\n")
+    return buf[buf != 0].tobytes()
+
+
+def _percent_rows(floats, ints):
+    """The same rows through Python's % formatting."""
+    n, nf = floats.shape
+    row = " ".join(["%.8f"] * nf + ["%d"] * ints.shape[1]) + "\n"
+    block = np.empty((n, nf + ints.shape[1]), dtype=object)
+    block[:, :nf] = floats
+    block[:, nf:] = ints
+    return ((row * n) % tuple(block.ravel().tolist())).encode()
+
+
+def _write_rows(fh, floats, ints):
+    """Write one row per point to the binary file fh, _PLY_CHUNK rows per
+    write. A chunk holding a value the exact renderer cannot take (a
+    non-finite or |x| >= 2**52 / 1e8 float, an int of 1e8 or more in size, or
+    int columns of no signed integer type) is written through % formatting."""
+    for start in range(0, len(ints), _PLY_CHUNK):
+        f, i = floats[start : start + _PLY_CHUNK], ints[start : start + _PLY_CHUNK]
+        exact = (
+            i.dtype.kind == "i"
+            and (np.abs(f) < _EXACT_LIMIT).all()
+            and ((-_INT_LIMIT < i) & (i < _INT_LIMIT)).all()
+        )
+        fh.write(_exact_rows(f, i) if exact else _percent_rows(f, i))
+
+
+def write_labels(path, scene: Scene):
+    """The `.labels` file: `n_class <n>`, then `<semantic> <instance>` per point."""
+    with open(path, "wb") as fh:
+        fh.write(f"n_class {scene.n_class}\n".encode())
+        _write_rows(fh, np.empty((scene.n_points, 0)), np.stack([scene.semantic, scene.instance], 1))
 
 
 def write_ply(path, scene: Scene, color_override=None):
@@ -289,16 +372,10 @@ def write_ply(path, scene: Scene, color_override=None):
         f"comment n_class {scene.n_class}",
         "end_header",
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        for start in range(0, scene.n_points, _PLY_CHUNK):
-            stop = min(start + _PLY_CHUNK, scene.n_points)
-            block = np.empty((stop - start, 8), dtype=object)
-            block[:, :3] = scene.positions[start:stop]
-            block[:, 3:6] = cols[start:stop]
-            block[:, 6] = scene.semantic[start:stop]
-            block[:, 7] = scene.instance[start:stop]
-            fh.write((_PLY_ROW * (stop - start)) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        floats = np.concatenate([scene.positions, cols], axis=1).astype(np.float64, copy=False)
+        _write_rows(fh, floats, np.stack([scene.semantic, scene.instance], 1))
 
 
 _COLOR_PROPS = ["x", "y", "z", "red", "green", "blue"]
@@ -358,6 +435,8 @@ def read_ply(path) -> Scene:
                 break
         except ValueError:
             raise ParseError(f"bad header line {t!r}", line=ln) from None
+        if n_class < 1:  # DecoderConfig's rule
+            raise ParseError(f"bad header line {t!r}: n_class must be >= 1", line=ln)
     if body_at is None or n_vertex is None:
         raise ParseError("missing end_header or vertex element", line=len(raw))
     if n_vertex < 1:

@@ -9,7 +9,7 @@ from numpy.lib.array_utils import byte_bounds
 from sceneseg import aggregation, inference, kernels
 from sceneseg import autodiff as ad
 from sceneseg import scenegen, training
-from sceneseg.errors import ContractError, ParseError, read_text
+from sceneseg.errors import ContractError, ParseError, ShapeError, read_text
 
 
 def finite_diff(f, x, h=1e-4):
@@ -215,6 +215,14 @@ def write_ply_loop(path, scene, color_override=None):
         fh.write("\n".join(lines) + "\n")
 
 
+def write_labels_loop(path, scene):
+    """scenegen.write_labels, one write per point."""
+    with open(path, "w") as fh:
+        fh.write(f"n_class {scene.n_class}\n")
+        for s, inst in zip(scene.semantic, scene.instance):
+            fh.write(f"{s} {inst}\n")
+
+
 def read_ply_loop(path):
     """scenegen.read_ply's parse, one line at a time (no validation)."""
     with open(path) as fh:
@@ -317,9 +325,34 @@ def composed_attention(q, k, v, heads, mask=None, capture=None):
 # composed oracles of the fused linear and BCE ops, and the tape-keeping backward
 
 
+def sub(a, b):
+    """a - b as a tape node. Its push passes the incoming gradient on to a,
+    so it copies it (the ownership rule of sceneseg.autodiff)."""
+    if a.shape != b.shape:
+        raise ShapeError(f"sub {a.shape} vs {b.shape}")
+
+    def push(g):
+        a._accumulate(g)
+        b._take(-g)
+
+    return ad.Tensor(a.value - b.value, (a, b), push)
+
+
+def add_bias(x, b):
+    """Add a 1xC bias row to every row of x; x's gradient is copied, as in sub."""
+    if b.shape != (1, x.shape[1]):
+        raise ShapeError(f"bias {b.shape} for input {x.shape}")
+
+    def push(g):
+        x._accumulate(g)
+        b._take(g.sum(axis=0, keepdims=True))
+
+    return ad.Tensor(x.value + b.value, (x, b), push)
+
+
 def composed_linear(x, w, b):
     """ad.linear as matmul then add_bias."""
-    return ad.add_bias(ad.matmul(x, w), b)
+    return add_bias(ad.matmul(x, w), b)
 
 
 def composed_weighted_bce(p, pos_w, neg_w, lo, hi):

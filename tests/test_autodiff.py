@@ -12,6 +12,7 @@ from sceneseg import config, scenegen, training
 from sceneseg.model import SegModel, seed_for
 
 from helpers import (
+    add_bias,
     backward_keep_tape,
     composed_attention,
     composed_linear,
@@ -22,6 +23,7 @@ from helpers import (
     scatter_add_at,
     shared_grads,
     slice_cols,
+    sub,
 )
 
 
@@ -196,12 +198,12 @@ class TestBackward:
         "op",
         [
             lambda x, y: ad.add(x, y),
-            lambda x, y: ad.sub(x, y),
+            lambda x, y: sub(x, y),
             lambda x, y: ad.mul(x, y),
             lambda x, y: ad.div(x, ad.affine(ad.sigmoid(y), 1.0, 0.5)),
             lambda x, y: ad.matmul(x, ad.transpose(y)),
             lambda x, y: ad.concat_cols([x, y]),
-            lambda x, y: ad.add_bias(x, ad.gather_rows(y, [1])),
+            lambda x, y: add_bias(x, ad.gather_rows(y, [1])),
             lambda x, y: slice_cols(ad.add(x, y), 1, 3),
             lambda x, y: ad.clip(ad.add(x, y), -0.5, 0.5),
         ],
@@ -556,7 +558,7 @@ class TestGradientOwnership:
 # (add(x, x)) or feed many ops; "concat" is matmul(concat_cols([x, y, x]), w).
 GRAPH_OPS = {
     "add": lambda x, y, w: ad.add(x, y),
-    "sub": lambda x, y, w: ad.sub(x, y),
+    "sub": lambda x, y, w: sub(x, y),
     "mul": lambda x, y, w: ad.mul(x, y),
     "matmul": lambda x, y, w: ad.matmul(x, y),
     "transpose": lambda x, y, w: ad.transpose(x),

@@ -6,7 +6,7 @@ import pytest
 from sceneseg import cli, config as cfgmod, inference, scenegen
 from sceneseg.model import SegModel
 
-from helpers import forward_tensors
+from helpers import forward_tensors, write_labels_loop
 
 SMALL = [
     "n_scenes=2",
@@ -65,6 +65,13 @@ class TestGen:
         assert run(["gen", "--out", str(again)]) == 0
         for name in ("scene_000.ply", "scene_001.ply", "scene_000.labels"):
             assert (again / name).read_bytes() == (workspace / "data" / name).read_bytes()
+
+    def test_labels_match_loop_oracle(self, workspace, tmp_path):
+        for stem in ("scene_000", "scene_001"):
+            scene = scenegen.read_ply(workspace / "data" / f"{stem}.ply")
+            write_labels_loop(tmp_path / f"{stem}.labels", scene)
+            want = (tmp_path / f"{stem}.labels").read_bytes()
+            assert (workspace / "data" / f"{stem}.labels").read_bytes() == want
 
     def test_config_echo_parses_back(self, workspace):
         text = (workspace / "data" / "run_config.cfg").read_text()
@@ -280,6 +287,27 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestOSErrorExitCodes:
+    """A path the command cannot read or write exits 3 with one line; these
+    ended in an IsADirectoryError or FileExistsError traceback (exit 1)."""
+
+    @pytest.mark.parametrize("case", ["scene-directory", "checkpoint-directory", "out-file"])
+    def test_exit_3_with_one_line(self, workspace, tmp_path, capsys, case):
+        ckpt = workspace / "runs" / "checkpoint.psgw"
+        scene = workspace / "data" / "scene_000.ply"
+        if case == "out-file":
+            (tmp_path / "taken").write_text("")
+            args = ["gen", "--out", str(tmp_path / "taken")]
+        else:
+            directory = str(tmp_path)
+            args = ["predict", "--out", str(tmp_path / "o"),
+                    "--checkpoint", directory if case == "checkpoint-directory" else str(ckpt),
+                    "--scene", directory if case == "scene-directory" else str(scene)]
+        assert run(args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error: "), err
+
+
 class TestConfigRanges:
     """Out-of-range values exit 2 with one line naming the key: before range
     checks these ended in a traceback (exit 1) or in a silent success."""
@@ -404,6 +432,21 @@ class TestBadInputExitCodes:
         bad = tmp_path / "bad.ply"
         bad.write_text("\n".join(lines) + "\n")
         assert predict(scene=bad) == 3
+
+    def test_cell_index_beyond_int64(self, workspace, tmp_path, predict, capsys):
+        """x = 1e20 casts to no int64 voxel cell: predict exited 0 after a
+        RuntimeWarning, on garbage superpoints."""
+        scene = scenegen.Scene(
+            points=np.array([[1e20, 0.0, 0.0, 0.5, 0.5, 0.5]]),
+            semantic=np.array([-1]),
+            instance=np.array([-1]),
+            n_class=3,
+        )
+        far = tmp_path / "far.ply"
+        scenegen.write_ply(far, scene)
+        assert predict(scene=far) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2**62" in err, err
 
     def test_non_contiguous_instance_ids(self, scene, eval_one):
         last = scene.n_instances - 1

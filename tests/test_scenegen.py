@@ -1,9 +1,17 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import box_surface_loop, read_ply_loop, unique_rows_np, write_ply_loop
+from helpers import (
+    box_surface_loop,
+    read_ply_loop,
+    unique_rows_np,
+    write_labels_loop,
+    write_ply_loop,
+)
 from sceneseg import scenegen
 from sceneseg.errors import ContractError, DataError, ParseError
 
@@ -24,6 +32,30 @@ def labelled_scenes(draw):
     return scenegen.Scene(
         points=points, semantic=semantic[order], instance=instance[order], n_class=3
     )
+
+
+LIMIT = scenegen._EXACT_LIMIT
+# values for the writer's %.8f fields: k/512 ties and their neighbours, signed
+# zeros, tiny negatives that print as -0.00000000, and both sides of LIMIT
+FIELD_FLOATS = st.one_of(
+    st.integers(-(2**40), 2**40).map(lambda k: k / 512),
+    st.tuples(st.integers(-(2**40), 2**40), st.sampled_from([-np.inf, np.inf])).map(
+        lambda t: float(np.nextafter(t[0] / 512, t[1]))
+    ),
+    st.sampled_from([0.0, -0.0, -5e-9, -4.999999999e-9, 5e-9, 1.5e-8, 2.5e-8]),
+    st.floats(-1e-12, 1e-12),
+    st.floats(-5e-9, -1e-300),
+    st.floats(-1e4, 1e4),
+    st.tuples(st.floats(LIMIT * 0.999, LIMIT * 1.001), st.sampled_from([-1.0, 1.0])).map(
+        lambda t: t[0] * t[1]
+    ),
+    st.sampled_from([np.nextafter(LIMIT, 0), LIMIT, -np.nextafter(LIMIT, 0), -LIMIT]),
+)
+FIELD_INTS = st.one_of(
+    st.integers(-3, 12),
+    st.integers(-(10**8) - 2, 10**8 + 2),
+    st.integers(-(2**63), 2**63 - 1),
+)
 
 
 def ply_lines(path):
@@ -217,6 +249,47 @@ class TestPly:
         write_ply_loop(tmp_path / "loop.ply", scene, color_override=colors)
         assert (tmp_path / "fast.ply").read_bytes() == (tmp_path / "loop.ply").read_bytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fields_match_percent_formatting(self, data):
+        """Every field reads as "%.8f" % v or "%d" % v, whichever path the
+        chunk took, and the exact renderer gives those bytes for every row
+        it can take."""
+        n = data.draw(st.integers(1, 12))
+        floats = np.array(data.draw(st.lists(FIELD_FLOATS, min_size=6 * n, max_size=6 * n)))
+        ints = np.array(data.draw(st.lists(FIELD_INTS, min_size=2 * n, max_size=2 * n)))
+        floats, ints = floats.reshape(n, 6), ints.reshape(n, 2)
+        rows = [
+            " ".join(["%.8f" % v for v in f] + ["%d" % v for v in i]) + "\n"
+            for f, i in zip(floats.tolist(), ints.tolist())
+        ]
+        fh = io.BytesIO()
+        scenegen._write_rows(fh, floats, ints)
+        assert fh.getvalue() == "".join(rows).encode()
+        fits = (np.abs(floats) < LIMIT).all(axis=1) & (np.abs(ints.astype(float)) < 1e8).all(axis=1)
+        want = "".join(r for r, ok in zip(rows, fits) if ok).encode()
+        assert scenegen._exact_rows(floats[fits], ints[fits]) == want
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e20])
+    def test_values_beyond_the_exact_path_match_loop_oracle(self, tmp_path, value):
+        """A chunk holding a value the exact renderer cannot take falls back to
+        % formatting; the other chunks stay exact."""
+        n = scenegen._PLY_CHUNK + 9
+        scene = scenegen.generate_scene(5, scenegen.SceneSpec(n_points=n))
+        scene.points[n - 3, 1] = value
+        scenegen.write_ply(tmp_path / "fast.ply", scene)
+        write_ply_loop(tmp_path / "loop.ply", scene)
+        assert (tmp_path / "fast.ply").read_bytes() == (tmp_path / "loop.ply").read_bytes()
+
+    @pytest.mark.parametrize("label", [0, -(10**9), 2**62])
+    def test_labels_match_loop_oracle(self, tmp_path, label):
+        n = 2 * scenegen._PLY_CHUNK + 17
+        scene = scenegen.generate_scene(5, scenegen.SceneSpec(n_points=n))
+        scene.instance[n - 1] += label
+        scenegen.write_labels(tmp_path / "fast.labels", scene)
+        write_labels_loop(tmp_path / "loop.labels", scene)
+        assert (tmp_path / "fast.labels").read_bytes() == (tmp_path / "loop.labels").read_bytes()
+
     def test_unlabelled_file_reads_as_background(self, tmp_path):
         path = tmp_path / "bare.ply"
         path.write_text(
@@ -271,6 +344,18 @@ class TestPly:
         write_lines(path, lines)
         with pytest.raises(ParseError, match="header"):
             scenegen.read_ply(path)
+
+    @pytest.mark.parametrize("n_class", [0, -2])
+    def test_n_class_below_one_rejected(self, tmp_path, scene, n_class):
+        path = tmp_path / "scene.ply"
+        scenegen.write_ply(path, scene)
+        lines = ply_lines(path)
+        at = lines.index(f"comment n_class {scene.n_class}")
+        lines[at] = f"comment n_class {n_class}"
+        write_lines(path, lines)
+        with pytest.raises(ParseError, match="n_class must be >= 1") as info:
+            scenegen.read_ply(path)
+        assert info.value.line == at + 1
 
     def test_non_contiguous_instances_rejected(self, tmp_path, scene):
         gap = scenegen.Scene(
