@@ -63,7 +63,7 @@ class SegModel:
         """Superpoints and ground truth; DataError when a coordinate is too far
         out for its voxel cell index to fit int64 with room to spare."""
         cell = min(self.cfg.coarse_size, self.cfg.backbone.base_voxel)
-        reach = np.abs(scene.positions).max()
+        reach = np.abs(scene.positions).max(initial=0.0)  # an empty scene is the backbone's to refuse
         if not reach / cell < 2.0**62:
             raise DataError(f"coordinate {reach:g} is {reach / cell:.3g} voxel cells of "
                             f"{cell:g} m from the origin; an int64 cell index needs < 2**62")
