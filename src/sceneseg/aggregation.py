@@ -117,7 +117,7 @@ class LocalAggregator:
                 # regroup into per-keypoint row ranges of the flat matrix
                 offsets = np.cumsum([0] + [len(g) for g in groups])
                 ranges = [np.arange(offsets[k], offsets[k + 1]) for k in range(n_key)]
-                summaries.append(ad.group_max(hidden, ranges, width=cfg.width))
+                summaries.append(ad.group_max(hidden, ranges))
             else:
                 summaries.append(ad.constant(np.zeros((n_key, cfg.width))))
         return self.out(ad.concat_cols(summaries))

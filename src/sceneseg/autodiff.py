@@ -5,19 +5,18 @@ pass; `backward` walks it once in reverse topological order. All ops are pure
 given their inputs, so repeated runs are bit-identical. Every op hands its
 push to the `Tensor` constructor, which alone decides whether it is kept.
 
-Fused ops (`linear`, `attention`, `weighted_bce`) are one tape node each,
-with a hand-written backward that repeats the arithmetic of the composed
-chain it replaces, so values and gradients keep their bytes. Four rules keep
-the bytes and bound the memory:
+Fused ops (`linear`, `attention`, `weighted_bce`, `set_criterion`) are one
+tape node each, with a hand-written backward that repeats the arithmetic of
+the composed chain it replaces, so values and gradients keep their bytes.
+Four rules keep the bytes and bound the memory:
 
 - Ownership. A push hands each parent its gradient through `_take` or
   `_accumulate`. `_take(g)` keeps g itself as the parent's first `.grad`, so
   g must be an array the push has just allocated and nothing else holds.
   `_accumulate(g)` copies it first. Pushes that pass on their own incoming
   gradient or a view of it must copy: `add` (both sides), `concat_cols`
-  (column slices), `transpose` (g.T) and `sum_rows` (a read-only
-  broadcast). Otherwise two nodes share one buffer, and the next `+=` into
-  either changes both.
+  (column slices) and `transpose` (g.T). Otherwise two nodes share one
+  buffer, and the next `+=` into either changes both.
 - Memory order. BLAS results depend on the operands' layout, not only on
   their values, and a gradient's layout decides the path of every matmul
   that later reads it. A taken gradient keeps the layout it was allocated
@@ -54,9 +53,10 @@ from .errors import CheckpointError, ContractError, ParseError, ShapeError
 CHECKPOINT_MAGIC = b"PSGW"
 CHECKPOINT_VERSION = 1
 
-# When set to a list, piecewise ops (relu, clip, group_max) append the bytes of
-# their discrete pattern. Finite-difference checks use this to detect entries
-# where a kink or routing choice flips under the probe perturbation.
+# When set to a list, piecewise ops (relu, group_max and the clamps of
+# weighted_bce and set_criterion) append the bytes of their discrete pattern.
+# Finite-difference checks use this to detect entries where a kink or
+# routing choice flips under the probe perturbation.
 structure_trace = None
 
 
@@ -198,28 +198,6 @@ def add(a, b):
     return Tensor(a.value + b.value, (a, b), push)
 
 
-def mul(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"mul {a.shape} vs {b.shape}")
-
-    def push(g):
-        a._take(g * b.value)
-        b._take(g * a.value)
-
-    return Tensor(a.value * b.value, (a, b), push)
-
-
-def div(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"div {a.shape} vs {b.shape}")
-
-    def push(g):
-        a._take(g / b.value)
-        b._take(-g * a.value / (b.value * b.value))
-
-    return Tensor(a.value / b.value, (a, b), push)
-
-
 def affine(a, scale=1.0, shift=0.0):
     """Elementwise scale*a + shift with constant coefficients.
 
@@ -257,17 +235,6 @@ def relu(x):
 def sigmoid(x):
     s = 1.0 / (1.0 + np.exp(-x.value))
     return Tensor(s, (x,), lambda g: x._take(g * s * (1.0 - s)))
-
-
-def log(x):
-    return Tensor(np.log(x.value), (x,), lambda g: x._take(g / x.value))
-
-
-def clip(x, lo, hi):
-    """Clamp values; gradient is zero where the clamp is active."""
-    inside = (x.value > lo) & (x.value < hi)
-    _record_structure(inside)
-    return Tensor(np.clip(x.value, lo, hi), (x,), lambda g: x._take(g * inside))
 
 
 def softmax_rows(x, extra=None):
@@ -426,13 +393,12 @@ def segment_mean(x, seg, n_seg):
     return Tensor(sums / counts[:, None], (x,), push)
 
 
-def group_max(x, groups, width=None):
+def group_max(x, groups):
     """Row-wise max of x over each index group; empty groups yield zero rows.
 
     Gradient routes to the argmax element of each group (first on ties).
     """
-    width = x.shape[1] if width is None else width
-    n = len(groups)
+    n, width = len(groups), x.shape[1]
     vals = np.zeros((n, width))
     arg = np.full((n, width), -1, dtype=np.int64)
     for i, g in enumerate(groups):
@@ -452,19 +418,25 @@ def group_max(x, groups, width=None):
     return Tensor(vals, (x,), push)
 
 
-def sum_all(x):
-    return Tensor([[x.value.sum()]], (x,), lambda g: x._take(np.full(x.shape, g[0, 0])))
+def _bce(p, pos_w, neg_w, lo, hi):
+    """weighted_bce's value, and its gradient with respect to the array p as
+    a function of the value's float gradient. Records the clamp."""
+    pos_w = np.asarray(pos_w, dtype=np.float64)
+    neg_w = np.asarray(neg_w, dtype=np.float64)
+    inside = (p > lo) & (p < hi)
+    _record_structure(inside)
+    c = np.clip(p, lo, hi)
+    c1 = 1.0 - c
+    # + 0.0 turns -0.0 terms into 0.0, as the chain's affine shift did
+    value = (pos_w * np.log(c) + 0.0).sum() + (neg_w * np.log(c1) + 0.0).sum()
 
+    def grad(g):
+        full = np.full(p.shape, g)
+        gc = full * pos_w / c
+        gc -= full * neg_w / c1
+        return gc * inside
 
-def sum_rows(x):
-    """Column vector of per-row sums."""
-    push = lambda g: x._accumulate(np.broadcast_to(g, x.shape))
-    return Tensor(x.value.sum(axis=1, keepdims=True), (x,), push)
-
-
-def mean_all(x):
-    n = x.value.size
-    return affine(sum_all(x), 1.0 / n)
+    return value, grad
 
 
 def weighted_bce(p, pos_w, neg_w, lo, hi):
@@ -475,23 +447,49 @@ def weighted_bce(p, pos_w, neg_w, lo, hi):
     same expressions in the same order, and the same gradient order (the
     positive term reaches the clip first), so the bytes are those of the
     chain. Like clip, it records where the clamp is inactive."""
-    pos_w = np.asarray(pos_w, dtype=np.float64)
-    neg_w = np.asarray(neg_w, dtype=np.float64)
-    inside = (p.value > lo) & (p.value < hi)
+    value, grad = _bce(p.value, pos_w, neg_w, lo, hi)
+    return Tensor([[value]], (p,), lambda g: p._take(grad(g[0, 0])))
+
+
+PROB_CLAMP = 1e-7  # mask probabilities enter the BCE clamped to [1e-7, 1 - 1e-7]
+
+
+def set_criterion(probs, score, mask, rows, onehot, iou, gt, sizes, weights, eps):
+    """A supervised layer's matched set loss as one node: the 1x1 weighted sum
+    of (cls, score, bce, dice), and those four as floats. cls: mean NLL of
+    probs' rows against `onehot`. Over the matched `rows`: score, mean squared
+    error against `iou`; bce, mean size-weighted BCE against `gt` (0/1 rows);
+    dice, mean soft Dice loss smoothed by eps. With no rows those are 0 and
+    probs is the only parent. Repeats the arithmetic, gradient order, memory
+    order and recorded clamps (class, then mask) of the chain it replaced."""
+    k, n = probs.shape[0], len(rows)
+    inside = (probs.value > 1e-12) & (probs.value < 1.0)
     _record_structure(inside)
-    c = np.clip(p.value, lo, hi)
-    c1 = 1.0 - c
-    # + 0.0 turns -0.0 terms into 0.0, as the chain's affine shift did
-    pos = (pos_w * np.log(c) + 0.0).sum()
-    neg = (neg_w * np.log(c1) + 0.0).sum()
+    c = np.clip(probs.value, 1e-12, 1.0)
+    # + 0.0 turns a -0.0 into 0.0, as each affine shift of the chain did
+    parts = [-1.0 / k * (onehot * np.log(c) + 0.0).sum() + 0.0, 0.0, 0.0, 0.0]
+    if n:
+        diff, m, w = score.value[rows] - iou[:, None], mask.value[rows], sizes / sizes.sum()
+        bce, bce_grad = _bce(m, gt * w, (1.0 - gt) * w, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        num = (2.0 * sizes * gt * m + 0.0).sum(axis=1, keepdims=True) + eps
+        den = (sizes * m + 0.0).sum(axis=1, keepdims=True) + ((gt @ sizes)[:, None] + eps)
+        parts[1:] = [1.0 / n * (diff * diff).sum() + 0.0, -1.0 / n * bce + 0.0,
+                     1.0 / n * (1.0 - num / den).sum() + 0.0]
+    w_cls, w_score, w_bce, w_dice = weights
+    total = (w_cls * parts[0] + w_score * parts[1]) + (w_bce * parts[2] + w_dice * parts[3]) + 0.0
 
     def push(g):
-        full = np.full(p.shape, g[0, 0])
-        gc = full * pos_w / c
-        gc -= full * neg_w / c1
-        p._take(gc * inside)
+        g = g[0, 0]
+        probs._take(np.full(probs.shape, g * w_cls * (-1.0 / k)) * onehot / c * inside)
+        if n:
+            d = np.full((n, 1), g * w_score * (1.0 / n)) * diff
+            score._take(scatter_add(_row_keys(rows, 1), d + d, k, 1))
+            gq = np.full((n, 1), g * w_dice * (1.0 / n)) * -1.0
+            gm = gq / den * (2.0 * sizes * gt) + -gq * num / (den * den) * sizes
+            gm += bce_grad(g * w_bce * (-1.0 / n))
+            mask._take(scatter_add(_row_keys(rows, mask.shape[1]), gm, *mask.shape))
 
-    return Tensor([[pos + neg]], (p,), push)
+    return Tensor([[total]], (probs, score, mask) if n else (probs,), push), tuple(map(float, parts))
 
 
 # ---------------------------------------------------------------------------

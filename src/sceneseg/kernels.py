@@ -41,33 +41,19 @@ def min_sq_dist_to_set(positions, indices):
     return mind
 
 
-def sphere_query(keypoints, positions, r, cap):
-    """Indices of points with distance < r of each keypoint, capped to the nearest.
-
-    Returns (idx, cnt): idx is n_key x cap (unused slots -1) with valid entries
-    in ascending index order, cnt the neighbor count per keypoint.
-    """
+def sphere_query_lists(keypoints, positions, r, cap):
+    """Per keypoint, the indices of points with distance < r of it, capped to
+    the nearest `cap` (ties to the lowest index), in ascending index order."""
     if r <= 0:
         raise ContractError("sphere_query radius must be positive")
     keypoints = np.ascontiguousarray(keypoints, dtype=np.float64).reshape(-1, 3)
     positions = np.ascontiguousarray(positions, dtype=np.float64)
-    nk = keypoints.shape[0]
-    out_idx = np.full((nk, cap), -1, dtype=np.int64)
-    out_cnt = np.zeros(nk, dtype=np.int64)
     r2 = float(r) ** 2
-    for k in range(nk):
-        d2 = _sq_dists(positions, keypoints[k])
+    groups = []
+    for key in keypoints:
+        d2 = _sq_dists(positions, key)
         hits = np.flatnonzero(d2 < r2)
         if len(hits) > cap:
-            # cap nearest, ties to the lowest index; stored in index order
-            nearest = hits[np.argsort(d2[hits], kind="stable")[:cap]]
-            hits = np.sort(nearest)
-        out_idx[k, : len(hits)] = hits
-        out_cnt[k] = len(hits)
-    return out_idx, out_cnt
-
-
-def sphere_query_lists(keypoints, positions, r, cap):
-    """sphere_query as a list of per-keypoint index arrays."""
-    idx, cnt = sphere_query(keypoints, positions, r, cap)
-    return [idx[k, : cnt[k]] for k in range(len(cnt))]
+            hits = np.sort(hits[np.argsort(d2[hits], kind="stable")[:cap]])
+        groups.append(hits)
+    return groups

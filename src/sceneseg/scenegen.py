@@ -448,6 +448,10 @@ def read_ply(path) -> Scene:
         raise ParseError(
             f"expected {n_vertex} vertex lines, found {len(body)}", line=len(raw)
         )
+    if len(raw) > body_at + n_vertex:
+        extra = raw[body_at + n_vertex]
+        raise ParseError(f"line after the {n_vertex} vertex lines: {extra[:40]!r}",
+                         line=body_at + n_vertex + 1)
     try:
         table = np.loadtxt(body, dtype=_vertex_dtype(props), comments=None, ndmin=1)
     except ValueError:

@@ -1,4 +1,4 @@
-"""Bipartite matching, the four-term loss, and the optimization loop."""
+"""Bipartite matching, the four-term set loss, and the optimization loop."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from scipy.optimize import linear_sum_assignment
 from . import autodiff as ad
 from .errors import ContractError, NumericError, at_least
 
-PROB_CLAMP = 1e-7
 DICE_EPS = 1.0
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -87,7 +86,7 @@ def match_cost(pred, gt, sizes, lambda_cls=1.0, lambda_mask=1.0):
     sizes = np.asarray(sizes, dtype=np.float64)
     w = sizes / sizes.sum()
     g = gt.superpoint_masks.astype(np.float64)
-    p = np.clip(masks, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p = np.clip(masks, ad.PROB_CLAMP, 1.0 - ad.PROB_CLAMP)
     bce = -(np.log(p) @ (g * w).T + np.log(1.0 - p) @ ((1.0 - g) * w).T)
     num = 2.0 * (masks @ (g * sizes).T) + DICE_EPS
     den = (masks @ sizes)[:, None] + (g @ sizes)[None, :] + DICE_EPS
@@ -95,67 +94,27 @@ def match_cost(pred, gt, sizes, lambda_cls=1.0, lambda_mask=1.0):
     return lambda_cls * nll + lambda_mask * (bce + 1.0 - num / den)
 
 
-def classification_loss(pred, assignment: Assignment, gt, n_class):
-    """Mean NLL over all queries; unmatched ones target the "no instance" slot."""
-    k = pred.class_probs.shape[0]
-    targets = np.full(k, n_class, dtype=np.int64)
-    targets[assignment.query_idx] = gt.instance_classes[assignment.gt_idx]
-    onehot = np.zeros((k, n_class + 1))
-    onehot[np.arange(k), targets] = 1.0
-    logp = ad.log(ad.clip(pred.class_probs, 1e-12, 1.0))
-    return ad.affine(ad.sum_all(ad.affine(logp, scale=onehot)), -1.0 / k)
-
-
-def iou_targets(pred, assignment: Assignment, gt, sizes):
-    """Point-weighted IoU of each matched query's binarized mask vs its gt mask.
-
-    These are measured targets for the scoring branch: detached constants."""
-    out = np.zeros(len(assignment))
-    sizes = np.asarray(sizes, dtype=np.float64)
-    for n, (qi, gi) in enumerate(zip(assignment.query_idx, assignment.gt_idx)):
-        p = pred.sp_mask.value[qi] > 0.5
-        g = gt.superpoint_masks[gi]
-        union = sizes[p | g].sum()
-        out[n] = sizes[p & g].sum() / union if union > 0 else 0.0
-    return out
-
-
-def score_loss(pred, assignment: Assignment, gt, sizes):
-    if not len(assignment):
-        return ad.constant([[0.0]])
-    t = iou_targets(pred, assignment, gt, sizes)[:, None]
-    s = ad.gather_rows(pred.iou_score, assignment.query_idx)
-    diff = ad.affine(s, 1.0, -t)
-    return ad.mean_all(ad.mul(diff, diff))
-
-
-def bce_mask_loss(pred, assignment: Assignment, gt, sizes):
-    if not len(assignment):
-        return ad.constant([[0.0]])
-    sizes = np.asarray(sizes, dtype=np.float64)
-    w = sizes / sizes.sum()
-    g = gt.superpoint_masks[assignment.gt_idx].astype(np.float64)
-    p = ad.gather_rows(pred.sp_mask, assignment.query_idx)
-    total = ad.weighted_bce(p, g * w, (1.0 - g) * w, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return ad.affine(total, -1.0 / len(assignment))
-
-
-def dice_loss(pred, assignment: Assignment, gt, sizes, eps=DICE_EPS):
-    """Mean over matched pairs of the size-weighted soft Dice loss."""
-    if not len(assignment):
-        return ad.constant([[0.0]])
-    sizes = np.asarray(sizes, dtype=np.float64)
-    p = ad.gather_rows(pred.sp_mask, assignment.query_idx)
-    g = gt.superpoint_masks[assignment.gt_idx].astype(np.float64)
-    num = ad.affine(ad.sum_rows(ad.affine(p, scale=2.0 * sizes * g)), 1.0, eps)
-    den = ad.affine(ad.sum_rows(ad.affine(p, scale=sizes)), 1.0, (g @ sizes)[:, None] + eps)
-    return ad.mean_all(ad.affine(ad.div(num, den), -1.0, 1.0))
+def set_loss(pred, assignment: Assignment, gt, sizes, cfg: TrainConfig, eps=DICE_EPS):
+    """A layer's ad.set_criterion node and (cls, score, bce, dice). Unmatched
+    queries target "no instance"; the score targets are the point-weighted
+    IoUs of the binarized matched masks, exact sums of point counts."""
+    q, gi = assignment.query_idx, assignment.gt_idx
+    k, slots = pred.class_probs.shape
+    targets = np.full(k, slots - 1)
+    targets[q] = gt.instance_classes[gi]
+    g, sizes = gt.superpoint_masks[gi], np.asarray(sizes, dtype=np.float64)
+    binary = pred.sp_mask.value[q] > 0.5
+    union = (binary | g) @ sizes
+    iou = ((binary & g) @ sizes) / np.where(union > 0, union, 1.0)
+    weights = (cfg.w_cls, cfg.w_score, cfg.w_bce, cfg.w_dice)
+    return ad.set_criterion(pred.class_probs, pred.iou_score, pred.sp_mask, q,
+                            np.eye(slots)[targets], iou, g.astype(np.float64), sizes, weights, eps)
 
 
 def foreground_loss(fg, scene):
     """BCE of the per-point foreground probability against instance membership."""
     labels = (scene.instance >= 0).astype(np.float64)[:, None]
-    total = ad.weighted_bce(fg, labels, 1.0 - labels, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    total = ad.weighted_bce(fg, labels, 1.0 - labels, ad.PROB_CLAMP, 1.0 - ad.PROB_CLAMP)
     return ad.affine(total, -1.0 / scene.n_points)
 
 
@@ -165,7 +124,6 @@ def total_loss(preds, gt, sizes, fg, scene, cfg: TrainConfig) -> LossReport:
     if not preds:
         raise ContractError("need at least one layer prediction")
     supervised = preds if cfg.deep_supervision else [preds[-1]]
-    n_class = preds[-1].class_probs.shape[1] - 1
     h = hashlib.sha256()
 
     parts = {"cls": [], "score": [], "bce": [], "dice": []}
@@ -186,17 +144,10 @@ def total_loss(preds, gt, sizes, fg, scene, cfg: TrainConfig) -> LossReport:
             assignment = Assignment.of([])
         h.update(repr(assignment.pairs).encode())
         h.update((pred.sp_mask.value > 0.5).tobytes())
-        l_cls = classification_loss(pred, assignment, gt, n_class)
-        l_score = score_loss(pred, assignment, gt, sizes)
-        l_bce = bce_mask_loss(pred, assignment, gt, sizes)
-        l_dice = dice_loss(pred, assignment, gt, sizes)
-        for name, t in (("cls", l_cls), ("score", l_score), ("bce", l_bce), ("dice", l_dice)):
-            parts[name].append(float(t.value[0, 0]))
-        combined = ad.add(
-            ad.add(ad.affine(l_cls, cfg.w_cls), ad.affine(l_score, cfg.w_score)),
-            ad.add(ad.affine(l_bce, cfg.w_bce), ad.affine(l_dice, cfg.w_dice)),
-        )
-        layer_totals.append(combined)
+        layer_total, components = set_loss(pred, assignment, gt, sizes, cfg)
+        for part, v in zip(parts.values(), components):
+            part.append(v)
+        layer_totals.append(layer_total)
 
     acc = layer_totals[0]
     for t in layer_totals[1:]:

@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference oracles, per-point loop oracles
 for the vectorised I/O and sampling code, the composed oracles of the fused
-autodiff ops, the tape-keeping oracle of `backward`, the loop oracles of the
-vectorised training step, and tiny scene and model builders."""
+autodiff ops and the small ops they are built of, the tape-keeping oracle of
+`backward`, the loop oracles of the vectorised training step, and tiny scene
+and model builders."""
 
 import numpy as np
 from numpy.lib.array_utils import byte_bounds
@@ -322,7 +323,8 @@ def composed_attention(q, k, v, heads, mask=None, capture=None):
 
 
 # ---------------------------------------------------------------------------
-# composed oracles of the fused linear and BCE ops, and the tape-keeping backward
+# composed oracles of the fused linear, BCE and set-criterion ops, the small
+# ops they are built of, and the tape-keeping backward
 
 
 def sub(a, b):
@@ -355,12 +357,94 @@ def composed_linear(x, w, b):
     return add_bias(ad.matmul(x, w), b)
 
 
+def mul(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"mul {a.shape} vs {b.shape}")
+
+    def push(g):
+        a._take(g * b.value)
+        b._take(g * a.value)
+
+    return ad.Tensor(a.value * b.value, (a, b), push)
+
+
+def div(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"div {a.shape} vs {b.shape}")
+
+    def push(g):
+        a._take(g / b.value)
+        b._take(-g * a.value / (b.value * b.value))
+
+    return ad.Tensor(a.value / b.value, (a, b), push)
+
+
+def log(x):
+    return ad.Tensor(np.log(x.value), (x,), lambda g: x._take(g / x.value))
+
+
+def clip(x, lo, hi):
+    """Clamp values; gradient is zero where the clamp is active. Records
+    where it is inactive, as the fused clamps do."""
+    inside = (x.value > lo) & (x.value < hi)
+    ad._record_structure(inside)
+    return ad.Tensor(np.clip(x.value, lo, hi), (x,), lambda g: x._take(g * inside))
+
+
+def sum_all(x):
+    return ad.Tensor([[x.value.sum()]], (x,), lambda g: x._take(np.full(x.shape, g[0, 0])))
+
+
+def sum_rows(x):
+    """Column vector of per-row sums. Its push hands on a read-only
+    broadcast of its gradient, so it copies it."""
+    push = lambda g: x._accumulate(np.broadcast_to(g, x.shape))
+    return ad.Tensor(x.value.sum(axis=1, keepdims=True), (x,), push)
+
+
+def mean_all(x):
+    return ad.affine(sum_all(x), 1.0 / x.value.size)
+
+
 def composed_weighted_bce(p, pos_w, neg_w, lo, hi):
     """ad.weighted_bce as clip / log / affine / sum_all / add nodes."""
-    c = ad.clip(p, lo, hi)
-    pos = ad.affine(ad.log(c), scale=pos_w)
-    neg = ad.affine(ad.log(ad.affine(c, -1.0, 1.0)), scale=neg_w)
-    return ad.add(ad.sum_all(pos), ad.sum_all(neg))
+    c = clip(p, lo, hi)
+    pos = ad.affine(log(c), scale=pos_w)
+    neg = ad.affine(log(ad.affine(c, -1.0, 1.0)), scale=neg_w)
+    return ad.add(sum_all(pos), sum_all(neg))
+
+
+def composed_dice(mask, rows, gt, sizes, eps):
+    """The Dice term of ad.set_criterion as gather_rows / affine / sum_rows /
+    div / mean_all nodes."""
+    p = ad.gather_rows(mask, rows)
+    num = ad.affine(sum_rows(ad.affine(p, scale=2.0 * sizes * gt)), 1.0, eps)
+    den = ad.affine(sum_rows(ad.affine(p, scale=sizes)), 1.0, (gt @ sizes)[:, None] + eps)
+    return mean_all(ad.affine(div(num, den), -1.0, 1.0))
+
+
+def composed_set_criterion(
+    probs, score, mask, rows, onehot, iou, gt, sizes, weights, eps, dice=composed_dice
+):
+    """ad.set_criterion as the chain it replaced: the classification, score,
+    BCE and Dice terms of small nodes, each scaled by its weight in an affine
+    node and joined by adds. `dice` builds the Dice term."""
+    k, n = probs.shape[0], len(rows)
+    l_cls = ad.affine(sum_all(ad.affine(log(clip(probs, 1e-12, 1.0)), scale=onehot)), -1.0 / k)
+    if n:
+        diff = ad.affine(ad.gather_rows(score, rows), 1.0, -iou[:, None])
+        l_score = mean_all(mul(diff, diff))
+        w = sizes / sizes.sum()
+        p = ad.gather_rows(mask, rows)
+        bce = ad.weighted_bce(p, gt * w, (1.0 - gt) * w, ad.PROB_CLAMP, 1.0 - ad.PROB_CLAMP)
+        l_bce = ad.affine(bce, -1.0 / n)
+        l_dice = dice(mask, rows, gt, sizes, eps)
+    else:
+        l_score = l_bce = l_dice = ad.constant([[0.0]])
+    parts = (l_cls, l_score, l_bce, l_dice)
+    ac, as_, ab, ad_ = (ad.affine(t, w) for t, w in zip(parts, weights))
+    total = ad.add(ad.add(ac, as_), ad.add(ab, ad_))
+    return total, tuple(float(t.value[0, 0]) for t in parts)
 
 
 def shared_grads(nodes):
@@ -411,7 +495,7 @@ def unique_rows_np(cells):
 
 def weighted_bce_rows(pred_rows, gt_rows, weights):
     """Per-row size-weighted BCE between probabilities and binary targets."""
-    p = np.clip(pred_rows, training.PROB_CLAMP, 1.0 - training.PROB_CLAMP)
+    p = np.clip(pred_rows, ad.PROB_CLAMP, 1.0 - ad.PROB_CLAMP)
     per = -(gt_rows * np.log(p) + (1.0 - gt_rows) * np.log(1.0 - p))
     return per @ weights
 
@@ -439,21 +523,37 @@ def match_cost_loop(pred, gt, sizes, lambda_cls=1.0, lambda_mask=1.0):
     return cost
 
 
-def dice_loss_per_pair(pred, assignment, gt, sizes, eps=training.DICE_EPS):
-    """training.dice_loss as one gathered row and one chain of nodes per
-    matched pair, summed by a chain of adds."""
-    if not len(assignment):
-        return ad.constant([[0.0]])
-    sizes = np.asarray(sizes, dtype=np.float64)
-    p = ad.gather_rows(pred.sp_mask, assignment.query_idx)
-    g = gt.superpoint_masks[assignment.gt_idx].astype(np.float64)
+def iou_targets_loop(masks, rows, gt, sizes):
+    """training.set_loss's IoU targets, one matched pair at a time; gt holds
+    the matched gt masks as booleans."""
+    out = np.zeros(len(rows))
+    for n, qi in enumerate(rows):
+        p = masks[qi] > 0.5
+        union = sizes[p | gt[n]].sum()
+        out[n] = sizes[p & gt[n]].sum() / union if union > 0 else 0.0
+    return out
+
+
+def dice_loss_per_pair(mask, rows, gt, sizes, eps):
+    """composed_dice as one gathered row and one chain of nodes per matched
+    pair, summed by a chain of adds."""
+    p = ad.gather_rows(mask, rows)
     terms = []
-    for n in range(len(assignment)):
+    for n in range(len(rows)):
         row = ad.gather_rows(p, [n])
-        num = ad.affine(ad.sum_all(ad.affine(row, scale=2.0 * sizes * g[n])), 1.0, eps)
-        den = ad.affine(ad.sum_all(ad.affine(row, scale=sizes)), 1.0, (g[n] @ sizes) + eps)
-        terms.append(ad.affine(ad.div(num, den), -1.0, 1.0))
+        num = ad.affine(sum_all(ad.affine(row, scale=2.0 * sizes * gt[n])), 1.0, eps)
+        den = ad.affine(sum_all(ad.affine(row, scale=sizes)), 1.0, (gt[n] @ sizes) + eps)
+        terms.append(ad.affine(div(num, den), -1.0, 1.0))
     acc = terms[0]
     for t in terms[1:]:
         acc = ad.add(acc, t)
     return ad.affine(acc, 1.0 / len(terms))
+
+
+def loop_set_criterion(probs, score, mask, rows, onehot, iou, gt, sizes, weights, eps):
+    """composed_set_criterion on IoU targets from iou_targets_loop, with the
+    Dice term from dice_loss_per_pair."""
+    iou = iou_targets_loop(mask.value, rows, gt > 0.5, sizes)
+    return composed_set_criterion(
+        probs, score, mask, rows, onehot, iou, gt, sizes, weights, eps, dice=dice_loss_per_pair
+    )

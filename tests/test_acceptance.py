@@ -235,16 +235,18 @@ def test_hungarian_oracle():
 
 @criterion(3, "loss identities")
 def test_loss_identities(monkeypatch):
-    one_pair = Assignment.of([(0, 0)])
+    def components(pred, gt, eps):
+        return training.set_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(4), TrainConfig(), eps)[1]
+
     gt_same = make_gt([0], [[True, False, True, False]])
     pred_same = constant_pred(np.ones((1, 2)), [0.5], [[1.0, 0.0, 1.0, 0.0]])
-    assert training.dice_loss(pred_same, one_pair, gt_same, np.ones(4), eps=0.0).value[0, 0] == 0.0
+    assert components(pred_same, gt_same, eps=0.0)[3] == 0.0
 
     gt_disj = make_gt([0], [[False, False, True, True]])
     pred_disj = constant_pred(np.ones((1, 2)), [0.5], [[1.0, 1.0, 0.0, 0.0]])
-    assert training.dice_loss(pred_disj, one_pair, gt_disj, np.ones(4), eps=0.0).value[0, 0] == 1.0
+    assert components(pred_disj, gt_disj, eps=0.0)[3] == 1.0
 
-    assert training.bce_mask_loss(pred_same, one_pair, gt_same, np.ones(4)).value[0, 0] < 1e-6
+    assert components(pred_same, gt_same, eps=training.DICE_EPS)[2] < 1e-6
 
     # exact linearity in each weight
     scene = scenegen.Scene(
@@ -260,14 +262,15 @@ def test_loss_identities(monkeypatch):
         totals = [training.total_loss(*args, TrainConfig(**{weight: v})).total for v in (0.0, 1.0, 2.0)]
         assert abs((totals[2] - totals[1]) - (totals[1] - totals[0])) < 1e-12
 
-    # weighted combination example with pinned component values
-    monkeypatch.setattr(training, "classification_loss", lambda *a, **k: ad.constant([[2.0]]))
-    monkeypatch.setattr(training, "score_loss", lambda *a, **k: ad.constant([[1.0]]))
-    monkeypatch.setattr(training, "bce_mask_loss", lambda *a, **k: ad.constant([[0.4]]))
-    monkeypatch.setattr(training, "dice_loss", lambda *a, **k: ad.constant([[0.6]]))
+    # the weighted combination on the criterion's own components, pinned by hand:
+    # uniform classes, score 0.3 against IoU 0, masks at 0.4 over 2 of 4
+    # superpoints, Dice with eps 1 is 1 - 2.6 / 4.6
     monkeypatch.setattr(training, "foreground_loss", lambda *a, **k: ad.constant([[0.0]]))
     cfg = TrainConfig(w_cls=0.5, w_score=0.5, w_bce=1.0, w_dice=1.0)
-    assert training.total_loss(*args, cfg).total == 2.5
+    r = training.total_loss(*args, cfg)
+    want = (np.log(4), 0.09, -(np.log(0.4) + np.log(0.6)) / 2, 2.0 / 4.6)
+    np.testing.assert_allclose((r.cls, r.score, r.bce, r.dice), want, rtol=0, atol=1e-12)
+    assert r.total == (0.5 * r.cls + 0.5 * r.score) + (1.0 * r.bce + 1.0 * r.dice)
 
 
 @criterion(4, "attention-mask semantics")

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from sceneseg import aggregation as agg, autodiff as ad, kernels, scenegen
 from sceneseg.errors import ContractError
 
-from helpers import candidate_sample_quadratic, finite_diff, rel_err
+from helpers import candidate_sample_quadratic, finite_diff, mul, rel_err, sum_all
 
 
 class TestForegroundHead:
@@ -148,7 +148,7 @@ class TestSuperpointAvgPool:
 
         def loss():
             out = agg.superpoint_avg_pool(x, part)
-            return ad.sum_all(ad.mul(out, out))
+            return sum_all(mul(out, out))
 
         ad.backward(loss())
         fd = finite_diff(lambda: float(loss().value[0, 0]), x.value)
@@ -216,7 +216,7 @@ class TestLocalAggregator:
 
         def loss():
             out = local(f, pos, np.array([0, 4]))
-            return ad.sum_all(ad.mul(out, out))
+            return sum_all(mul(out, out))
 
         ad.backward(loss())
         assert f.grad is not None and np.any(f.grad != 0)

@@ -14,16 +14,24 @@ from sceneseg.model import SegModel, seed_for
 from helpers import (
     add_bias,
     backward_keep_tape,
+    clip,
     composed_attention,
     composed_linear,
+    composed_set_criterion,
     composed_weighted_bce,
+    div,
     finite_diff,
     forward_tensors,
+    log,
+    mean_all,
+    mul,
     rel_err,
     scatter_add_at,
     shared_grads,
     slice_cols,
     sub,
+    sum_all,
+    sum_rows,
 )
 
 
@@ -159,7 +167,7 @@ class TestMLP:
 class TestBackward:
     def test_sum_of_squares(self):
         x = ad.Tensor([[1.0, 2.0]])
-        loss = ad.sum_all(ad.mul(x, x))
+        loss = sum_all(mul(x, x))
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
 
@@ -167,7 +175,7 @@ class TestBackward:
         store = ad.ParamStore()
         used = store.create("used", 2, 2, np.random.default_rng(0))
         unused = store.create("unused", 2, 2, np.random.default_rng(1))
-        ad.backward(ad.sum_all(ad.mul(used, used)))
+        ad.backward(sum_all(mul(used, used)))
         np.testing.assert_array_equal(store.grad_of("unused"), np.zeros((2, 2)))
 
     def test_non_scalar_loss_rejected(self):
@@ -186,7 +194,7 @@ class TestBackward:
         def loss():
             h = ad.layer_norm(ad.relu(ad.matmul(ad.constant(x), w1)), gain, bias)
             out = ad.sigmoid(ad.matmul(ad.softmax_rows(h), w2))
-            return ad.sum_all(ad.mul(out, out))
+            return sum_all(mul(out, out))
 
         l = loss()
         ad.backward(l)
@@ -199,13 +207,16 @@ class TestBackward:
         [
             lambda x, y: ad.add(x, y),
             lambda x, y: sub(x, y),
-            lambda x, y: ad.mul(x, y),
-            lambda x, y: ad.div(x, ad.affine(ad.sigmoid(y), 1.0, 0.5)),
+            lambda x, y: mul(x, y),
+            lambda x, y: div(x, ad.affine(ad.sigmoid(y), 1.0, 0.5)),
             lambda x, y: ad.matmul(x, ad.transpose(y)),
             lambda x, y: ad.concat_cols([x, y]),
             lambda x, y: add_bias(x, ad.gather_rows(y, [1])),
             lambda x, y: slice_cols(ad.add(x, y), 1, 3),
-            lambda x, y: ad.clip(ad.add(x, y), -0.5, 0.5),
+            lambda x, y: clip(ad.add(x, y), -0.5, 0.5),
+            lambda x, y: log(ad.affine(ad.sigmoid(ad.add(x, y)), 1.0, 0.5)),
+            lambda x, y: sum_rows(mul(x, y)),
+            lambda x, y: mean_all(div(x, ad.affine(ad.sigmoid(y), 1.0, 0.5))),
         ],
     )
     def test_primitive_gradients(self, op):
@@ -214,7 +225,7 @@ class TestBackward:
         y = ad.Tensor(rng.normal(size=(3, 4)))
 
         def loss():
-            return ad.sum_all(ad.mul(op(x, y), op(x, y)))
+            return sum_all(mul(op(x, y), op(x, y)))
 
         ad.backward(loss())
         for t in (x, y):
@@ -231,8 +242,8 @@ class TestBackward:
         def loss():
             a = ad.segment_mean(x, seg, 3)
             b = ad.group_max(x, groups)
-            return ad.sum_all(ad.mul(a, a)) if False else ad.add(
-                ad.sum_all(ad.mul(a, a)), ad.sum_all(ad.mul(b, b))
+            return sum_all(mul(a, a)) if False else ad.add(
+                sum_all(mul(a, a)), sum_all(mul(b, b))
             )
 
         ad.backward(loss())
@@ -251,7 +262,7 @@ def attention_case(attend, data, heads, mask):
     q, k, v = proj[0](z), proj[1](f), proj[2](f)
     capture = []
     out = attend(q, k, v, heads, mask, capture)
-    ad.backward(ad.sum_all(ad.mul(out, g)))
+    ad.backward(sum_all(mul(out, g)))
     grads = [t.grad for t in (q, k, v, z, f)] + [store.grad_of(n) for n in store.names()]
     return out.value, capture, grads
 
@@ -331,7 +342,7 @@ class TestAttention:
         mask[:, 0] = 0.0
 
         def loss():
-            return ad.sum_all(ad.mul(ad.attention(q, k, v, 3, mask), ad.constant(g)))
+            return sum_all(mul(ad.attention(q, k, v, 3, mask), ad.constant(g)))
 
         ad.backward(loss())
         for t in (q, k, v):
@@ -343,10 +354,10 @@ class TestAttention:
 # its push receives: C from `mul`, F through `transpose`, and a C copy of a
 # column slice, accumulated twice, through `concat_cols`.
 CONSUMERS = {
-    "mul": lambda out, g: ad.sum_all(ad.mul(out, ad.constant(g))),
-    "transpose": lambda out, g: ad.sum_all(ad.mul(ad.transpose(out), ad.constant(g.T.copy()))),
-    "concat": lambda out, g: ad.sum_all(
-        ad.mul(ad.concat_cols([out, out]), ad.constant(np.concatenate([g, -0.5 * g], axis=1)))
+    "mul": lambda out, g: sum_all(mul(out, ad.constant(g))),
+    "transpose": lambda out, g: sum_all(mul(ad.transpose(out), ad.constant(g.T.copy()))),
+    "concat": lambda out, g: sum_all(
+        mul(ad.concat_cols([out, out]), ad.constant(np.concatenate([g, -0.5 * g], axis=1)))
     ),
 }
 
@@ -422,7 +433,7 @@ class TestLinear:
 
         def loss():
             y = ad.linear(x, w, b)
-            return ad.sum_all(ad.mul(ad.mul(y, y), g))
+            return sum_all(mul(mul(y, y), g))
 
         ad.backward(loss())
         for t in (x, w, b):
@@ -430,7 +441,7 @@ class TestLinear:
             assert rel_err(t.grad, fd) < 1e-6
 
 
-BCE_CLAMP = (training.PROB_CLAMP, 1.0 - training.PROB_CLAMP)
+BCE_CLAMP = (ad.PROB_CLAMP, 1.0 - ad.PROB_CLAMP)
 
 
 @st.composite
@@ -492,6 +503,110 @@ class TestWeightedBCE:
         assert p.grad[0, 0] == 0.0 and p.grad[0, 2] == 0.0 and p.grad[0, 1] != 0.0
 
 
+
+# at and beside the clamps of the class (1e-12, 1) and mask (1e-7, 1 - 1e-7) terms
+CLAMP_EDGES = np.unique(
+    np.clip([np.nextafter(e, t) for e in (0.0, 1e-12, 1e-7, 1.0 - 1e-7, 1.0)
+             for t in (-np.inf, e, np.inf)], 0.0, 1.0)
+)
+
+
+@st.composite
+def criterion_inputs(draw):
+    """(class probabilities, IoU scores and masks, C- or F-ordered, with some
+    entries on CLAMP_EDGES; then the constants: matched rows, one-hot
+    targets, IoU targets, matched gt rows, sizes, weights, eps, and the
+    scale of the loss)."""
+    k, k_gt, m = draw(st.integers(1, 12)), draw(st.integers(0, 12)), draw(st.integers(1, 30))
+    n_class = draw(st.integers(1, 4))
+    values, rng = draw_values(draw, [(k, n_class + 1), (k, 1), (k, m)])
+    probs, score, mask = values
+    probs[...] = rng.dirichlet(np.ones(n_class + 1), size=k)
+    score[...] = rng.uniform(size=(k, 1))
+    mask[...] = rng.uniform(size=(k, m))
+    for a in values:
+        hits = rng.uniform(size=a.shape) < draw(st.sampled_from([0.0, 0.2, 0.7]))
+        a[hits] = rng.choice(CLAMP_EDGES, size=hits.sum())
+    n = draw(st.integers(0, min(k, k_gt)))
+    rows = np.sort(rng.choice(k, n, replace=False)).astype(np.int64)
+    targets = np.full(k, n_class)
+    targets[rows] = rng.integers(0, n_class, size=n)
+    if draw(st.booleans()):  # every class right: cls is exactly 0
+        probs[...] = np.eye(n_class + 1)[targets]
+    gt = (rng.uniform(size=(n, m)) < draw(st.sampled_from([0.0, 0.4, 1.0]))).astype(np.float64)
+    iou = np.where(rng.uniform(size=n) < 0.3, rng.integers(0, 2, size=n), rng.uniform(size=n))
+    sizes = rng.integers(1, 50, size=m).astype(np.float64)
+    weights = tuple(draw(st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.5])) for _ in range(4))
+    constants = (rows, np.eye(n_class + 1)[targets], iou, gt, sizes, weights)
+    return values, constants, draw(st.sampled_from([1.0, 0.5, 1e-3])), rng.normal()
+
+
+def criterion_case(op, case):
+    """fused_case for a set criterion, with its four components."""
+    values, constants, eps, scale = case
+    parts = []
+
+    def run(probs, score, mask):
+        total, components = op(probs, score, mask, *constants, eps)
+        parts.append(components)
+        return total
+
+    out, structure, grads = fused_case(run, values, lambda out: ad.affine(out, scale))
+    return out, structure, grads, parts[0]
+
+
+class TestSetCriterion:
+    @settings(max_examples=300, deadline=None)
+    @given(criterion_inputs())
+    def test_same_bytes_as_composed_chain(self, case):
+        """Total, components, clamp patterns and the bytes and memory order of
+        every gradient, against the chain of small ops it replaced."""
+        *got, parts = criterion_case(ad.set_criterion, case)
+        *want, want_parts = criterion_case(composed_set_criterion, case)
+        assert [np.float64(v).tobytes() for v in parts] == [
+            np.float64(v).tobytes() for v in want_parts
+        ]
+        grads, want_grads = got.pop(), want.pop()
+        assert [g is None for g in grads] == [g is None for g in want_grads]
+        has = [g is not None for g in grads]
+        assert_same_bytes_and_order(
+            got + [[g for g, h in zip(grads, has) if h]],
+            want + [[g for g, h in zip(want_grads, has) if h]],
+        )
+
+    def test_one_tape_node(self):
+        probs, score = ad.Tensor(np.full((2, 3), 1 / 3)), ad.Tensor(np.full((2, 1), 0.5))
+        mask = ad.Tensor(np.full((2, 4), 0.5))
+        onehot, sizes, w = np.eye(3)[[0, 2]], np.ones(4), (1.0, 1.0, 1.0, 1.0)
+        gt = np.array([[1.0, 0.0, 1.0, 0.0]])
+        one = (np.array([0]), onehot, np.array([0.5]), gt, sizes, w, 1.0)
+        out, parts = ad.set_criterion(probs, score, mask, *one)
+        assert out.parents == (probs, score, mask) and out.shape == (1, 1) and len(parts) == 4
+        out, parts = ad.set_criterion(
+            probs, score, mask, np.zeros(0, np.int64), onehot, np.zeros(0), gt[:0], sizes, w, 1.0
+        )
+        assert out.parents == (probs,) and parts[1:] == (0.0, 0.0, 0.0)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(37)
+        probs = ad.Tensor(rng.dirichlet(np.ones(4), size=5))
+        score = ad.Tensor(rng.uniform(size=(5, 1)))
+        mask = ad.Tensor(rng.uniform(0.05, 0.95, size=(5, 9)))
+        rows = np.array([0, 2, 3])
+        onehot = np.eye(4)[[1, 3, 0, 2, 3]]
+        gt = (rng.uniform(size=(3, 9)) < 0.5).astype(np.float64)
+        sizes = rng.integers(1, 20, size=9).astype(np.float64)
+        constants = (rows, onehot, rng.uniform(size=3), gt, sizes, (0.5, 0.7, 1.3, 2.0), 1.0)
+
+        def loss():
+            return ad.set_criterion(probs, score, mask, *constants)[0]
+
+        ad.backward(loss())
+        for t in (probs, score, mask):
+            fd = finite_diff(lambda: float(loss().value[0, 0]), t.value, h=1e-6)
+            assert rel_err(t.grad, fd) < 1e-6
+
+
 def default_step():
     """The loss report of one training step on the seed-1 default scene 0."""
     cfg = config.RunConfig()
@@ -515,17 +630,22 @@ class TestGradientOwnership:
     holds: no two nodes' .grad may share memory after a backward pass."""
 
     def test_default_training_step(self, default_step_nodes):
-        assert sum(n.grad is not None for n in default_step_nodes) > 700
+        assert all(n.grad is not None for n in default_step_nodes)
         assert shared_grads(default_step_nodes) == []
 
     def test_default_step_tape_nodes(self, default_step_nodes):
-        assert len(default_step_nodes) <= 780
+        assert len(default_step_nodes) <= 564
+
+    def test_default_step_has_one_criterion_node_per_supervised_layer(self):
+        nodes = ad._toposort(default_step().total_tensor)
+        kinds = [n._push.__qualname__.split(".")[0] for n in nodes if n._push is not None]
+        assert kinds.count("set_criterion") == 7 and kinds.count("weighted_bce") == 1
 
     def test_add_of_one_tensor(self):
         x = ad.Tensor(np.arange(6.0).reshape(2, 3))
         c = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
         s = ad.add(x, x)
-        loss = ad.sum_all(ad.mul(s, ad.constant(c)))
+        loss = sum_all(mul(s, ad.constant(c)))
         nodes = ad._toposort(loss)
         ad.backward(loss)
         assert x.grad.tobytes() == (c + c).tobytes()
@@ -535,7 +655,7 @@ class TestGradientOwnership:
         rng = np.random.default_rng(29)
         a = ad.Tensor(rng.normal(size=(4, 4)))
         c = rng.normal(size=(4, 4))
-        loss = ad.sum_all(ad.mul(ad.matmul(a, a), ad.constant(c)))
+        loss = sum_all(mul(ad.matmul(a, a), ad.constant(c)))
         nodes = ad._toposort(loss)
         ad.backward(loss)
         np.testing.assert_allclose(a.grad, c @ a.value.T + a.value.T @ c, rtol=1e-12)
@@ -545,7 +665,7 @@ class TestGradientOwnership:
         rng = np.random.default_rng(31)
         x, y = ad.Tensor(rng.normal(size=(3, 2))), ad.Tensor(rng.normal(size=(3, 4)))
         c = rng.normal(size=(3, 8))
-        loss = ad.sum_all(ad.mul(ad.concat_cols([x, y, x]), ad.constant(c)))
+        loss = sum_all(mul(ad.concat_cols([x, y, x]), ad.constant(c)))
         nodes = ad._toposort(loss)
         ad.backward(loss)
         assert x.grad.tobytes() == (c[:, :2] + c[:, 6:]).tobytes()
@@ -559,7 +679,7 @@ class TestGradientOwnership:
 GRAPH_OPS = {
     "add": lambda x, y, w: ad.add(x, y),
     "sub": lambda x, y, w: sub(x, y),
-    "mul": lambda x, y, w: ad.mul(x, y),
+    "mul": lambda x, y, w: mul(x, y),
     "matmul": lambda x, y, w: ad.matmul(x, y),
     "transpose": lambda x, y, w: ad.transpose(x),
     "sigmoid": lambda x, y, w: ad.sigmoid(x),
@@ -593,9 +713,9 @@ def run_shared_graph(case, walk):
     tensors = list(leaves)
     for op, i, j in program:
         tensors.append(GRAPH_OPS[op](tensors[i], tensors[j], w))
-    loss = ad.sum_all(ad.mul(tensors[-1], ad.constant(g)))
+    loss = sum_all(mul(tensors[-1], ad.constant(g)))
     for t in tensors[3:-1]:
-        loss = ad.add(loss, ad.sum_all(t))
+        loss = ad.add(loss, sum_all(t))
     kept = [t for t, keep in zip(tensors[3:], held) if keep]
     del tensors
     walk(loss)
@@ -639,7 +759,7 @@ class TestTapeLifetime:
 
     def test_second_backward_raises(self):
         x = ad.Tensor([[0.5, -1.0]])
-        loss = ad.sum_all(ad.sigmoid(x))
+        loss = sum_all(ad.sigmoid(x))
         ad.backward(loss)
         with pytest.raises(ContractError, match="after its backward pass"):
             ad.backward(loss)
@@ -647,15 +767,15 @@ class TestTapeLifetime:
     def test_backward_through_consumed_tensor_raises(self):
         x = ad.Tensor([[0.5, -1.0]])
         h = ad.sigmoid(x)
-        ad.backward(ad.sum_all(h))
+        ad.backward(sum_all(h))
         with pytest.raises(ContractError, match="after its backward pass"):
-            ad.backward(ad.sum_all(ad.mul(h, h)))
+            ad.backward(sum_all(mul(h, h)))
 
     def test_leaves_are_not_released(self):
         x = ad.Tensor([[0.5, -1.0]])
-        ad.backward(ad.sum_all(ad.sigmoid(x)))
+        ad.backward(sum_all(ad.sigmoid(x)))
         first = x.grad.copy()
-        ad.backward(ad.sum_all(ad.sigmoid(x)))
+        ad.backward(sum_all(ad.sigmoid(x)))
         assert x.grad.tobytes() == first.tobytes()
 
 
@@ -713,7 +833,7 @@ class TestNoTape:
     def test_backward_from_untaped_root_raises(self):
         x = ad.Tensor([[0.5, -1.0]])
         with ad.no_tape():
-            loss = ad.sum_all(ad.sigmoid(x))
+            loss = sum_all(ad.sigmoid(x))
         assert loss.parents == ()
         with pytest.raises(ContractError, match="no_tape"):
             ad.backward(loss)
@@ -724,7 +844,7 @@ class TestNoTape:
         with ad.no_tape():
             h = ad.sigmoid(x)
         with pytest.raises(ContractError, match="no_tape"):
-            ad.backward(ad.sum_all(ad.mul(h, h)))
+            ad.backward(sum_all(mul(h, h)))
         assert x.grad is None
 
     def test_loss_on_untaped_forward_raises(self):
@@ -744,7 +864,7 @@ class TestNoTape:
         with ad.no_tape():
             c = ad.constant([[2.0]])
         x = ad.Tensor([[3.0]])
-        ad.backward(ad.sum_all(ad.mul(x, c)))
+        ad.backward(sum_all(mul(x, c)))
         assert c._push is None and x.grad.tolist() == [[2.0]]
 
     def test_nests(self):
@@ -762,7 +882,7 @@ class TestNoTape:
                 ad.add(x, ad.Tensor([[1.0, 2.0]]))
         y = ad.sigmoid(x)
         assert y.parents == (x,)
-        ad.backward(ad.sum_all(y))
+        ad.backward(sum_all(y))
         assert x.grad is not None
 
 
@@ -801,7 +921,7 @@ class TestScatterAdd:
 
         # gather_rows' backward scatters the output gradient back
         x = ad.Tensor(np.zeros((n, c)))
-        ad.backward(ad.sum_all(ad.mul(ad.gather_rows(x, idx), ad.constant(rows))))
+        ad.backward(sum_all(mul(ad.gather_rows(x, idx), ad.constant(rows))))
         assert x.grad.tobytes() == want.tobytes()
 
         # segment_mean's forward sums rows per segment; every segment non-empty
@@ -827,7 +947,7 @@ class TestScatterAdd:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ad, "scatter_add", scatter)
                 out = ad.group_max(x, groups)
-                ad.backward(ad.sum_all(ad.mul(out, ad.constant(g_val))))
+                ad.backward(sum_all(mul(out, ad.constant(g_val))))
             return x.grad.tobytes()
 
         assert grad(ad.scatter_add) == grad(scatter_add_at)

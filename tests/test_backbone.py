@@ -5,7 +5,7 @@ from sceneseg import autodiff as ad, scenegen
 from sceneseg.backbone import Backbone, BackboneConfig
 from sceneseg.errors import ContractError
 
-from helpers import finite_diff, micro_scene, rel_err
+from helpers import finite_diff, micro_scene, mul, rel_err, sum_all
 
 
 def make_backbone(channels=8, levels=2, seed=0):
@@ -67,7 +67,7 @@ class TestBackbone:
     def test_gradients_reach_every_parameter(self):
         scene = micro_scene(seed=1, n_points=50 * 2, n_objects=1)
         bb, store = make_backbone()
-        loss = ad.sum_all(ad.mul(bb(scene), bb(scene)))
+        loss = sum_all(mul(bb(scene), bb(scene)))
         ad.backward(loss)
         for name in store.names():
             assert np.any(store.grad_of(name) != 0), name
@@ -78,7 +78,7 @@ class TestBackbone:
 
         def loss():
             out = bb(scene)
-            return ad.sum_all(ad.mul(out, out))
+            return sum_all(mul(out, out))
 
         l = loss()
         ad.backward(l)

@@ -448,6 +448,17 @@ class TestBadInputExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "2**62" in err, err
 
+    def test_line_after_the_vertex_body(self, workspace, tmp_path, predict, capsys):
+        """The lines past the declared vertex count were ignored, so predict
+        exited 0 on this file."""
+        raw = (workspace / "data" / "scene_000.ply").read_text()
+        n_lines = len(raw.splitlines())
+        bad = tmp_path / "extra.ply"
+        bad.write_text(raw + "garbage line here\n1 2 3\n")
+        assert predict(scene=bad) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"line {n_lines + 1}" in err and "garbage" in err, err
+
     def test_non_contiguous_instance_ids(self, scene, eval_one):
         last = scene.n_instances - 1
         scene.instance[scene.instance == last] = last + 2

@@ -12,6 +12,8 @@ from sceneseg.decoder import (
 )
 from sceneseg.errors import ContractError
 
+from helpers import sum_all
+
 
 def micro_cfg(**kw):
     base = dict(k=4, d=16, layers=2, heads=4, tau=0.5, n_class=3)
@@ -324,5 +326,5 @@ class TestPredictionHead:
         loss = preds[0].sp_mask
         for p in preds[1:]:
             loss = ad.add(loss, p.sp_mask)
-        ad.backward(ad.sum_all(loss))
+        ad.backward(sum_all(loss))
         assert s_mask.grad.flags.f_contiguous and not s_mask.grad.flags.c_contiguous

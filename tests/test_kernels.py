@@ -46,7 +46,7 @@ class TestSphereQuery:
 
     def test_bad_radius(self):
         with pytest.raises(ContractError):
-            kernels.sphere_query(np.zeros((1, 3)), np.zeros((1, 3)), 0.0, 4)
+            kernels.sphere_query_lists(np.zeros((1, 3)), np.zeros((1, 3)), 0.0, 4)
 
 
 class TestFPS:

@@ -379,6 +379,18 @@ class TestPly:
         with pytest.raises(ParseError):
             scenegen.read_ply(path)
 
+    @pytest.mark.parametrize("extra", ["garbage line here", "0 0 0 1 1 1", ""])
+    def test_line_after_vertex_body_rejected(self, tmp_path, extra):
+        path = tmp_path / "long.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property float red\nproperty float green\nproperty float blue\n"
+            f"end_header\n0 0 0 1 1 1\n{extra}\n"
+        )
+        with pytest.raises(ParseError, match="^line 12: line after the 1 vertex lines"):
+            scenegen.read_ply(path)
+
     def test_count_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "short.ply"
         path.write_text(

@@ -18,8 +18,10 @@ from helpers import (
     backward_keep_tape,
     composed_attention,
     composed_linear,
+    composed_set_criterion,
     composed_weighted_bce,
     dice_loss_per_pair,
+    loop_set_criterion,
     match_cost_loop,
     micro_model,
     micro_scene,
@@ -150,40 +152,42 @@ class TestMatchCost:
             assert abs(total(pairs) - total(want_pairs)) <= 1e-12
 
 
+def layer_loss(pred, pairs, gt, sizes, eps=training.DICE_EPS, **weights):
+    """The program's criterion of one supervised layer: its loss node and its
+    (cls, score, bce, dice) components."""
+    return training.set_loss(pred, Assignment.of(pairs), gt, sizes, TrainConfig(**weights), eps)
+
+
 class TestClassificationLoss:
     def test_perfect_one_hot(self):
         gt = fake_gt([1, 0], np.eye(2, 4, dtype=bool))
         probs = np.array([[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
         pred = fake_pred(probs, np.zeros((2, 4)))
-        a = Assignment.of([(0, 0), (1, 1)])
-        loss = training.classification_loss(pred, a, gt, 3)
-        assert loss.value[0, 0] == 0.0
+        _, (cls, *_) = layer_loss(pred, [(0, 0), (1, 1)], gt, np.ones(4))
+        assert cls == 0.0
 
     def test_uniform(self):
         gt = fake_gt([2], [[True, False]])
         probs = np.full((3, 4), 0.25)
         pred = fake_pred(probs, np.zeros((3, 2)))
-        a = Assignment.of([(1, 0)])
-        loss = training.classification_loss(pred, a, gt, 3)
-        assert abs(loss.value[0, 0] - np.log(4)) < 1e-12
+        _, (cls, *_) = layer_loss(pred, [(1, 0)], gt, np.ones(2))
+        assert abs(cls - np.log(4)) < 1e-12
 
     def test_two_query_hand_case(self):
         gt = fake_gt([0, 1], np.eye(2, 3, dtype=bool))
         probs = np.array([[0.7, 0.1, 0.1, 0.1], [0.3, 0.1, 0.3, 0.3]])
         pred = fake_pred(probs, np.zeros((2, 3)))
-        a = Assignment.of([(0, 0), (1, 1)])
-        loss = training.classification_loss(pred, a, gt, 3)
+        _, (cls, *_) = layer_loss(pred, [(0, 0), (1, 1)], gt, np.ones(3))
         want = -(np.log(0.7) + np.log(0.1)) / 2  # ~= 1.3297
-        assert abs(loss.value[0, 0] - want) < 1e-12
+        assert abs(cls - want) < 1e-12
         assert abs(want - 1.3297) < 1e-4
 
     def test_unmatched_queries_target_no_instance(self):
         gt = fake_gt([0], [[True]])
         probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
         pred = fake_pred(probs, np.zeros((2, 1)))
-        a = Assignment.of([(0, 0)])
-        loss = training.classification_loss(pred, a, gt, 3)
-        assert loss.value[0, 0] == 0.0
+        _, (cls, *_) = layer_loss(pred, [(0, 0)], gt, np.ones(1))
+        assert cls == 0.0
 
 
 class TestScoreLoss:
@@ -191,39 +195,42 @@ class TestScoreLoss:
         gt = fake_gt([0], [[True, True, False]])
         masks = np.array([[0.9, 0.9, 0.1]])  # binarized == gt, so IoU target = 1
         pred = fake_pred(np.ones((1, 2)), masks, scores=[[1.0]])
-        loss = training.score_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(3))
-        assert loss.value[0, 0] == 0.0
+        _, (_, score, *_) = layer_loss(pred, [(0, 0)], gt, np.ones(3))
+        assert score == 0.0
 
     def test_s_one_iou_zero(self):
         gt = fake_gt([0], [[False, False, True]])
         masks = np.array([[0.9, 0.9, 0.1]])  # disjoint from gt
         pred = fake_pred(np.ones((1, 2)), masks, scores=[[1.0]])
-        loss = training.score_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(3))
-        assert loss.value[0, 0] == 1.0
+        _, (_, score, *_) = layer_loss(pred, [(0, 0)], gt, np.ones(3))
+        assert score == 1.0
 
     def test_hand_case(self):
         # binarized pred covers sp {0,1}, gt covers {1}: IoU = 1/2 at equal sizes
         gt = fake_gt([0], [[False, True]])
         masks = np.array([[0.8, 0.8]])
         pred = fake_pred(np.ones((1, 2)), masks, scores=[[0.6]])
-        loss = training.score_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(2))
-        assert abs(loss.value[0, 0] - 0.01) < 1e-12
+        _, (_, score, *_) = layer_loss(pred, [(0, 0)], gt, np.ones(2))
+        assert abs(score - 0.01) < 1e-12
 
     def test_no_pairs(self):
         pred = fake_pred(np.ones((2, 2)), np.zeros((2, 3)))
         gt = fake_gt([], np.zeros((0, 3), dtype=bool))
-        assert training.score_loss(pred, Assignment.of([]), gt, np.ones(3)).value[0, 0] == 0.0
+        _, (_, score, *_) = layer_loss(pred, [], gt, np.ones(3))
+        assert score == 0.0
 
     def test_target_detached(self):
+        """The score term sends no gradient into the masks its IoU target
+        was measured on."""
         gt = fake_gt([0], [[True, False]])
         masks = ad.Tensor(np.array([[0.9, 0.1]]))
+        score = ad.Tensor(np.array([[0.3]]))
         pred = LayerPrediction(
-            class_probs=ad.constant(np.ones((1, 2))),
-            iou_score=ad.Tensor(np.array([[0.3]])),
-            sp_mask=masks,
+            class_probs=ad.constant(np.ones((1, 2))), iou_score=score, sp_mask=masks
         )
-        loss = training.score_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(2))
+        loss, _ = layer_loss(pred, [(0, 0)], gt, np.ones(2), w_cls=0.0, w_bce=0.0, w_dice=0.0)
         ad.backward(loss)
+        assert np.any(score.grad)
         assert masks.grad is None or not np.any(masks.grad)
 
 
@@ -232,50 +239,48 @@ class TestBceMaskLoss:
         gt = fake_gt([0], [[True, False, True]])
         masks = np.array([[1.0, 0.0, 1.0]])
         pred = fake_pred(np.ones((1, 2)), masks)
-        loss = training.bce_mask_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(3))
-        assert loss.value[0, 0] < 1e-6
+        _, (_, _, bce, _) = layer_loss(pred, [(0, 0)], gt, np.ones(3))
+        assert bce < 1e-6
 
     def test_half_everywhere(self):
         gt = fake_gt([0], [[True, False, True, False]])
         pred = fake_pred(np.ones((1, 2)), np.full((1, 4), 0.5))
-        loss = training.bce_mask_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(4))
-        assert abs(loss.value[0, 0] - np.log(2)) < 1e-12
+        _, (_, _, bce, _) = layer_loss(pred, [(0, 0)], gt, np.ones(4))
+        assert abs(bce - np.log(2)) < 1e-12
 
     def test_hand_case(self):
         gt = fake_gt([0], [[True, False]])
         pred = fake_pred(np.ones((1, 2)), np.array([[0.9, 0.2]]))
-        loss = training.bce_mask_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(2))
+        _, (_, _, bce, _) = layer_loss(pred, [(0, 0)], gt, np.ones(2))
         want = -(np.log(0.9) + np.log(0.8)) / 2  # ~= 0.1643
-        assert abs(loss.value[0, 0] - want) < 1e-12
+        assert abs(bce - want) < 1e-12
 
     def test_size_weighting(self):
         # all error concentrated on a superpoint holding 3 of 4 points
         gt = fake_gt([0], [[True, False]])
         pred = fake_pred(np.ones((1, 2)), np.array([[0.5, 1e-9]]))
-        loss = training.bce_mask_loss(
-            pred, Assignment.of([(0, 0)]), gt, np.array([3, 1])
-        ).value[0, 0]
-        assert abs(loss - 0.75 * np.log(2)) < 1e-7
+        _, (_, _, bce, _) = layer_loss(pred, [(0, 0)], gt, np.array([3, 1]))
+        assert abs(bce - 0.75 * np.log(2)) < 1e-7
 
 
 class TestDiceLoss:
     def test_identical_exact_zero_eps0(self):
         gt = fake_gt([0], [[True, False, True, False]])
         pred = fake_pred(np.ones((1, 2)), np.array([[1.0, 0.0, 1.0, 0.0]]))
-        loss = training.dice_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(4), eps=0.0)
-        assert loss.value[0, 0] == 0.0
+        _, (*_, dice) = layer_loss(pred, [(0, 0)], gt, np.ones(4), eps=0.0)
+        assert dice == 0.0
 
     def test_disjoint_exact_one_eps0(self):
         gt = fake_gt([0], [[False, False, True, True]])
         pred = fake_pred(np.ones((1, 2)), np.array([[1.0, 1.0, 0.0, 0.0]]))
-        loss = training.dice_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(4), eps=0.0)
-        assert loss.value[0, 0] == 1.0
+        _, (*_, dice) = layer_loss(pred, [(0, 0)], gt, np.ones(4), eps=0.0)
+        assert dice == 1.0
 
     def test_hand_case_eps0(self):
         gt = fake_gt([0], [[False, True, True, False]])
         pred = fake_pred(np.ones((1, 2)), np.array([[1.0, 1.0, 0.0, 0.0]]))
-        loss = training.dice_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(4), eps=0.0)
-        assert loss.value[0, 0] == 0.5
+        _, (*_, dice) = layer_loss(pred, [(0, 0)], gt, np.ones(4), eps=0.0)
+        assert dice == 0.5
 
     def test_range_with_smoothing(self):
         rng = np.random.default_rng(3)
@@ -283,9 +288,7 @@ class TestDiceLoss:
             m = rng.integers(2, 30)
             gt = fake_gt([0], rng.uniform(size=(1, m)) > 0.5)
             pred = fake_pred(np.ones((1, 2)), rng.uniform(size=(1, m)))
-            v = training.dice_loss(
-                pred, Assignment.of([(0, 0)]), gt, rng.integers(1, 9, size=m)
-            ).value[0, 0]
+            _, (*_, v) = layer_loss(pred, [(0, 0)], gt, rng.integers(1, 9, size=m))
             assert 0.0 <= v < 1.0
 
     def test_identical_small_with_smoothing(self):
@@ -294,31 +297,36 @@ class TestDiceLoss:
         g[:40] = True
         gt = fake_gt([0], g[None])
         pred = fake_pred(np.ones((1, 2)), g[None].astype(float))
-        v = training.dice_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(m)).value[0, 0]
+        _, (*_, v) = layer_loss(pred, [(0, 0)], gt, np.ones(m))
         assert v < 1e-2
 
     @settings(max_examples=200, deadline=None)
     @given(matching_cases())
     def test_matches_per_pair_chain(self, case):
-        """Byte-identical gradients. The value is identical below 8 pairs; from
-        8 on, numpy sums the terms pairwise instead of in a chain, so it may
-        differ by a few ulps (within one ulp per pair)."""
+        """The Dice term alone (the other weights 0): byte-identical mask
+        gradients. The value is identical below 8 pairs; from 8 on, numpy
+        sums the terms pairwise instead of in a chain, so it may differ by a
+        few ulps (within one ulp per pair)."""
         pred, gt, sizes, rng = case
         k, k_gt = pred.sp_mask.shape[0], len(gt.instance_classes)
         n = min(k, k_gt)
         queries = np.sort(rng.choice(k, n, replace=False))
         pairs = list(zip(queries.tolist(), rng.permutation(k_gt)[:n].tolist()))
+        a = Assignment.of(pairs)
 
-        def run(loss_fn):
+        def leaf_and_pred():
             leaf = ad.Tensor(pred.sp_mask.value.copy())
-            p = LayerPrediction(pred.class_probs, pred.iou_score, leaf)
-            loss = loss_fn(p, Assignment.of(pairs), gt, sizes)
-            ad.backward(loss)
-            return loss.value[0, 0], leaf.grad
+            return leaf, LayerPrediction(pred.class_probs, pred.iou_score, leaf)
 
-        value, grad = run(training.dice_loss)
-        want_value, want_grad = run(dice_loss_per_pair)
-        assert grad.tobytes() == want_grad.tobytes()
+        leaf, p = leaf_and_pred()
+        loss, (*_, value) = layer_loss(p, pairs, gt, sizes, w_cls=0.0, w_score=0.0, w_bce=0.0)
+        ad.backward(loss)
+        want_leaf, _ = leaf_and_pred()
+        g = gt.superpoint_masks[a.gt_idx].astype(np.float64)
+        want = dice_loss_per_pair(want_leaf, a.query_idx, g, sizes, training.DICE_EPS)
+        ad.backward(want)
+        want_value = want.value[0, 0]
+        assert leaf.grad.tobytes() == want_leaf.grad.tobytes()
         if n < 8:
             assert value == want_value
         else:
@@ -353,15 +361,6 @@ class TestForegroundLoss:
 
 
 class TestTotalLoss:
-    def fixed_components(self, monkeypatch, cls, score, bce, dice, fg):
-        monkeypatch.setattr(
-            training, "classification_loss", lambda *a, **k: ad.constant([[cls]])
-        )
-        monkeypatch.setattr(training, "score_loss", lambda *a, **k: ad.constant([[score]]))
-        monkeypatch.setattr(training, "bce_mask_loss", lambda *a, **k: ad.constant([[bce]]))
-        monkeypatch.setattr(training, "dice_loss", lambda *a, **k: ad.constant([[dice]]))
-        monkeypatch.setattr(training, "foreground_loss", lambda *a, **k: ad.constant([[fg]]))
-
     def setup_inputs(self):
         gt = fake_gt([0], [[True, False]])
         pred = fake_pred(np.full((2, 4), 0.25), np.full((2, 2), 0.5))
@@ -375,16 +374,31 @@ class TestTotalLoss:
         return [pred], gt, np.ones(2), fg, scene
 
     def test_weighted_combination_hand_case(self, monkeypatch):
-        self.fixed_components(monkeypatch, 2.0, 1.0, 0.4, 0.6, 0.0)
-        args = self.setup_inputs()
+        """One layer: the total is w . (cls, score, bce, dice), summed in the
+        criterion's order, plus the foreground term (weight 1, here 0)."""
+        monkeypatch.setattr(training, "foreground_loss", lambda *a, **k: ad.constant([[0.0]]))
         cfg = TrainConfig(w_cls=0.5, w_score=0.5, w_bce=1.0, w_dice=1.0)
-        report = training.total_loss(*args, cfg)
-        assert report.total == 2.5
+        r = training.total_loss(*self.setup_inputs(), cfg)
+        # uniform classes; score 0.5 against IoU 0; masks at 0.5 against 1 of
+        # 2 superpoints; Dice with eps 1 is 1 - 2 / 3
+        assert abs(r.cls - np.log(4)) < 1e-12 and r.score == 0.25
+        assert abs(r.bce - np.log(2)) < 1e-12 and abs(r.dice - 1.0 / 3.0) < 1e-12
+        assert r.total == (0.5 * r.cls + 0.5 * r.score) + (1.0 * r.bce + 1.0 * r.dice)
+        assert abs(r.total - (0.5 * np.log(4) + 0.125 + np.log(2) + 1.0 / 3.0)) < 1e-12
 
-    def test_all_zero_components(self, monkeypatch):
-        self.fixed_components(monkeypatch, 0.0, 0.0, 0.0, 0.0, 0.0)
-        report = training.total_loss(*self.setup_inputs(), TrainConfig())
-        assert report.total == 0.0
+    def test_all_zero_components(self):
+        """With every weight 0 only the foreground term is left. A perfect
+        prediction zeroes cls, score and Dice exactly; BCE stays at its clamp."""
+        args = self.setup_inputs()
+        zero = TrainConfig(w_cls=0.0, w_score=0.0, w_bce=0.0, w_dice=0.0)
+        r = training.total_loss(*args, zero)
+        assert r.total == r.foreground
+        gt = fake_gt([0], [[True, False]])
+        probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        pred = fake_pred(probs, [[1.0, 0.0], [0.0, 0.0]], scores=[[1.0], [0.0]])
+        r = training.total_loss([pred], gt, *args[2:], TrainConfig())
+        assert (r.cls, r.score, r.dice) == (0.0, 0.0, 0.0) and 0.0 < r.bce < 1e-6
+        assert r.total == r.bce + r.foreground
 
     @pytest.mark.parametrize("weight", ["w_cls", "w_score", "w_bce", "w_dice"])
     def test_exact_linearity_in_each_weight(self, weight):
@@ -398,14 +412,14 @@ class TestTotalLoss:
         assert abs((t2 - t1) - (t1 - t0)) < 1e-12
 
     def test_doubling_w_cls_doubles_cls_share(self, monkeypatch):
-        self.fixed_components(monkeypatch, 2.0, 0.0, 0.0, 0.0, 0.0)
+        monkeypatch.setattr(training, "foreground_loss", lambda *a, **k: ad.constant([[0.0]]))
         args = self.setup_inputs()
-        a = training.total_loss(*args, TrainConfig(w_cls=0.5)).total
-        b = training.total_loss(*args, TrainConfig(w_cls=1.0)).total
-        assert abs(b - 2 * a) < 1e-12
+        only_cls = dict(w_score=0.0, w_bce=0.0, w_dice=0.0)
+        a = training.total_loss(*args, TrainConfig(w_cls=0.5, **only_cls)).total
+        b = training.total_loss(*args, TrainConfig(w_cls=1.0, **only_cls)).total
+        assert a > 0.0 and abs(b - 2 * a) < 1e-12
 
-    def test_deep_supervision_averages_layers(self, monkeypatch):
-        self.fixed_components(monkeypatch, 1.0, 1.0, 1.0, 1.0, 0.0)
+    def test_deep_supervision_averages_layers(self):
         preds, gt, sizes, fg, scene = self.setup_inputs()
         preds = preds * 3
         on = training.total_loss(preds, gt, sizes, fg, scene, TrainConfig(deep_supervision=True))
@@ -505,6 +519,11 @@ class TestFit:
         monkeypatch.setattr(ad.Tensor, "_take", ad.Tensor._accumulate)
         assert self.train_small() == fused
 
+    def test_set_criterion_trains_like_composed_chain(self, monkeypatch):
+        fused = self.train_small()
+        monkeypatch.setattr(ad, "set_criterion", composed_set_criterion)
+        assert self.train_small() == fused
+
     def test_releasing_backward_trains_like_keeping_the_tape(self, monkeypatch):
         released = self.train_small()
         monkeypatch.setattr(ad, "backward", backward_keep_tape)
@@ -514,7 +533,7 @@ class TestFit:
         fast = self.train_small()
         monkeypatch.setattr(ad, "scatter_add", scatter_add_at)
         monkeypatch.setattr(training, "match_cost", match_cost_loop)
-        monkeypatch.setattr(training, "dice_loss", dice_loss_per_pair)
+        monkeypatch.setattr(ad, "set_criterion", loop_set_criterion)
         monkeypatch.setattr(scenegen, "unique_rows", unique_rows_np)
         assert self.train_small() == fast
 
