@@ -442,8 +442,8 @@ def composed_set_criterion(
     else:
         l_score = l_bce = l_dice = ad.constant([[0.0]])
     parts = (l_cls, l_score, l_bce, l_dice)
-    ac, as_, ab, ad_ = (ad.affine(t, w) for t, w in zip(parts, weights))
-    total = ad.add(ad.add(ac, as_), ad.add(ab, ad_))
+    scaled = [ad.affine(t, w) for t, w in zip(parts, weights)]
+    total = ad.add(ad.add(scaled[0], scaled[1]), ad.add(scaled[2], scaled[3]))
     return total, tuple(float(t.value[0, 0]) for t in parts)
 
 

@@ -566,13 +566,10 @@ class TestSetCriterion:
         assert [np.float64(v).tobytes() for v in parts] == [
             np.float64(v).tobytes() for v in want_parts
         ]
-        grads, want_grads = got.pop(), want.pop()
+        grads, want_grads = got.pop(), want.pop()  # score and mask: None with no matched row
         assert [g is None for g in grads] == [g is None for g in want_grads]
-        has = [g is not None for g in grads]
-        assert_same_bytes_and_order(
-            got + [[g for g, h in zip(grads, has) if h]],
-            want + [[g for g, h in zip(want_grads, has) if h]],
-        )
+        kept = lambda gs: [g for g in gs if g is not None]
+        assert_same_bytes_and_order(got + [kept(grads)], want + [kept(want_grads)])
 
     def test_one_tape_node(self):
         probs, score = ad.Tensor(np.full((2, 3), 1 / 3)), ad.Tensor(np.full((2, 1), 0.5))
