@@ -93,7 +93,7 @@ class LocalAggregator:
         self.cfg = cfg
         w = cfg.width
         # one MLP shared across keypoints and both radii
-        self.point_mlp = ad.MLP(store, "local.point", [channels + 3, w, w], ["relu", "none"], rng)
+        self.point_mlp = ad.MLP(store, "local.point", [channels + 3, w, w], rng)
         self.out = ad.Linear(store, "local.out", 2 * w, w, rng)
 
     def __call__(self, f_p, positions, keypoint_idx):
@@ -106,20 +106,16 @@ class LocalAggregator:
         keypts = positions[keypoint_idx]
         summaries = []
         for r in (cfg.r1, cfg.r2):
+            # each group holds its own keypoint, unless r * r underflows to 0;
+            # group_max gives an empty group a zero row
             groups = kernels.sphere_query_lists(keypts, positions, r, cfg.cap)
-            flat = np.concatenate(groups) if any(len(g) for g in groups) else np.empty(0, np.int64)
-            if len(flat):
-                rel = np.concatenate(
-                    [positions[g] - keypts[k] for k, g in enumerate(groups) if len(g)]
-                )
-                gathered = ad.concat_cols([ad.gather_rows(f_p, flat), ad.constant(rel)])
-                hidden = self.point_mlp(gathered)
-                # regroup into per-keypoint row ranges of the flat matrix
-                offsets = np.cumsum([0] + [len(g) for g in groups])
-                ranges = [np.arange(offsets[k], offsets[k + 1]) for k in range(n_key)]
-                summaries.append(ad.group_max(hidden, ranges))
-            else:
-                summaries.append(ad.constant(np.zeros((n_key, cfg.width))))
+            flat = np.concatenate(groups)
+            rel = np.concatenate([positions[g] - keypts[k] for k, g in enumerate(groups)])
+            hidden = self.point_mlp(ad.concat_cols([ad.gather_rows(f_p, flat), ad.constant(rel)]))
+            # regroup into per-keypoint row ranges of the flat matrix
+            offsets = np.cumsum([0] + [len(g) for g in groups])
+            ranges = [np.arange(offsets[k], offsets[k + 1]) for k in range(n_key)]
+            summaries.append(ad.group_max(hidden, ranges))
         return self.out(ad.concat_cols(summaries))
 
 
@@ -135,7 +131,7 @@ class GlobalProjector:
 
     def __init__(self, store, channels, d, rng):
         self.proj = ad.Linear(store, "global.proj", channels, d, rng)
-        self.mask_mlp = ad.MLP(store, "global.mask", [d, d, d], ["relu", "none"], rng)
+        self.mask_mlp = ad.MLP(store, "global.mask", [d, d, d], rng)
 
     def __call__(self, f_pooled):
         f_g = self.proj(f_pooled)

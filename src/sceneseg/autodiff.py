@@ -5,9 +5,10 @@ pass; `backward` walks it once in reverse topological order. All ops are pure
 given their inputs, so repeated runs are bit-identical. Every op hands its
 push to the `Tensor` constructor, which alone decides whether it is kept.
 
-Fused ops (`linear`, `attention`, `weighted_bce`, `set_criterion`) are one
-tape node each, with a hand-written backward that repeats the arithmetic of
-the composed chain it replaces, so values and gradients keep their bytes.
+Fused ops (`linear` with its optional ReLU, `attention`, `weighted_bce`,
+`set_criterion`) are one tape node each, with a hand-written backward that
+repeats the arithmetic of the composed chain it replaces, so values and
+gradients keep their bytes.
 Four rules keep the bytes and bound the memory:
 
 - Ownership. A push hands each parent its gradient through `_take` or
@@ -53,8 +54,8 @@ from .errors import CheckpointError, ContractError, ParseError, ShapeError
 CHECKPOINT_MAGIC = b"PSGW"
 CHECKPOINT_VERSION = 1
 
-# When set to a list, piecewise ops (relu, group_max and the clamps of
-# weighted_bce and set_criterion) append the bytes of their discrete pattern.
+# When set to a list, piecewise ops (linear's ReLU, group_max and the clamps
+# of weighted_bce and set_criterion) append the bytes of their discrete pattern.
 # Finite-difference checks use this to detect entries where a kink or
 # routing choice flips under the probe perturbation.
 structure_trace = None
@@ -211,25 +212,28 @@ def affine(a, scale=1.0, shift=0.0):
     return Tensor(scale * a.value + shift, (a,), push)
 
 
-def linear(x, w, b):
+def linear(x, w, b, relu=False):
     """x @ w + b (b a 1xC row) as one node, for matmul(x, w) plus a bias row
-    added to every row; x @ w is not kept on the tape."""
+    added to every row; x @ w is not kept on the tape. With `relu`, y is
+    clamped at 0 in place and the y > 0 pattern recorded, as a relu node on
+    y did; the push masks g with it first."""
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError(f"linear {x.shape} x {w.shape} + {b.shape}")
     y = x.value @ w.value
     y += b.value
+    if relu:
+        live = y > 0.0
+        _record_structure(live)
+        np.maximum(y, 0.0, out=y)
 
     def push(g):
+        if relu:
+            g = g * live
         b._take(g.sum(axis=0, keepdims=True))
         x._take(g @ w.value.T)
         w._take(x.value.T @ g)
 
     return Tensor(y, (x, w, b), push)
-
-
-def relu(x):
-    _record_structure(x.value > 0.0)
-    return Tensor(np.maximum(x.value, 0.0), (x,), lambda g: x._take(g * (x.value > 0.0)))
 
 
 def sigmoid(x):
@@ -595,37 +599,33 @@ class ParamStore:
 
 
 class Linear:
-    """y = x W + b, parameters registered under `prefix`."""
+    """y = x W + b, optionally followed by a ReLU, parameters registered
+    under `prefix`."""
 
-    def __init__(self, store, prefix, fan_in, fan_out, rng):
+    def __init__(self, store, prefix, fan_in, fan_out, rng, relu=False):
         self.w = store.create(prefix + ".w", fan_in, fan_out, rng, fan_in=fan_in)
         self.b = store.create(prefix + ".b", 1, fan_out, rng, fan_in=fan_in)
+        self.relu = relu
 
     def __call__(self, x):
-        return linear(x, self.w, self.b)
+        return linear(x, self.w, self.b, self.relu)
 
 
 class MLP:
-    """Stack of linear layers with per-layer activation ('relu' or 'none')."""
+    """Stack of linear layers, each but the last followed by a ReLU."""
 
-    def __init__(self, store, prefix, widths, activations, rng):
+    def __init__(self, store, prefix, widths, rng):
         if len(widths) < 2:
             raise ContractError("MLP needs at least one layer")
-        if len(activations) != len(widths) - 1:
-            raise ContractError("one activation per layer")
         if any(w <= 0 for w in widths):
             raise ContractError("widths must be positive")
+        n = len(widths) - 1
         self.layers = [
-            Linear(store, f"{prefix}.{i}", widths[i], widths[i + 1], rng)
-            for i in range(len(widths) - 1)
+            Linear(store, f"{prefix}.{i}", widths[i], widths[i + 1], rng, relu=i < n - 1)
+            for i in range(n)
         ]
-        self.activations = list(activations)
 
     def __call__(self, x):
-        for layer, act in zip(self.layers, self.activations):
+        for layer in self.layers:
             x = layer(x)
-            if act == "relu":
-                x = relu(x)
-            elif act != "none":
-                raise ContractError(f"unknown activation {act!r}")
         return x

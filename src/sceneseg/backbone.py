@@ -34,16 +34,12 @@ class Backbone:
     def __init__(self, store: ad.ParamStore, cfg: BackboneConfig, rng):
         c = cfg.channels
         self.cfg = cfg
-        self.embed = ad.MLP(store, "backbone.embed", [6, c, c], ["relu", "none"], rng)
-        self.down = [
-            ad.MLP(store, f"backbone.down{i}", [c, c], ["relu"], rng)
-            for i in range(cfg.levels)
-        ]
-        self.up = [
-            ad.MLP(store, f"backbone.up{i}", [2 * c, c], ["relu"], rng)
-            for i in range(cfg.levels)
-        ]
-        self.head = ad.MLP(store, "backbone.head", [2 * c, c], ["none"], rng)
+        self.embed = ad.MLP(store, "backbone.embed", [6, c, c], rng)
+        # ".0" keeps the names of the one-layer MLPs these were, so checkpoints keep their bytes
+        levels = range(cfg.levels)
+        self.down = [ad.Linear(store, f"backbone.down{i}.0", c, c, rng, relu=True) for i in levels]
+        self.up = [ad.Linear(store, f"backbone.up{i}.0", 2 * c, c, rng, relu=True) for i in levels]
+        self.head = ad.MLP(store, "backbone.head", [2 * c, c], rng)
         # output normalization keeps per-point features at unit scale so the
         # downstream attention sees usable variation across superpoints
         self.norm_gain = store.create("backbone.norm.gain", 1, c, rng, fill=1.0)

@@ -76,7 +76,7 @@ class DecoderLayer:
         self.local_proj = ad.Linear(store, prefix + ".local_proj", local_width, d, rng)
         self.fuse = ad.Linear(store, prefix + ".fuse", 2 * d, d, rng)
         self.self_attn = MultiHeadAttention(store, prefix + ".self", d, cfg.heads, rng)
-        self.ffn = ad.MLP(store, prefix + ".ffn", [d, 4 * d, d], ["relu", "none"], rng)
+        self.ffn = ad.MLP(store, prefix + ".ffn", [d, 4 * d, d], rng)
         # norm affines start at the identity so early layers pass signal through
         self.norms = [
             (
@@ -89,7 +89,7 @@ class DecoderLayer:
     def __call__(self, z, f_g, f_l, mask, use_local, use_global, capture=None):
         k = z.shape[0]
         d = self.fuse.w.shape[1]
-        if use_global and f_g is not None:
+        if use_global:
             branch_g = self.cross_g(z, f_g, mask=mask, capture=capture)
         else:
             branch_g = ad.constant(np.zeros((k, d)))
@@ -110,8 +110,8 @@ class PredictionHead:
 
     def __init__(self, store, cfg: DecoderConfig, rng):
         d = cfg.d
-        self.cls = ad.MLP(store, "head.cls", [d, d, cfg.n_class + 1], ["relu", "none"], rng)
-        self.score = ad.MLP(store, "head.score", [d, d, 1], ["relu", "none"], rng)
+        self.cls = ad.MLP(store, "head.cls", [d, d, cfg.n_class + 1], rng)
+        self.score = ad.MLP(store, "head.score", [d, d, 1], rng)
 
     def __call__(self, z, s_mask_t):
         return LayerPrediction(

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
-from .errors import ContractError, NumericError, at_least
+from .errors import ContractError, NumericError, at_least, require
 
 DICE_EPS = 1.0
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -51,7 +51,8 @@ class TrainConfig:
     lambda_mask: float = 1.0
 
     def __post_init__(self):
-        at_least(self, steps=0)
+        require(self.lr > 0, self, "lr", "> 0")
+        at_least(self, steps=0, w_cls=0, w_score=0, w_bce=0, w_dice=0, lambda_cls=0, lambda_mask=0)
 
 
 @dataclass
@@ -137,11 +138,7 @@ def total_loss(preds, gt, sizes, fg, scene, cfg: TrainConfig) -> LossReport:
             raise NumericError("non-finite loss component 'bce'")
         if not np.all(np.isfinite(pred.iou_score.value)):
             raise NumericError("non-finite loss component 'score'")
-        if len(gt.instance_classes):
-            cost = match_cost(pred, gt, sizes, cfg.lambda_cls, cfg.lambda_mask)
-            assignment = hungarian(cost)
-        else:
-            assignment = Assignment.of([])
+        assignment = hungarian(match_cost(pred, gt, sizes, cfg.lambda_cls, cfg.lambda_mask))
         h.update(repr(assignment.pairs).encode())
         h.update((pred.sp_mask.value > 0.5).tobytes())
         layer_total, components = set_loss(pred, assignment, gt, sizes, cfg)

@@ -352,9 +352,23 @@ def add_bias(x, b):
     return ad.Tensor(x.value + b.value, (x, b), push)
 
 
-def composed_linear(x, w, b):
-    """ad.linear as matmul then add_bias."""
-    return add_bias(ad.matmul(x, w), b)
+def relu(x):
+    """max(x, 0) as a tape node. Records the x > 0 pattern, as ad.linear's
+    ReLU does."""
+    ad._record_structure(x.value > 0.0)
+    return ad.Tensor(np.maximum(x.value, 0.0), (x,), lambda g: x._take(g * (x.value > 0.0)))
+
+
+def composed_linear(x, w, b, relu_after=False):
+    """ad.linear as matmul then add_bias, and then relu if asked."""
+    y = add_bias(ad.matmul(x, w), b)
+    return relu(y) if relu_after else y
+
+
+def composed_linear_layer(layer, x):
+    """ad.Linear's call as a linear node and, for a ReLU layer, a relu node."""
+    y = ad.linear(x, layer.w, layer.b)
+    return relu(y) if layer.relu else y
 
 
 def mul(a, b):

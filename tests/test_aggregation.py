@@ -170,6 +170,15 @@ class TestLocalAggregator:
         lonely = local(f, np.array([[0, 0, 0], [100.0, 0, 0]]), np.array([1]))
         assert np.all(np.isfinite(lonely.value))
 
+    def test_radius_whose_square_underflows_gives_bias_only(self):
+        """With r * r == 0 every group is empty, and group_max's zero rows
+        leave the output projection's bias on each keypoint's row."""
+        cfg = agg.AggregationConfig(r1=1e-200, r2=2e-200, cap=8, width=4)
+        local = agg.LocalAggregator(ad.ParamStore(), 4, cfg, np.random.default_rng(0))
+        f = ad.constant(np.random.default_rng(1).normal(size=(3, 4)))
+        out = local(f, np.random.default_rng(2).uniform(size=(3, 3)), np.array([0, 2]))
+        np.testing.assert_array_equal(out.value, np.tile(local.out.b.value, (2, 1)))
+
     def test_no_keypoints(self):
         local, _ = self.make()
         out = local(ad.constant(np.zeros((3, 4))), np.zeros((3, 3)), np.array([], dtype=int))

@@ -26,6 +26,7 @@ from helpers import (
     mean_all,
     mul,
     rel_err,
+    relu,
     scatter_add_at,
     shared_grads,
     slice_cols,
@@ -114,7 +115,7 @@ class TestElementwise:
         assert ad.sigmoid(ad.constant([[0.0]])).value[0, 0] == 0.5
 
     def test_relu(self):
-        np.testing.assert_array_equal(ad.relu(ad.constant([[-1.0, 2.0]])).value, [[0.0, 2.0]])
+        np.testing.assert_array_equal(relu(ad.constant([[-1.0, 2.0]])).value, [[0.0, 2.0]])
 
     def test_layer_norm_constant_row(self):
         gain = ad.constant(np.ones((1, 4)))
@@ -135,7 +136,7 @@ class TestMLP:
     def test_identity_layer(self):
         store = ad.ParamStore()
         rng = np.random.default_rng(0)
-        mlp = ad.MLP(store, "m", [3, 3], ["none"], rng)
+        mlp = ad.MLP(store, "m", [3, 3], rng)
         mlp.layers[0].w.value = np.eye(3)
         mlp.layers[0].b.value = np.zeros((1, 3))
         x = np.random.default_rng(1).normal(size=(4, 3))
@@ -143,7 +144,7 @@ class TestMLP:
 
     def test_zero_weights_broadcast_bias(self):
         store = ad.ParamStore()
-        mlp = ad.MLP(store, "m", [3, 2], ["none"], np.random.default_rng(0))
+        mlp = ad.MLP(store, "m", [3, 2], np.random.default_rng(0))
         mlp.layers[0].w.value = np.zeros((3, 2))
         mlp.layers[0].b.value = np.array([[1.5, -2.0]])
         out = mlp(ad.constant(np.random.default_rng(1).normal(size=(5, 3)))).value
@@ -151,7 +152,7 @@ class TestMLP:
 
     def test_matches_independent_forward(self):
         store = ad.ParamStore()
-        mlp = ad.MLP(store, "m", [4, 6, 2], ["relu", "none"], np.random.default_rng(42))
+        mlp = ad.MLP(store, "m", [4, 6, 2], np.random.default_rng(42))
         x = np.random.default_rng(5).normal(size=(7, 4))
         got = mlp(ad.constant(x)).value
         # independent plain-numpy forward pass
@@ -161,7 +162,7 @@ class TestMLP:
 
     def test_bad_widths(self):
         with pytest.raises(ContractError):
-            ad.MLP(ad.ParamStore(), "m", [3], [], np.random.default_rng(0))
+            ad.MLP(ad.ParamStore(), "m", [3], np.random.default_rng(0))
 
 
 class TestBackward:
@@ -192,7 +193,7 @@ class TestBackward:
         x = rng.normal(size=(4, 3))
 
         def loss():
-            h = ad.layer_norm(ad.relu(ad.matmul(ad.constant(x), w1)), gain, bias)
+            h = ad.layer_norm(relu(ad.matmul(ad.constant(x), w1)), gain, bias)
             out = ad.sigmoid(ad.matmul(ad.softmax_rows(h), w2))
             return sum_all(mul(out, out))
 
@@ -441,6 +442,68 @@ class TestLinear:
             assert rel_err(t.grad, fd) < 1e-6
 
 
+@st.composite
+def linear_relu_inputs(draw):
+    """x, w, b whose pre-activations hold exact zeros, -0.0 and ties, and the
+    gradient and consumer of the output."""
+    rows = draw(st.integers(0, 20))
+    cin, cout = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    values, rng = draw_values(draw, [(rows, cin), (cin, cout), (1, cout)])
+    x, w, b = values
+    kind = draw(st.sampled_from(["normal", "integers", "underflow"]))
+    if kind == "integers":  # sums are exact, so ties and zeros abound
+        for v in values:
+            v[...] = rng.integers(-2, 3, size=v.shape)
+    elif kind == "underflow":  # x @ w rounds to ±0.0, so y = -0.0 where b is
+        for v in (x, w):
+            v[...] = rng.choice([-1e-300, 1e-300], size=v.shape)
+        b[...] = rng.choice([-0.0, 0.0, -1.0, 1.0], size=b.shape)
+    for v in values:
+        hits = rng.uniform(size=v.shape) < 0.2
+        v[hits] = rng.choice([0.0, -0.0], size=hits.sum())
+    w[:, rng.uniform(size=cout) < 0.2] = draw(st.sampled_from([0.0, -0.0]))  # y = ±0 + b
+    if rows > 1:
+        x[rng.integers(1, rows)] = x[0]  # two rows with equal pre-activations
+    if cout > 1:
+        w[:, -1], b[0, -1] = w[:, 0], b[0, 0]  # and two equal columns
+    g = rng.normal(size=(rows, cout))
+    consumer = CONSUMERS[draw(st.sampled_from(sorted(CONSUMERS)))]
+    return values, lambda out: consumer(out, g)
+
+
+class TestLinearReLU:
+    @settings(max_examples=200, deadline=None)
+    @given(linear_relu_inputs())
+    def test_same_bytes_as_linear_then_relu(self, case):
+        """Value, recorded y > 0 pattern, and the bytes and memory order of
+        every gradient, against a linear node followed by a relu node."""
+        values, loss_of = case
+        got = fused_case(lambda x, w, b: ad.linear(x, w, b, relu=True), values, loss_of)
+        want = fused_case(lambda x, w, b: relu(ad.linear(x, w, b)), values, loss_of)
+        assert len(got[1]) == 1
+        assert_same_bytes_and_order(got, want)
+
+    def test_one_tape_node(self):
+        x, w, b = (ad.Tensor(np.ones(s)) for s in [(3, 2), (2, 4), (1, 4)])
+        assert ad.linear(x, w, b, relu=True).parents == (x, w, b)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(19)
+        x, w, b = (ad.Tensor(rng.normal(size=s)) for s in [(6, 3), (3, 5), (1, 5)])
+        g = ad.constant(rng.normal(size=(6, 5)))
+        pre = x.value @ w.value + b.value
+        # both sides of the kink, and every entry clear of it for the probe
+        assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-2
+
+        def loss():
+            return sum_all(mul(ad.linear(x, w, b, relu=True), g))
+
+        ad.backward(loss())
+        for t in (x, w, b):
+            fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
+            assert rel_err(t.grad, fd) < 1e-6
+
+
 BCE_CLAMP = (ad.PROB_CLAMP, 1.0 - ad.PROB_CLAMP)
 
 
@@ -631,7 +694,9 @@ class TestGradientOwnership:
         assert shared_grads(default_step_nodes) == []
 
     def test_default_step_tape_nodes(self, default_step_nodes):
-        assert len(default_step_nodes) <= 564
+        assert len(default_step_nodes) <= 536
+        nodes = ad._toposort(default_step().total_tensor)
+        assert "relu" not in [n._push.__qualname__.split(".")[0] for n in nodes if n._push]
 
     def test_default_step_has_one_criterion_node_per_supervised_layer(self):
         nodes = ad._toposort(default_step().total_tensor)

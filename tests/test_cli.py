@@ -337,6 +337,9 @@ class TestConfigRanges:
             ("train", ["backbone.base_voxel=0"], "backbone.base_voxel"),
             ("train", ["superpoints.coarse_size=-0.5"], "superpoints.coarse_size"),
             ("train", ["infer.top_k=-1"], "infer.top_k"),
+            ("train", ["train.lr=0"], "train.lr"),
+            ("train", ["train.lr=-0.01"], "train.lr"),
+            ("train", ["train.w_bce=-1"], "train.w_bce"),
         ],
     )
     def test_exit_2_naming_the_key(self, workspace, tmp_path, capsys, command, sets, key):

@@ -170,6 +170,8 @@ class TestComponentRanges:
             (lambda: training.TrainConfig(steps=-1), "steps"),
             (lambda: model.ModelConfig(coarse_size=0.0), "coarse_size"),
             pytest.param(lambda: decoder.DecoderConfig(n_class=0), "n_class", id="decoder-n_class"),
+            (lambda: training.TrainConfig(lr=0.0), "lr"),
+            (lambda: training.TrainConfig(lambda_mask=-1.0), "lambda_mask"),
         ],
     )
     def test_contract_error_names_the_field(self, make, field):
@@ -187,6 +189,8 @@ class TestComponentRanges:
             ("n_class=0", "n_class=0 out of range: must be >= 1"),
             ("infer.top_k=-1", "infer.top_k=-1 out of range: must be >= 0"),
             ("n_points=300", "n_points=300 out of range: must be >= 100 * n_objects = 400"),
+            ("train.lr=-0.01", "train.lr=-0.01 out of range: must be > 0"),
+            ("train.w_dice=-0.5", "train.w_dice=-0.5 out of range: must be >= 0"),
         ],
     )
     def test_config_error_names_the_key(self, item, message):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
     backward_keep_tape,
     composed_attention,
     composed_linear,
+    composed_linear_layer,
     composed_set_criterion,
     composed_weighted_bce,
     dice_loss_per_pair,
@@ -426,6 +428,27 @@ class TestTotalLoss:
         off = training.total_loss(preds, gt, sizes, fg, scene, TrainConfig(deep_supervision=False))
         assert abs(on.total - off.total) < 1e-12  # identical layers average to the same
 
+    def test_scene_without_instances_matches_no_pair(self, monkeypatch):
+        """With no instance, match_cost is K x 0 and hungarian matches no pair,
+        so the report, structure included, is that of an empty assignment."""
+        _, _, sizes, fg, scene = self.setup_inputs()
+        scene = dataclasses.replace(scene, instance=np.full(3, -1))
+        gt = fake_gt([], np.zeros((0, 2), bool))
+        preds = [fake_pred(np.full((2, 4), 0.25), [[0.7, 0.2], [0.4, 0.9]]),
+                 fake_pred(np.full((2, 4), 0.25), [[0.1, 0.6], [0.5, 0.3]])]
+        cost = training.match_cost(preds[0], gt, sizes)
+        assert cost.shape == (2, 0) and training.hungarian(cost).pairs == []
+        got = training.total_loss(preds, gt, sizes, fg, scene, TrainConfig())
+        monkeypatch.setattr(training, "match_cost", lambda *a: None)
+        monkeypatch.setattr(training, "hungarian", lambda cost: Assignment.of([]))
+        want = training.total_loss(preds, gt, sizes, fg, scene, TrainConfig())
+        fields = ("cls", "score", "bce", "dice", "foreground", "total", "structure")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        h = hashlib.sha256()
+        for p in preds:
+            h.update(b"[]" + (p.sp_mask.value > 0.5).tobytes())
+        assert got.structure == h.digest() and got.score == got.bce == got.dice == 0.0
+
     def test_requires_predictions(self):
         _, gt, sizes, fg, scene = self.setup_inputs()
         with pytest.raises(ContractError):
@@ -517,6 +540,13 @@ class TestFit:
         monkeypatch.setattr(ad, "linear", composed_linear)
         monkeypatch.setattr(ad, "weighted_bce", composed_weighted_bce)
         monkeypatch.setattr(ad.Tensor, "_take", ad.Tensor._accumulate)
+        assert self.train_small() == fused
+
+    def test_linear_relu_trains_like_composed_chain(self, monkeypatch):
+        """Each ReLU layer of the MLPs and the backbone, run as a linear node
+        and a relu node, gives the bytes of the fused layer."""
+        fused = self.train_small()
+        monkeypatch.setattr(ad.Linear, "__call__", composed_linear_layer)
         assert self.train_small() == fused
 
     def test_set_criterion_trains_like_composed_chain(self, monkeypatch):
