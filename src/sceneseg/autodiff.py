@@ -215,8 +215,8 @@ def affine(a, scale=1.0, shift=0.0):
 def linear(x, w, b, relu=False):
     """x @ w + b (b a 1xC row) as one node, for matmul(x, w) plus a bias row
     added to every row; x @ w is not kept on the tape. With `relu`, y is
-    clamped at 0 in place and the y > 0 pattern recorded, as a relu node on
-    y did; the push masks g with it first."""
+    clamped at 0 in place, its y > 0 pattern is recorded, and the push masks
+    g with that pattern first: the bytes of a relu node after the linear one."""
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError(f"linear {x.shape} x {w.shape} + {b.shape}")
     y = x.value @ w.value

@@ -35,7 +35,7 @@ class Backbone:
         c = cfg.channels
         self.cfg = cfg
         self.embed = ad.MLP(store, "backbone.embed", [6, c, c], rng)
-        # ".0" keeps the names of the one-layer MLPs these were, so checkpoints keep their bytes
+        # ".0" keeps the parameter names of a one-layer MLP, so checkpoints keep their bytes
         levels = range(cfg.levels)
         self.down = [ad.Linear(store, f"backbone.down{i}.0", c, c, rng, relu=True) for i in levels]
         self.up = [ad.Linear(store, f"backbone.up{i}.0", 2 * c, c, rng, relu=True) for i in levels]

@@ -153,6 +153,7 @@ class TestMLP:
     def test_matches_independent_forward(self):
         store = ad.ParamStore()
         mlp = ad.MLP(store, "m", [4, 6, 2], np.random.default_rng(42))
+        assert [layer.relu for layer in mlp.layers] == [True, False]
         x = np.random.default_rng(5).normal(size=(7, 4))
         got = mlp(ad.constant(x)).value
         # independent plain-numpy forward pass
