@@ -66,20 +66,27 @@ def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
 
     One distance row per pick keeps both the running distance to the picks
     and the running eligibility (eligible_points, updated incrementally).
+    One score array holds f, then the distance to the picks, and -inf where
+    a point is not eligible. Positions are finite (SegModel.prepare refuses
+    the rest), so no distance is NaN and the running minimum keeps each -inf.
     """
     positions = np.asarray(positions, dtype=np.float64)
     f = np.asarray(f).ravel()
     ok = eligible_points(f, None, beta)
-    nearest = None  # squared distance to the closest pick so far
+    score = np.where(ok, f, -np.inf)
     indices, balls = [], []
     for _ in range(k_cand):
         if not ok.any():
             break
-        pick = int(np.argmax(np.where(ok, f if nearest is None else nearest, -np.inf)))
+        pick = int(np.argmax(score))
         d = kernels.min_sq_dist_to_set(positions, np.array([pick], dtype=np.int64))
-        nearest = d if nearest is None else np.minimum(nearest, d)
         ball = d < rq * rq
         ok &= ~ball
+        if indices:
+            np.minimum(score, d, out=score)
+            score[ball] = -np.inf
+        else:
+            score = np.where(ok, d, -np.inf)
         indices.append(pick)
         balls.append(ball)
     coverage = np.array(balls) if balls else np.zeros((0, len(f)), dtype=bool)

@@ -17,7 +17,10 @@ Four rules keep the bytes and bound the memory:
   `_accumulate(g)` copies it first. Pushes that pass on their own incoming
   gradient or a view of it must copy: `add` (both sides), `concat_cols`
   (column slices) and `transpose` (g.T). Otherwise two nodes share one
-  buffer, and the next `+=` into either changes both.
+  buffer, and the next `+=` into either changes both. The same holds for
+  work in place (`linear`'s ReLU, `layer_norm`, `attention`): an op writes
+  only into arrays it has allocated itself, never into a parent's value or
+  the g its push receives.
 - Memory order. BLAS results depend on the operands' layout, not only on
   their values, and a gradient's layout decides the path of every matmul
   that later reads it. A taken gradient keeps the layout it was allocated
@@ -237,7 +240,8 @@ def linear(x, w, b, relu=False):
 
 
 def sigmoid(x):
-    s = 1.0 / (1.0 + np.exp(-x.value))
+    with np.errstate(over="ignore"):  # exp(-x) is inf below x = -709, and s then 0.0
+        s = 1.0 / (1.0 + np.exp(-x.value))
     return Tensor(s, (x,), lambda g: x._take(g * s * (1.0 - s)))
 
 
@@ -294,22 +298,28 @@ def attention(q, k, v, heads, mask=None, capture=None):
         return np.ascontiguousarray(x.transpose(1, 0, 2).reshape(x.shape[1], d))
 
     qh, vh = split(q.value), split(v.value)
-    kt = np.ascontiguousarray(split(k.value).transpose(0, 2, 1))
-    z = (qh @ kt) * scale
+    kt = np.ascontiguousarray(k.value.reshape(n, heads, dh).transpose(1, 2, 0))  # heads x dh x n
+    # the softmax runs in place in the logits: s = exp(z - max) / sum
+    s = qh @ kt
+    s *= scale
     if mask is not None:
-        z = z + mask
-    m = z.max(axis=2, keepdims=True)
+        s += mask
+    m = s.max(axis=2, keepdims=True)
     if np.any(np.isneginf(m)):
         raise FullyMaskedRowError("softmax row has no finite entry")
-    e = np.exp(z - m)
-    s = e / e.sum(axis=2, keepdims=True)
+    s -= m
+    np.exp(s, out=s)
+    s /= s.sum(axis=2, keepdims=True)
     if capture is not None:
         capture.extend(w.copy() for w in s)
 
     def push(g):
         g = split(g)
-        gs = g @ vh.transpose(0, 2, 1)
-        gz = s * (gs - (gs * s).sum(axis=2, keepdims=True)) * scale
+        gz = g @ vh.transpose(0, 2, 1)  # gs, then s * (gs - sum(gs * s)) * scale
+        inner = (gz * s).sum(axis=2, keepdims=True)
+        gz -= inner
+        gz *= s
+        gz *= scale
         q._take(merge(gz @ kt.transpose(0, 2, 1)))
         k._take(merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
         v._take(merge(s.transpose(0, 2, 1) @ g))
@@ -324,20 +334,28 @@ def layer_norm(x, gain, bias):
     """Normalize each row to zero mean / unit variance, then apply affine."""
     if gain.shape != (1, x.shape[1]) or bias.shape != (1, x.shape[1]):
         raise ShapeError("layer_norm gain/bias must be 1xC")
-    mu = x.value.mean(axis=1, keepdims=True)
-    var = ((x.value - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.value - mu) * inv
+    xhat = x.value - x.value.mean(axis=1, keepdims=True)
+    out = np.square(xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv
+    np.multiply(xhat, gain.value, out=out)
+    out += bias.value
 
     def push(g):
+        # inv * ((dxh - mean(dxh)) - xhat * mean(dxh * xhat)), in the array
+        # of dxh * xhat: its layout, C or F, is the one that chain gives
         dxh = g * gain.value
-        n = x.shape[1]
-        term = dxh - dxh.mean(axis=1, keepdims=True) - xhat * (dxh * xhat).mean(axis=1, keepdims=True)
-        x._take(inv * term)
+        mean_dxh = dxh.mean(axis=1, keepdims=True)
+        term = dxh * xhat
+        np.multiply(xhat, term.mean(axis=1, keepdims=True), out=term)
+        dxh -= mean_dxh
+        np.subtract(dxh, term, out=term)
+        term *= inv
+        x._take(term)
         gain._take((g * xhat).sum(axis=0, keepdims=True))
         bias._take(g.sum(axis=0, keepdims=True))
 
-    return Tensor(xhat * gain.value + bias.value, (x, gain, bias), push)
+    return Tensor(out, (x, gain, bias), push)
 
 
 def concat_cols(tensors):

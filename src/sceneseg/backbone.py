@@ -30,6 +30,23 @@ class BackboneConfig:
         at_least(self, channels=8, levels=1)
 
 
+def canonical_order(points):
+    """np.lexsort(points.T[::-1]) for points without NaN (SegModel.prepare
+    refuses them): rows ordered by x, then y, z, r, g, b, then index. One
+    stable argsort on x; only the rows whose x ties are lexsorted, keyed by
+    their tie run first, so each run stays where the argsort put it."""
+    order = np.argsort(points[:, 0], kind="stable")
+    sx = points[order, 0]
+    tie = sx[1:] == sx[:-1]
+    if tie.any():
+        at = np.flatnonzero(np.concatenate([tie, [False]]) | np.concatenate([[False], tie]))
+        run = np.cumsum(np.concatenate([[True], ~tie]))[at]
+        rows = order[at]
+        keys = points[rows, 1:].T[::-1]
+        order[at] = rows[np.lexsort((*keys, run))]
+    return order
+
+
 class Backbone:
     def __init__(self, store: ad.ParamStore, cfg: BackboneConfig, rng):
         c = cfg.channels
@@ -51,19 +68,19 @@ class Backbone:
             raise ContractError("empty scene")
         cfg = self.cfg
 
-        # canonical processing order: lexicographic over full point rows
-        order = np.lexsort(scene.points.T[::-1])
+        order = canonical_order(scene.points)
         inv_order = np.empty_like(order)
         inv_order[order] = np.arange(len(order))
         pos = scene.positions[order]
         col = scene.colors[order]
 
-        cells = np.floor(pos / cfg.base_voxel).astype(np.int64)
+        scaled = pos / cfg.base_voxel
+        floor = np.floor(scaled)
+        cells = floor.astype(np.int64)
         cells -= cells.min(axis=0)
         coords, p2v = scenegen.unique_rows(cells)
 
-        offset = pos / cfg.base_voxel - np.floor(pos / cfg.base_voxel)
-        point_in = ad.constant(np.concatenate([offset, col], axis=1))
+        point_in = ad.constant(np.concatenate([scaled - floor, col], axis=1))
         point_emb = self.embed(point_in)
 
         feats = [ad.segment_mean(point_emb, p2v, len(coords))]

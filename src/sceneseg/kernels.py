@@ -11,10 +11,16 @@ from .errors import ContractError
 
 
 def _sq_dists(positions, center):
-    dx = positions[:, 0] - center[0]
-    dy = positions[:, 1] - center[1]
-    dz = positions[:, 2] - center[2]
-    return dx * dx + dy * dy + dz * dz
+    """dx * dx + dy * dy + dz * dz, summed in that order in two arrays."""
+    d = positions[:, 0] - center[0]
+    d *= d
+    t = positions[:, 1] - center[1]
+    t *= t
+    d += t
+    np.subtract(positions[:, 2], center[2], out=t)
+    t *= t
+    d += t
+    return d
 
 
 def farthest_point_sample(positions, n, start):
@@ -35,8 +41,11 @@ def farthest_point_sample(positions, n, start):
 def min_sq_dist_to_set(positions, indices):
     """Per-point squared distance to the closest of the listed points."""
     positions = np.ascontiguousarray(positions, dtype=np.float64)
-    mind = np.full(positions.shape[0], np.inf)
-    for c in np.asarray(indices, dtype=np.int64):
+    indices = np.asarray(indices, dtype=np.int64)
+    if len(indices) == 0:
+        return np.full(positions.shape[0], np.inf)
+    mind = _sq_dists(positions, positions[indices[0]])
+    for c in indices[1:]:
         np.minimum(mind, _sq_dists(positions, positions[c]), out=mind)
     return mind
 

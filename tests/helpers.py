@@ -1,8 +1,9 @@
 """Shared test utilities: finite-difference oracles, per-point loop oracles
 for the vectorised I/O and sampling code, the composed oracles of the fused
 autodiff ops and the small ops they are built of, the tape-keeping oracle of
-`backward`, the loop oracles of the vectorised training step, and tiny scene
-and model builders."""
+`backward`, the loop oracles of the vectorised training step, the forms with
+a fresh array for every step of the ops that now work in place, and tiny
+scene and model builders."""
 
 import numpy as np
 from numpy.lib.array_utils import byte_bounds
@@ -290,7 +291,114 @@ def candidate_sample_quadratic(positions, f, beta, k_cand, rq):
 
 
 # ---------------------------------------------------------------------------
-# composed oracle of the fused attention op
+# the per-point forms that make a fresh array for every step: the oracles of
+# the canonical order, the distance rows and the candidate sampler
+
+
+def lexsort_order(points):
+    """Backbone's canonical order as one lexsort over every point column."""
+    return np.lexsort(points.T[::-1])
+
+
+def sq_dists_with_temporaries(positions, center):
+    """kernels._sq_dists with eight fresh arrays."""
+    dx = positions[:, 0] - center[0]
+    dy = positions[:, 1] - center[1]
+    dz = positions[:, 2] - center[2]
+    return dx * dx + dy * dy + dz * dz
+
+
+def min_sq_dist_from_inf(positions, indices):
+    """kernels.min_sq_dist_to_set with its running minimum started at inf."""
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    mind = np.full(positions.shape[0], np.inf)
+    for c in np.asarray(indices, dtype=np.int64):
+        np.minimum(mind, sq_dists_with_temporaries(positions, positions[c]), out=mind)
+    return mind
+
+
+def candidate_sample_where(positions, f, beta, k_cand, rq):
+    """aggregation.iterative_candidate_sample masking a fresh score array
+    with np.where at every pick, on the distance rows above."""
+    positions = np.asarray(positions, dtype=np.float64)
+    f = np.asarray(f).ravel()
+    ok = aggregation.eligible_points(f, None, beta)
+    nearest = None
+    indices, balls = [], []
+    for _ in range(k_cand):
+        if not ok.any():
+            break
+        pick = int(np.argmax(np.where(ok, f if nearest is None else nearest, -np.inf)))
+        d = min_sq_dist_from_inf(positions, np.array([pick], dtype=np.int64))
+        nearest = d if nearest is None else np.minimum(nearest, d)
+        ball = d < rq * rq
+        ok &= ~ball
+        indices.append(pick)
+        balls.append(ball)
+    coverage = np.array(balls) if balls else np.zeros((0, len(f)), dtype=bool)
+    return aggregation.CandidateSet(indices=np.array(indices, dtype=np.int64), coverage=coverage)
+
+
+# ---------------------------------------------------------------------------
+# oracles of the fused attention op: the per-head composed chain, and the
+# stacked op with a fresh array for every step
+
+
+def attention_with_temporaries(q, k, v, heads, mask=None, capture=None):
+    """ad.attention computing each softmax and backward step into a new
+    array, with k copied twice into its heads x dh x M layout."""
+    rows, d = q.shape
+    if k.shape[0] == 0:
+        return ad.constant(np.zeros((rows, d)))
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(x):
+        return np.ascontiguousarray(x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2))
+
+    def merge(x):
+        return np.ascontiguousarray(x.transpose(1, 0, 2).reshape(x.shape[1], d))
+
+    qh, vh = split(q.value), split(v.value)
+    kt = np.ascontiguousarray(split(k.value).transpose(0, 2, 1))
+    z = (qh @ kt) * scale
+    if mask is not None:
+        z = z + mask
+    m = z.max(axis=2, keepdims=True)
+    if np.any(np.isneginf(m)):
+        raise ad.FullyMaskedRowError("softmax row has no finite entry")
+    e = np.exp(z - m)
+    s = e / e.sum(axis=2, keepdims=True)
+    if capture is not None:
+        capture.extend(w.copy() for w in s)
+
+    def push(g):
+        g = split(g)
+        gs = g @ vh.transpose(0, 2, 1)
+        gz = s * (gs - (gs * s).sum(axis=2, keepdims=True)) * scale
+        q._take(merge(gz @ kt.transpose(0, 2, 1)))
+        k._take(merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
+        v._take(merge(s.transpose(0, 2, 1) @ g))
+
+    return ad.Tensor(merge(s @ vh), (q, k, v), push)
+
+
+def layer_norm_with_temporaries(x, gain, bias):
+    """ad.layer_norm computing every step into a new array."""
+    mu = x.value.mean(axis=1, keepdims=True)
+    var = ((x.value - mu) ** 2).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + ad.LAYER_NORM_EPS)
+    xhat = (x.value - mu) * inv
+
+    def push(g):
+        dxh = g * gain.value
+        term = dxh - dxh.mean(axis=1, keepdims=True) - xhat * (dxh * xhat).mean(axis=1, keepdims=True)
+        x._take(inv * term)
+        gain._take((g * xhat).sum(axis=0, keepdims=True))
+        bias._take(g.sum(axis=0, keepdims=True))
+
+    return ad.Tensor(xhat * gain.value + bias.value, (x, gain, bias), push)
+
 
 
 def slice_cols(x, a, b):

@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 from sceneseg import aggregation as agg, autodiff as ad, kernels, scenegen
 from sceneseg.errors import ContractError
 
-from helpers import candidate_sample_quadratic, finite_diff, mul, rel_err, sum_all
+from helpers import (
+    candidate_sample_quadratic,
+    candidate_sample_where,
+    finite_diff,
+    mul,
+    rel_err,
+    sum_all,
+)
 
 
 class TestForegroundHead:
@@ -110,6 +117,29 @@ class TestIterativeCandidateSample:
         np.testing.assert_array_equal(got.indices, want.indices)
         np.testing.assert_array_equal(got.coverage, want.coverage)
         assert got.coverage.shape == want.coverage.shape
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 60),
+        st.sampled_from(["grid", "normal"]),
+        st.sampled_from([0.0, 0.3, 0.5, 0.95]),
+        st.integers(1, 12),
+        st.sampled_from([0.0, 0.2, 0.5, 1.0, 3.0]),
+    )
+    def test_same_picks_and_coverage_as_fresh_masks(self, seed, n, kind, beta, k_cand, rq):
+        """One in-place score array gives the indices and coverage, bytes and
+        shape, of a fresh np.where mask per pick on the fresh distance rows."""
+        rng = np.random.default_rng(seed)
+        if kind == "grid":  # repeated points, equal distances
+            pos = rng.integers(0, 3, size=(n, 3)) * 0.5
+        else:
+            pos = rng.normal(size=(n, 3))
+        f = rng.choice([0.1, 0.3, 0.6, 0.9, 1.0], size=n)
+        got = agg.iterative_candidate_sample(pos, f, beta, k_cand, rq)
+        want = candidate_sample_where(pos, f, beta, k_cand, rq)
+        for a, b in [(got.indices, want.indices), (got.coverage, want.coverage)]:
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestSuperpointAvgPool:

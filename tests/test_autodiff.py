@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from sceneseg.model import SegModel, seed_for
 
 from helpers import (
     add_bias,
+    attention_with_temporaries,
     backward_keep_tape,
     clip,
     composed_attention,
@@ -22,6 +24,7 @@ from helpers import (
     div,
     finite_diff,
     forward_tensors,
+    layer_norm_with_temporaries,
     log,
     mean_all,
     mul,
@@ -113,6 +116,15 @@ class TestSoftmax:
 class TestElementwise:
     def test_sigmoid_zero(self):
         assert ad.sigmoid(ad.constant([[0.0]])).value[0, 0] == 0.5
+
+    def test_sigmoid_far_below_range_is_quiet(self):
+        x = ad.Tensor(np.array([[-800.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.sigmoid(x)
+            ad.backward(sum_all(out))
+        assert out.value.tobytes() == np.zeros((1, 1)).tobytes()
+        assert x.grad.tobytes() == np.zeros((1, 1)).tobytes()
 
     def test_relu(self):
         np.testing.assert_array_equal(relu(ad.constant([[-1.0, 2.0]])).value, [[0.0, 2.0]])
@@ -348,6 +360,80 @@ class TestAttention:
 
         ad.backward(loss())
         for t in (q, k, v):
+            fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
+            assert rel_err(t.grad, fd) < 1e-6
+
+
+@st.composite
+def attention_layouts(draw):
+    """q, k, v in C or F order; a mask that leaves some rows fully unmasked,
+    masks others down to a few entries, or is absent; a consumer."""
+    heads = draw(st.integers(1, 4))
+    d = heads * draw(st.integers(1, 4))
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    values, rng = draw_values(draw, [(rows, d), (n, d), (n, d)])
+    mask = None
+    if draw(st.booleans()):
+        mask = np.where(rng.uniform(size=(rows, n)) < draw(st.floats(0.0, 1.0)), -np.inf, 0.0)
+        mask[np.arange(rows), rng.integers(0, n, size=rows)] = 0.0
+        mask[rng.uniform(size=rows) < 0.3] = 0.0
+    return values, heads, mask, draw(st.sampled_from(sorted(CONSUMERS))), rng.normal(size=(rows, d))
+
+
+@st.composite
+def layer_norm_inputs(draw):
+    """x, gain and bias in C or F order, with constant rows and rows at
+    scales from 1e-3 to 1e3, and a consumer."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    (x, gain, bias), rng = draw_values(draw, [(rows, cols), (1, cols), (1, cols)])
+    x *= 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    x[rng.uniform(size=rows) < 0.2] = rng.normal()
+    return (x, gain, bias), draw(st.sampled_from(sorted(CONSUMERS))), rng.normal(size=(rows, cols))
+
+
+class TestInPlaceOps:
+    """attention and layer_norm compute in arrays they allocate themselves;
+    their values, captures and gradients keep the bytes and the C/F order of
+    the same op computed with a fresh array for every step."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(attention_layouts())
+    def test_attention_same_bytes_as_fresh_arrays(self, case):
+        values, heads, mask, consumer, g = case
+        results = []
+        for op in (ad.attention, attention_with_temporaries):
+            capture = []
+            got = fused_case(
+                lambda q, k, v: op(q, k, v, heads, mask, capture),
+                values,
+                lambda out: CONSUMERS[consumer](out, g),
+            )
+            results.append((got, capture))
+        (got, capture), (want, want_capture) = results
+        assert_same_bytes_and_order(got, want)
+        assert len(capture) == len(want_capture) == heads
+        for a, b in zip(capture, want_capture):
+            assert a.tobytes() == b.tobytes() and a.flags.c_contiguous
+
+    @settings(max_examples=200, deadline=None)
+    @given(layer_norm_inputs())
+    def test_layer_norm_same_bytes_as_fresh_arrays(self, case):
+        values, consumer, g = case
+        loss_of = lambda out: CONSUMERS[consumer](out, g)
+        got = fused_case(ad.layer_norm, values, loss_of)
+        want = fused_case(layer_norm_with_temporaries, values, loss_of)
+        assert_same_bytes_and_order(got, want)
+
+    def test_layer_norm_finite_differences(self):
+        rng = np.random.default_rng(5)
+        x, gain, bias = (ad.Tensor(rng.normal(size=s)) for s in [(4, 6), (1, 6), (1, 6)])
+        g = ad.constant(rng.normal(size=(4, 6)))
+
+        def loss():
+            return sum_all(mul(ad.layer_norm(x, gain, bias), g))
+
+        ad.backward(loss())
+        for t in (x, gain, bias):
             fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
             assert rel_err(t.grad, fd) < 1e-6
 

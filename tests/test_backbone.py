@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sceneseg import autodiff as ad, scenegen
+from sceneseg import autodiff as ad, backbone, scenegen
 from sceneseg.backbone import Backbone, BackboneConfig
 from sceneseg.errors import ContractError
 
-from helpers import finite_diff, micro_scene, mul, rel_err, sum_all
+from helpers import finite_diff, lexsort_order, micro_scene, mul, rel_err, sum_all
 
 
 def make_backbone(channels=8, levels=2, seed=0):
@@ -112,3 +113,53 @@ class TestBackbone:
         # a zero voxel once cast NaN cells to int64 and ran without complaint
         with pytest.raises(ContractError):
             BackboneConfig(base_voxel=0.0)
+
+
+# few distinct values, -0.0 beside 0.0: many rows tie on x, and on more
+TIE_VALUES = [0.0, -0.0, 0.25, -1.5, 2.0, 1e-300, -1e-300]
+
+
+@st.composite
+def tied_points(draw):
+    """n x 6 rows drawn from a small pool of rows, so whole rows repeat, with
+    columns from TIE_VALUES or, for some columns, all distinct."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice(TIE_VALUES, size=(draw(st.integers(1, 12)), 6))
+    for c in np.flatnonzero(rng.uniform(size=6) < draw(st.sampled_from([0.0, 0.3]))):
+        pool[:, c] = rng.normal(size=len(pool))
+    return pool[rng.integers(0, len(pool), size=draw(st.integers(1, 60)))]
+
+
+class TestCanonicalOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_points())
+    def test_same_order_as_lexsort(self, points):
+        got, want = backbone.canonical_order(points), lexsort_order(points)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_no_ties_and_all_tied(self):
+        rng = np.random.default_rng(4)
+        points = rng.normal(size=(50, 6))
+        assert backbone.canonical_order(points).tobytes() == lexsort_order(points).tobytes()
+        points[:, 0] = -0.0
+        points[::2, 0] = 0.0
+        assert backbone.canonical_order(points).tobytes() == lexsort_order(points).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.3]))
+    def test_backbone_same_bytes_as_with_lexsort(self, seed, grid):
+        """Positions snapped to a grid tie on x; features and every
+        parameter gradient keep their bytes with the one-lexsort order."""
+        scene = micro_scene(seed=seed % 1000, n_points=100)
+        scene.points[:, :3] = np.round(scene.points[:, :3] / grid) * grid
+        scene.points[1] = scene.points[0]
+        results = []
+        for order in (backbone.canonical_order, lexsort_order):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(backbone, "canonical_order", order)
+                bb, store = make_backbone(seed=seed % 7)
+                out = bb(scene)
+                ad.backward(sum_all(mul(out, out)))
+            results.append([out.value] + [store.grad_of(n) for n in store.names()])
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()

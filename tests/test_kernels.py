@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sceneseg import kernels
 from sceneseg.errors import ContractError
+
+from helpers import min_sq_dist_from_inf, sq_dists_with_temporaries
 
 
 def brute_sphere(keypts, pos, r, cap):
@@ -85,3 +88,42 @@ class TestFPS:
         pos = np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0], [0.5, 0, 0]])
         idx = kernels.farthest_point_sample(pos, 2, 0)
         assert idx[1] == 1
+
+
+@st.composite
+def point_sets(draw):
+    """Positions in C or F order: normal, on a coarse grid (equal distances,
+    repeated points) or spanning 1e-3 to 1e3; and a list of indices into
+    them, repeats allowed, possibly empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["normal", "grid", "scales"]))
+    if kind == "grid":
+        pos = rng.integers(-2, 3, size=(n, 3)) * 0.5
+    else:
+        pos = rng.normal(size=(n, 3))
+        if kind == "scales":
+            pos *= 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    pos = np.asarray(pos, order=draw(st.sampled_from("CF")))
+    return pos, rng.integers(0, n, size=draw(st.integers(0, 6)))
+
+
+class TestDistanceRows:
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_sq_dists_same_bytes_as_fresh_arrays(self, case):
+        pos, idx = case
+        for c in list(pos[idx]) + [np.array([0.1, -0.2, 0.3])]:
+            got, want = kernels._sq_dists(pos, c), sq_dists_with_temporaries(pos, c)
+            assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+
+    @settings(max_examples=200, deadline=None)
+    @given(point_sets())
+    def test_min_sq_dist_same_bytes_as_from_inf(self, case):
+        pos, idx = case
+        got, want = kernels.min_sq_dist_to_set(pos, idx), min_sq_dist_from_inf(pos, idx)
+        assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+
+    def test_min_sq_dist_to_no_point_is_inf(self):
+        got = kernels.min_sq_dist_to_set(np.zeros((3, 3)), np.zeros(0, dtype=np.int64))
+        np.testing.assert_array_equal(got, np.full(3, np.inf))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -453,6 +454,73 @@ class TestTotalLoss:
         _, gt, sizes, fg, scene = self.setup_inputs()
         with pytest.raises(ContractError):
             training.total_loss([], gt, sizes, fg, scene, TrainConfig())
+
+
+def adam_store(shapes, rng):
+    store = ad.ParamStore()
+    for i, shape in enumerate(shapes):
+        store.create(f"p{i}", *shape, rng)
+    return store
+
+
+class TestAdam:
+    def test_first_step_is_the_closed_form_update(self):
+        """At t = 1 the moments are (1 - beta) g and (1 - beta) g * g, so the
+        update is lr * g / (|g| + eps) up to the bias-correction rounding; a
+        parameter without a gradient does not move."""
+        rng = np.random.default_rng(0)
+        store = adam_store([(3, 4), (1, 4)], rng)
+        before = {n: store[n].value.copy() for n in store.names()}
+        g = rng.normal(size=(3, 4))
+        store["p0"].grad = g
+        cfg = TrainConfig(lr=0.01)
+        opt = training.Adam(store, cfg)
+        opt.step()
+        b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+        mhat = ((1 - b1) * g) / (1.0 - b1)
+        vhat = ((1 - b2) * g * g) / (1.0 - b2)
+        want = before["p0"] - cfg.lr * mhat / (np.sqrt(vhat) + eps)
+        assert store["p0"].value.tobytes() == want.tobytes()
+        np.testing.assert_allclose(before["p0"] - want, cfg.lr * np.sign(g), rtol=1e-6)
+        assert store["p1"].grad is None
+        assert store["p1"].value.tobytes() == before["p1"].tobytes()
+        assert opt.t == 1 and not opt.m["p1"].any() and not opt.v["p1"].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 0.01, 0.3]), st.data())
+    def test_three_steps_match_a_per_element_reference(self, seed, lr, data):
+        rng = np.random.default_rng(seed)
+        shapes = [(int(rng.integers(1, 4)), int(rng.integers(1, 5))) for _ in range(3)]
+        store = adam_store(shapes, rng)
+        params = {n: [float(v) for v in store[n].value.ravel()] for n in store.names()}
+        m = {n: [0.0] * len(p) for n, p in params.items()}
+        v = {n: [0.0] * len(p) for n, p in params.items()}
+        opt = training.Adam(store, TrainConfig(lr=lr))
+        b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+        for t in (1, 2, 3):
+            b1c, b2c = 1.0 - b1**t, 1.0 - b2**t
+            for n in store.names():
+                kind = data.draw(st.sampled_from(["none", "normal", "zeros", "scales"]))
+                if kind == "none":
+                    store[n].grad = None
+                    g = [0.0] * len(params[n])
+                else:
+                    grad = rng.normal(size=store[n].shape)
+                    if kind == "zeros":
+                        grad[rng.uniform(size=grad.shape) < 0.5] = 0.0
+                    elif kind == "scales":
+                        grad *= 10.0 ** rng.integers(-6, 4, size=grad.shape)
+                    store[n].grad = grad
+                    g = [float(x) for x in grad.ravel()]
+                for i, gi in enumerate(g):
+                    m[n][i] = b1 * m[n][i] + (1 - b1) * gi
+                    v[n][i] = b2 * v[n][i] + (1 - b2) * gi * gi
+                    mhat, vhat = m[n][i] / b1c, v[n][i] / b2c
+                    params[n][i] -= lr * mhat / (math.sqrt(vhat) + eps)
+            opt.step()
+            for n in store.names():
+                want = np.array(params[n]).reshape(store[n].shape)
+                assert store[n].value.tobytes() == want.tobytes(), (t, n)
 
 
 class TestFit:
