@@ -70,7 +70,8 @@ def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
     a point is not eligible. Positions are finite (SegModel.prepare refuses
     the rest), so no distance is NaN and the running minimum keeps each -inf.
     """
-    positions = np.asarray(positions, dtype=np.float64)
+    # contiguous once here, so min_sq_dist_to_set copies nothing per pick
+    positions = np.ascontiguousarray(positions, dtype=np.float64)
     f = np.asarray(f).ravel()
     ok = eligible_points(f, None, beta)
     score = np.where(ok, f, -np.inf)
