@@ -37,10 +37,10 @@ def canonical_order(points):
     their tie run first, so each run stays where the argsort put it."""
     order = np.argsort(points[:, 0], kind="stable")
     sx = points[order, 0]
-    tie = sx[1:] == sx[:-1]
-    if tie.any():
-        at = np.flatnonzero(np.concatenate([tie, [False]]) | np.concatenate([[False], tie]))
-        run = np.cumsum(np.concatenate([[True], ~tie]))[at]
+    tied = np.concatenate([[False], sx[1:] == sx[:-1], [False]])  # sorted rows i - 1, i tie
+    if tied.any():
+        at = np.flatnonzero(tied[:-1] | tied[1:])
+        run = np.cumsum(~tied[:-1])[at]
         rows = order[at]
         keys = points[rows, 1:].T[::-1]
         order[at] = rows[np.lexsort((*keys, run))]
