@@ -64,11 +64,13 @@ def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
     """Select up to k_cand keypoints: first the highest foreground score, then
     repeatedly the eligible point farthest from all prior picks.
 
-    One distance row per pick keeps both the running distance to the picks
-    and the running eligibility (eligible_points, updated incrementally).
-    One score array holds f, then the distance to the picks, and -inf where
-    a point is not eligible. Positions are finite (SegModel.prepare refuses
-    the rest), so no distance is NaN and the running minimum keeps each -inf.
+    One distance row per pick updates both the eligibility (eligible_points,
+    updated incrementally) and one score array: f for the first pick, then
+    the distance to the nearest pick, -inf where f <= beta or inside the
+    first pick's ball. A point a later ball covers keeps its distance, which
+    is below rq * rq while an eligible point's is not, so argmax never
+    returns it. Positions are finite (SegModel.prepare refuses the rest): no
+    distance is NaN, and the running minimum keeps each -inf.
     """
     # contiguous once here, so min_sq_dist_to_set copies nothing per pick
     positions = np.ascontiguousarray(positions, dtype=np.float64)
@@ -85,7 +87,6 @@ def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
         ok &= ~ball
         if indices:
             np.minimum(score, d, out=score)
-            score[ball] = -np.inf
         else:
             score = np.where(ok, d, -np.inf)
         indices.append(pick)

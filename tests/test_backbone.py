@@ -121,12 +121,17 @@ TIE_VALUES = [0.0, -0.0, 0.25, -1.5, 2.0, 1e-300, -1e-300]
 
 @st.composite
 def tied_points(draw):
-    """n x 6 rows drawn from a small pool of rows, so whole rows repeat, with
-    columns from TIE_VALUES or, for some columns, all distinct."""
+    """n x 6 rows drawn from a small pool of rows, so whole rows repeat. Each
+    column takes 1 to 3 of TIE_VALUES, or all of them, or distinct normal
+    values, so rows often tie on every column but a later one."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pool = rng.choice(TIE_VALUES, size=(draw(st.integers(1, 12)), 6))
-    for c in np.flatnonzero(rng.uniform(size=6) < draw(st.sampled_from([0.0, 0.3]))):
-        pool[:, c] = rng.normal(size=len(pool))
+    pool = np.empty((draw(st.integers(1, 16)), 6))
+    for c in range(6):
+        width = draw(st.sampled_from([1, 2, 3, len(TIE_VALUES), None]))
+        if width is None:
+            pool[:, c] = rng.normal(size=len(pool))
+        else:
+            pool[:, c] = rng.choice(rng.choice(TIE_VALUES, size=width), size=len(pool))
     return pool[rng.integers(0, len(pool), size=draw(st.integers(1, 60)))]
 
 
