@@ -31,13 +31,12 @@ class AggregationConfig:
 
     def __post_init__(self):
         require(0 < self.r1 < self.r2, self, "r1", f"in (0, r2 = {self.r2!r})")
-        at_least(self, cap=1, k_cand=1, width=1)
+        at_least(self, rq=0, cap=1, k_cand=1, width=1)
 
 
 @dataclass
 class CandidateSet:
     indices: np.ndarray  # ordered keypoint point-indices
-    coverage: np.ndarray  # n_cand x N bool, rq-ball membership per candidate
 
 
 class ForegroundHead:
@@ -50,14 +49,10 @@ class ForegroundHead:
         return ad.sigmoid(self.lin(f_p))
 
 
-def eligible_points(f, candidates: CandidateSet | None, beta):
-    """Boolean mask of points that are confidently foreground and not covered
-    by any already-selected candidate's rq-ball."""
-    f = np.asarray(f).ravel()
-    ok = f > beta
-    if candidates is not None and len(candidates.indices):
-        ok &= ~candidates.coverage.any(axis=0)
-    return ok
+def eligible_points(f, beta):
+    """Boolean mask of the points that are confidently foreground, before any
+    candidate's rq-ball covers them."""
+    return np.asarray(f).ravel() > beta
 
 
 def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
@@ -65,34 +60,34 @@ def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
     repeatedly the eligible point farthest from all prior picks.
 
     One distance row per pick updates both the eligibility (eligible_points,
-    updated incrementally) and one score array: f for the first pick, then
+    less each pick's rq-ball) and one score array: f for the first pick, then
     the distance to the nearest pick, -inf where f <= beta or inside the
     first pick's ball. A point a later ball covers keeps its distance, which
     is below rq * rq while an eligible point's is not, so argmax never
     returns it. Positions are finite (SegModel.prepare refuses the rest): no
-    distance is NaN, and the running minimum keeps each -inf.
+    distance is NaN, and the running minimum keeps each -inf. The picks go to
+    ad.structure_trace.
     """
     # contiguous once here, so min_sq_dist_to_set copies nothing per pick
     positions = np.ascontiguousarray(positions, dtype=np.float64)
     f = np.asarray(f).ravel()
-    ok = eligible_points(f, None, beta)
+    ok = eligible_points(f, beta)
     score = np.where(ok, f, -np.inf)
-    indices, balls = [], []
+    indices = []
     for _ in range(k_cand):
         if not ok.any():
             break
         pick = int(np.argmax(score))
         d = kernels.min_sq_dist_to_set(positions, np.array([pick], dtype=np.int64))
-        ball = d < rq * rq
-        ok &= ~ball
+        ok &= ~(d < rq * rq)
         if indices:
             np.minimum(score, d, out=score)
         else:
             score = np.where(ok, d, -np.inf)
         indices.append(pick)
-        balls.append(ball)
-    coverage = np.array(balls) if balls else np.zeros((0, len(f)), dtype=bool)
-    return CandidateSet(indices=np.array(indices, dtype=np.int64), coverage=coverage)
+    picks = np.array(indices, dtype=np.int64)
+    ad.record_structure(picks)
+    return CandidateSet(indices=picks)
 
 
 class LocalAggregator:

@@ -57,14 +57,15 @@ from .errors import CheckpointError, ContractError, ParseError, ShapeError
 CHECKPOINT_MAGIC = b"PSGW"
 CHECKPOINT_VERSION = 1
 
-# When set to a list, piecewise ops (linear's ReLU, group_max and the clamps
-# of weighted_bce and set_criterion) append the bytes of their discrete pattern.
-# Finite-difference checks use this to detect entries where a kink or
-# routing choice flips under the probe perturbation.
+# When set to a list, every discrete choice of a pass appends the bytes of its
+# pattern: the piecewise ops (linear's ReLU, group_max and the clamps of
+# weighted_bce and set_criterion), the candidate sampler's picks and each
+# decoder layer's gating mask. Finite-difference checks use this to detect
+# entries where a kink or routing choice flips under the probe perturbation.
 structure_trace = None
 
 
-def _record_structure(pattern):
+def record_structure(pattern):
     if structure_trace is not None:
         structure_trace.append(pattern.tobytes())
 
@@ -226,7 +227,7 @@ def linear(x, w, b, relu=False):
     y += b.value
     if relu:
         live = y > 0.0
-        _record_structure(live)
+        record_structure(live)
         np.maximum(y, 0.0, out=y)
 
     def push(g):
@@ -430,7 +431,7 @@ def group_max(x, groups):
         a = block.argmax(axis=0)
         vals[i] = block[a, np.arange(width)]
         arg[i] = np.asarray(g, dtype=np.int64)[a]
-    _record_structure(arg)
+    record_structure(arg)
 
     def push(g):
         routed = arg >= 0  # empty groups route nowhere
@@ -446,7 +447,7 @@ def _bce(p, pos_w, neg_w, lo, hi):
     pos_w = np.asarray(pos_w, dtype=np.float64)
     neg_w = np.asarray(neg_w, dtype=np.float64)
     inside = (p > lo) & (p < hi)
-    _record_structure(inside)
+    record_structure(inside)
     c = np.clip(p, lo, hi)
     c1 = 1.0 - c
     # + 0.0 turns -0.0 terms into 0.0, as the chain's affine shift did
@@ -486,7 +487,7 @@ def set_criterion(probs, score, mask, rows, onehot, iou, gt, sizes, weights, eps
     order and recorded clamps (class, then mask) of the chain it replaced."""
     k, n = probs.shape[0], len(rows)
     inside = (probs.value > 1e-12) & (probs.value < 1.0)
-    _record_structure(inside)
+    record_structure(inside)
     c = np.clip(probs.value, 1e-12, 1.0)
     # + 0.0 turns a -0.0 into 0.0, as each affine shift of the chain did
     parts = [-1.0 / k * (onehot * np.log(c) + 0.0).sum() + 0.0, 0.0, 0.0, 0.0]

@@ -134,12 +134,11 @@ def cmd_eval(pred_dir, gt_dir, out_dir):
     if missing:
         raise DataError(f"scene id mismatch between pred and gt dirs: {missing}")
     preds, gt_objs = {}, {}
-    n_class = 0
+    n_class = max(scene.n_class for scene in gts.values())
     for sid, scene in gts.items():
-        n_class = max(n_class, scene.n_class)
         gt_objs[sid] = scenegen.ground_truth(scene)
         try:
-            _, _, preds[sid] = inference.read_predictions(pred_paths[sid], scene.n_points)
+            _, _, preds[sid] = inference.read_predictions(pred_paths[sid], scene.n_points, n_class)
         except ParseError as exc:
             raise DataError(f"{pred_paths[sid].name}: {exc}") from None
     report = inference.evaluate(preds, gt_objs, n_class)

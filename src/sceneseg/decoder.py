@@ -45,13 +45,13 @@ def build_attention_mask(prev_mask, tau):
     """{0, -inf} additive mask: 0 where prev_mask >= tau (boundary inclusive).
 
     A row with no entry above threshold would starve its query, so such rows
-    fall back to fully unmasked (all zeros) instead of all -inf.
+    fall back to fully unmasked (all zeros) instead of all -inf. The open
+    pattern (np.isfinite of the mask) goes to ad.structure_trace.
     """
-    prev_mask = np.asarray(prev_mask, dtype=np.float64)
-    a = np.where(prev_mask >= tau, 0.0, -np.inf)
-    dead = ~np.isfinite(a).any(axis=1)
-    a[dead] = 0.0
-    return a
+    open_ = np.asarray(prev_mask, dtype=np.float64) >= tau
+    open_[~open_.any(axis=1)] = True
+    ad.record_structure(open_)
+    return np.where(open_, 0.0, -np.inf)
 
 
 class MultiHeadAttention:
@@ -133,18 +133,17 @@ class Decoder:
 
     def run(self, f_g, f_l, s_mask, use_local=True, use_global=True, capture=None):
         """All per-layer predictions (layers + 1 of them, first from the raw
-        queries). `capture`, if a list, receives per-layer lists of per-head
+        queries); each layer is gated by the mask of the prediction before
+        it. `capture`, if a list, receives per-layer lists of per-head
         masked cross-attention weights over superpoints."""
         z = self.query
         s_mask_t = ad.transpose(s_mask)
         preds = [self.head(z, s_mask_t)]
-        masks = [build_attention_mask(preds[0].sp_mask.value, self.cfg.tau)]
         for layer in self.layers:
+            mask = build_attention_mask(preds[-1].sp_mask.value, self.cfg.tau)
             layer_capture = [] if capture is not None else None
-            z = layer(z, f_g, f_l, masks[-1], use_local, use_global, capture=layer_capture)
+            z = layer(z, f_g, f_l, mask, use_local, use_global, capture=layer_capture)
             if capture is not None:
                 capture.append(layer_capture)
             preds.append(self.head(z, s_mask_t))
-            masks.append(build_attention_mask(preds[-1].sp_mask.value, self.cfg.tau))
-        self.attention_masks = masks
         return preds

@@ -206,10 +206,12 @@ def write_predictions(path, scene_id, n_points, n_superpoints, instances):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_predictions(path, n_points):
+def read_predictions(path, n_points, n_class):
     """(scene id, superpoint count, instances) of a prediction file for a
-    scene of `n_points` points. A header that gives another count is rejected
-    before any mask is decoded, so it cannot size an allocation."""
+    scene of `n_points` points and classes in [0, n_class). A header that
+    gives another count is rejected before any mask is decoded, so it cannot
+    size an allocation; so is an instance of another class or a non-finite
+    score, which evaluate would drop or sort arbitrarily."""
     lines = read_text(path).splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 4 or header[0] != "scene":
@@ -230,6 +232,10 @@ def read_predictions(path, n_points):
             class_id, score = int(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError("non-numeric instance value", line=ln) from None
+        if not 0 <= class_id < n_class:
+            raise ParseError(f"class {class_id} outside [0, {n_class})", line=ln)
+        if not np.isfinite(score):
+            raise ParseError(f"score {parts[2]} is not finite", line=ln)
         try:
             runs = np.loadtxt([parts[3]], dtype=np.int64, comments=None, ndmin=1)
         except ValueError:

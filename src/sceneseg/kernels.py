@@ -57,7 +57,10 @@ def sphere_query_lists(keypoints, positions, r, cap):
         raise ContractError("sphere_query radius must be positive")
     keypoints = np.ascontiguousarray(keypoints, dtype=np.float64).reshape(-1, 3)
     positions = np.ascontiguousarray(positions, dtype=np.float64)
-    r2 = float(r) ** 2
+    try:
+        r2 = float(r) ** 2
+    except OverflowError:  # every point is in range; the cap keeps the nearest
+        r2 = np.inf
     groups = []
     for key in keypoints:
         d2 = _sq_dists(positions, key)

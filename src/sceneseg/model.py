@@ -43,7 +43,6 @@ class ForwardResult:
     preds: list  # LayerPrediction per decoder stage (layers + 1)
     foreground: ad.Tensor  # N x 1
     keypoints: np.ndarray  # selected keypoint point-indices
-    structure: bytes  # hash of every discrete (non-differentiable) choice
     attention: list | None = None
 
 
@@ -95,15 +94,4 @@ class SegModel:
             f_g, f_l, s_mask,
             use_local=cfg.use_local, use_global=cfg.use_global, capture=capture,
         )
-
-        h = hashlib.sha256()
-        h.update(keypoints.tobytes())
-        for mask in self.decoder.attention_masks:
-            h.update(np.isfinite(mask).tobytes())
-        return ForwardResult(
-            preds=preds,
-            foreground=fg,
-            keypoints=keypoints,
-            structure=h.digest(),
-            attention=capture,
-        )
+        return ForwardResult(preds=preds, foreground=fg, keypoints=keypoints, attention=capture)

@@ -149,7 +149,7 @@ def rle_decode_loop(runs, n):
     return out
 
 
-def read_predictions_loop(path):
+def read_predictions_loop(path, n_class):
     """inference.read_predictions, converting one run at a time with int()."""
     lines = read_text(path).splitlines()
     header = lines[0].split() if lines else []
@@ -170,6 +170,8 @@ def read_predictions_loop(path):
             runs = [int(v) for v in parts[3:]]
         except ValueError:
             raise ParseError("non-numeric instance value", line=ln) from None
+        if class_id not in range(n_class) or score in (np.inf, -np.inf) or score != score:
+            raise ParseError("class out of range or score not finite", line=ln)
         instances.append(
             inference.InstanceResult(class_id, score, None, rle_decode_loop(runs, n_points))
         )
@@ -267,16 +269,22 @@ def read_ply_loop(path):
     return scenegen.Scene(points=pts, semantic=sem, instance=inst, n_class=n_class)
 
 
+def coverage_of(positions, indices, rq):
+    """n_cand x N bool: the rq-ball membership of each listed point."""
+    balls = [kernels.min_sq_dist_to_set(positions, [i]) < rq * rq for i in indices]
+    return np.array(balls) if balls else np.zeros((0, len(positions)), dtype=bool)
+
+
 def candidate_sample_quadratic(positions, f, beta, k_cand, rq):
     """aggregation.iterative_candidate_sample recomputing, at every pick, the
-    distance to all prior picks and the eligibility from the whole coverage."""
+    distance to all prior picks and the eligibility from the whole coverage.
+    Returns the picks and their coverage (as coverage_of gives it)."""
     positions = np.asarray(positions, dtype=np.float64)
     f = np.asarray(f).ravel()
     indices = []
     coverage = np.zeros((0, len(f)), dtype=bool)
     for _ in range(k_cand):
-        sofar = aggregation.CandidateSet(np.array(indices, dtype=np.int64), coverage)
-        ok = aggregation.eligible_points(f, sofar, beta)
+        ok = aggregation.eligible_points(f, beta) & ~coverage.any(axis=0)
         if not ok.any():
             break
         if not indices:
@@ -287,7 +295,7 @@ def candidate_sample_quadratic(positions, f, beta, k_cand, rq):
         indices.append(pick)
         ball = kernels.min_sq_dist_to_set(positions, np.array([pick], dtype=np.int64)) < rq * rq
         coverage = np.concatenate([coverage, ball[None]], axis=0)
-    return aggregation.CandidateSet(indices=np.array(indices, dtype=np.int64), coverage=coverage)
+    return np.array(indices, dtype=np.int64), coverage
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +327,11 @@ def min_sq_dist_from_inf(positions, indices):
 
 def candidate_sample_where(positions, f, beta, k_cand, rq):
     """aggregation.iterative_candidate_sample masking a fresh score array
-    with np.where at every pick, on the distance rows above."""
+    with np.where at every pick, on the distance rows above. Returns the picks
+    and their coverage (as coverage_of gives it)."""
     positions = np.asarray(positions, dtype=np.float64)
     f = np.asarray(f).ravel()
-    ok = aggregation.eligible_points(f, None, beta)
+    ok = aggregation.eligible_points(f, beta)
     nearest = None
     indices, balls = [], []
     for _ in range(k_cand):
@@ -336,7 +345,7 @@ def candidate_sample_where(positions, f, beta, k_cand, rq):
         indices.append(pick)
         balls.append(ball)
     coverage = np.array(balls) if balls else np.zeros((0, len(f)), dtype=bool)
-    return aggregation.CandidateSet(indices=np.array(indices, dtype=np.int64), coverage=coverage)
+    return np.array(indices, dtype=np.int64), coverage
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +472,7 @@ def add_bias(x, b):
 def relu(x):
     """max(x, 0) as a tape node. Records the x > 0 pattern, as ad.linear's
     ReLU does."""
-    ad._record_structure(x.value > 0.0)
+    ad.record_structure(x.value > 0.0)
     return ad.Tensor(np.maximum(x.value, 0.0), (x,), lambda g: x._take(g * (x.value > 0.0)))
 
 
@@ -509,7 +518,7 @@ def clip(x, lo, hi):
     """Clamp values; gradient is zero where the clamp is active. Records
     where it is inactive, as the fused clamps do."""
     inside = (x.value > lo) & (x.value < hi)
-    ad._record_structure(inside)
+    ad.record_structure(inside)
     return ad.Tensor(np.clip(x.value, lo, hi), (x,), lambda g: x._take(g * inside))
 
 

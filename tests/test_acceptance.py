@@ -163,8 +163,9 @@ def test_gradient_integrity():
     train_cfg = TrainConfig()
 
     def eval_once():
-        # collect every discrete choice: candidate/attention structure via the
-        # model hashes, plus relu/clip/group_max patterns from the op trace
+        # collect every discrete choice: the matching via the loss report's
+        # hash; the candidate picks, gating masks and relu/clip/group_max
+        # patterns from the trace
         ad.structure_trace = trace = []
         try:
             out = model.forward(prep)
@@ -173,7 +174,7 @@ def test_gradient_integrity():
             )
         finally:
             ad.structure_trace = None
-        return rep.total_tensor, (out.structure, rep.structure, b"".join(trace))
+        return rep.total_tensor, (rep.structure, tuple(trace)), out
 
     blocks = {
         "backbone": "backbone.",
@@ -185,7 +186,14 @@ def test_gradient_integrity():
     }
     h, tol = 1e-4, 1e-3
     rng = np.random.default_rng(0)
-    loss, base_struct = eval_once()
+    loss, base_struct, out = eval_once()
+    # the trace holds the sampler's picks, then one open pattern per gating
+    # mask: those of the predictions before each layer
+    patterns = iter(base_struct[1])
+    assert len(out.keypoints) and out.keypoints.tobytes() in patterns
+    for p in out.preds[:-1]:
+        gate = build_attention_mask(p.sp_mask.value, model.cfg.dec.tau)
+        assert np.isfinite(gate).tobytes() in patterns
     ad.backward(loss)
     grads = {n: model.store.grad_of(n).copy() for n in model.store.names()}
 
@@ -201,9 +209,9 @@ def test_gradient_integrity():
             t = model.store[name]
             orig = t.value[idx]
             t.value[idx] = orig + h
-            hi_loss, hi_struct = eval_once()
+            hi_loss, hi_struct, _ = eval_once()
             t.value[idx] = orig - h
-            lo_loss, lo_struct = eval_once()
+            lo_loss, lo_struct, _ = eval_once()
             t.value[idx] = orig
             if hi_struct != base_struct or lo_struct != base_struct:
                 continue  # non-differentiable point: a discrete choice flipped
@@ -333,7 +341,7 @@ def test_geometry_oracles():
     betas = np.linspace(0.0, 0.9, 10)
     prev = None
     for beta in betas:
-        cur = aggregation.eligible_points(f_grid, None, beta)
+        cur = aggregation.eligible_points(f_grid, beta)
         if prev is not None:
             assert np.all(cur <= prev)
         prev = cur

@@ -8,6 +8,7 @@ from sceneseg.errors import ContractError
 from helpers import (
     candidate_sample_quadratic,
     candidate_sample_where,
+    coverage_of,
     finite_diff,
     mul,
     rel_err,
@@ -36,32 +37,32 @@ class TestForegroundHead:
 class TestEligiblePoints:
     def test_no_candidates(self):
         f = np.array([0.1, 0.8, 0.9])
-        out = agg.eligible_points(f, None, 0.3)
+        out = agg.eligible_points(f, 0.3)
         np.testing.assert_array_equal(out, [False, True, True])
 
     def test_beta_zero_boundary(self):
         f = np.array([0.0, 0.5, 1.0])
-        out = agg.eligible_points(f, None, 0.0)
+        out = agg.eligible_points(f, 0.0)
         np.testing.assert_array_equal(out, [False, True, True])
 
     def test_full_coverage_empties_set(self):
+        """A first pick whose rq-ball covers every point leaves none eligible."""
+        pos = np.zeros((4, 3))
+        pos[:, 0] = [0.0, 0.1, 0.2, 0.3]
         f = np.full(4, 0.9)
-        cands = agg.CandidateSet(
-            indices=np.array([0]), coverage=np.ones((1, 4), dtype=bool)
-        )
-        assert not agg.eligible_points(f, cands, 0.3).any()
+        assert agg.eligible_points(f, 0.3).all()
+        cands = agg.iterative_candidate_sample(pos, f, 0.3, 4, rq=0.5)
+        np.testing.assert_array_equal(cands.indices, [0])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))
     def test_monotone_in_beta(self, seed):
         rng = np.random.default_rng(seed)
         f = rng.uniform(size=20)
-        cov = rng.uniform(size=(2, 20)) < 0.3
-        cands = agg.CandidateSet(indices=np.array([0, 1]), coverage=cov)
         betas = np.linspace(0.05, 0.95, 10)
         prev = None
         for b in betas:
-            cur = agg.eligible_points(f, cands, b)
+            cur = agg.eligible_points(f, b)
             if prev is not None:
                 assert np.all(cur <= prev)  # raising beta never grows the set
             prev = cur
@@ -95,8 +96,18 @@ class TestIterativeCandidateSample:
         pos[:, 0] = [0.0, 0.1, 0.2, 2.0, 3.0]
         f = np.array([0.9, 0.8, 0.8, 0.8, 0.8])
         cands = agg.iterative_candidate_sample(pos, f, 0.3, 3, rq=0.5)
-        assert cands.indices[0] == 0
-        np.testing.assert_array_equal(cands.coverage[0], [True, True, True, False, False])
+        np.testing.assert_array_equal(cands.indices, [0, 4, 3])  # 1 and 2 are in 0's ball
+        np.testing.assert_array_equal(
+            coverage_of(pos, cands.indices, 0.5)[0], [True, True, True, False, False]
+        )
+
+    def test_picks_recorded(self, monkeypatch):
+        """The int64 picks are the sampler's one entry in the structure trace."""
+        monkeypatch.setattr(ad, "structure_trace", [])
+        pos = np.random.default_rng(4).uniform(size=(30, 3))
+        cands = agg.iterative_candidate_sample(pos, np.full(30, 0.9), 0.3, 5, rq=0.2)
+        assert cands.indices.dtype == np.int64 and len(cands.indices) == 5
+        assert ad.structure_trace == [cands.indices.tobytes()]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -113,10 +124,11 @@ class TestIterativeCandidateSample:
         pos = base[which]
         f = np.array(scores[: len(which)])
         got = agg.iterative_candidate_sample(pos, f, beta, k_cand, rq)
-        want = candidate_sample_quadratic(pos, f, beta, k_cand, rq)
-        np.testing.assert_array_equal(got.indices, want.indices)
-        np.testing.assert_array_equal(got.coverage, want.coverage)
-        assert got.coverage.shape == want.coverage.shape
+        want, want_coverage = candidate_sample_quadratic(pos, f, beta, k_cand, rq)
+        np.testing.assert_array_equal(got.indices, want)
+        coverage = coverage_of(pos, got.indices, rq)
+        np.testing.assert_array_equal(coverage, want_coverage)
+        assert coverage.shape == want_coverage.shape
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -128,8 +140,9 @@ class TestIterativeCandidateSample:
         st.sampled_from([0.0, 0.2, 0.5, 1.0, 3.0]),
     )
     def test_same_picks_and_coverage_as_fresh_masks(self, seed, n, kind, beta, k_cand, rq):
-        """One in-place score array gives the indices and coverage, bytes and
-        shape, of a fresh np.where mask per pick on the fresh distance rows."""
+        """One in-place score array gives the indices, and so the coverage,
+        bytes and shape, of a fresh np.where mask per pick on the fresh
+        distance rows."""
         rng = np.random.default_rng(seed)
         if kind == "grid":  # repeated points, equal distances
             pos = rng.integers(0, 3, size=(n, 3)) * 0.5
@@ -137,8 +150,9 @@ class TestIterativeCandidateSample:
             pos = rng.normal(size=(n, 3))
         f = rng.choice([0.1, 0.3, 0.6, 0.9, 1.0], size=n)
         got = agg.iterative_candidate_sample(pos, f, beta, k_cand, rq)
-        want = candidate_sample_where(pos, f, beta, k_cand, rq)
-        for a, b in [(got.indices, want.indices), (got.coverage, want.coverage)]:
+        want, want_coverage = candidate_sample_where(pos, f, beta, k_cand, rq)
+        coverage = coverage_of(pos, got.indices, rq)
+        for a, b in [(got.indices, want), (coverage, want_coverage)]:
             assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 

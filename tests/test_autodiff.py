@@ -929,14 +929,19 @@ class TestTapeLifetime:
 
 
 def forward_bytes(model, prep):
-    """Every output of one forward pass with captured attention, as bytes."""
-    out = model.forward(prep, capture_attention=True)
+    """Every output of one forward pass with captured attention, and every
+    discrete choice it records, as bytes."""
+    ad.structure_trace = trace = []
+    try:
+        out = model.forward(prep, capture_attention=True)
+    finally:
+        ad.structure_trace = None
     layers = [
         (p.class_probs.value.tobytes(), p.iou_score.value.tobytes(), p.sp_mask.value.tobytes())
         for p in out.preds
     ]
     attention = [[w.tobytes() for w in heads] for heads in out.attention]
-    return layers, out.foreground.value.tobytes(), out.keypoints.tobytes(), out.structure, attention
+    return layers, out.foreground.value.tobytes(), out.keypoints.tobytes(), trace, attention
 
 
 class TestNoTape:

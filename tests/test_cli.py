@@ -144,7 +144,7 @@ class TestPredict:
             == 0
         )
         n_points = scenegen.read_ply(scene).n_points
-        sid, n_sp, instances = inference.read_predictions(out / "scene_001.pred.txt", n_points)
+        sid, n_sp, instances = inference.read_predictions(out / "scene_001.pred.txt", n_points, 3)
         assert sid == "scene_001"
         for inst in instances:
             assert 0 <= inst.class_id < 3
@@ -340,6 +340,7 @@ class TestConfigRanges:
             ("train", ["train.lr=0"], "train.lr"),
             ("train", ["train.lr=-0.01"], "train.lr"),
             ("train", ["train.w_bce=-1"], "train.w_bce"),
+            ("train", ["msa.rq=-0.3"], "msa.rq"),
         ],
     )
     def test_exit_2_naming_the_key(self, workspace, tmp_path, capsys, command, sets, key):
@@ -386,6 +387,13 @@ class TestFixedExits:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "scene_001.ply" in err and "class 2" in err
         assert not (out / "loss.csv").exists() and not (out / "checkpoint.psgw").exists()
+
+    def test_train_with_a_radius_whose_square_overflows(self, workspace, tmp_path):
+        """msa.r2=1e300 ended in an OverflowError traceback (exit 1)."""
+        out = tmp_path / "run"
+        code = run(["train", "--data", str(workspace / "data"), "--out", str(out)],
+                   ["msa.r2=1e300", "train.steps=1"])
+        assert code == 0 and (out / "checkpoint.psgw").exists()
 
 
 class TestBadInputExitCodes:
@@ -470,6 +478,21 @@ class TestBadInputExitCodes:
     def test_instance_class_out_of_range(self, scene, eval_one):
         scene.semantic[scene.instance == 0] = scene.n_class
         assert eval_one(scene, f"scene scene_000 {scene.n_points} 1\n") == 3
+
+    @pytest.mark.parametrize(
+        "cls, score, match",
+        [("3", "0.5", "class 3"), ("7", "0.5", "class 7"), ("-1", "0.5", "class -1"),
+         ("0", "nan", "score nan"), ("0", "inf", "score inf"), ("0", "-inf", "score -inf")],
+    )
+    def test_garbage_prediction(self, scene, eval_one, capsys, cls, score, match):
+        """A class outside [0, n_class) or a non-finite score: eval dropped or
+        mis-sorted the instance and exited 0."""
+        n = scene.n_points
+        text = f"scene scene_000 {n} 1\ninstance 0 0.5 0 {n}\ninstance {cls} {score} 0 {n}\n"
+        assert eval_one(scene, text) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "scene_000.pred.txt" in err and "line 3" in err
+        assert match in err, err
 
     def test_blank_line_in_predictions(self, scene, eval_one):
         n = scene.n_points

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sceneseg import autodiff as ad
+from sceneseg import autodiff as ad, decoder
 from sceneseg.decoder import (
     Decoder,
     DecoderConfig,
@@ -32,6 +32,17 @@ class TestAttentionMask:
         a = build_attention_mask(np.array([[0.1, 0.2], [0.9, 0.9]]), 0.5)
         np.testing.assert_array_equal(a[0], [0.0, 0.0])
         np.testing.assert_array_equal(a[1], [0.0, 0.0])
+
+    def test_open_pattern_recorded(self, monkeypatch):
+        """The mask is the {0, -inf} where-form with dead rows opened, NaN
+        entries closed, and its np.isfinite pattern is its one trace entry."""
+        monkeypatch.setattr(ad, "structure_trace", [])
+        prev = np.array([[0.6, 0.5, np.nan], [0.1, 0.2, 0.3], [np.nan, 0.9, 0.4]])
+        a = build_attention_mask(prev, 0.5)
+        want = np.where(prev >= 0.5, 0.0, -np.inf)
+        want[~np.isfinite(want).any(axis=1)] = 0.0
+        assert a.tobytes() == want.tobytes() and a.shape == want.shape
+        assert ad.structure_trace == [np.isfinite(a).tobytes()]
 
     def test_all_zero_prev_mask_no_nan(self):
         a = build_attention_mask(np.zeros((3, 5)), 0.5)
@@ -229,15 +240,29 @@ class TestDecoder:
             assert np.all((p.iou_score.value > 0) & (p.iou_score.value < 1))
             assert np.all((p.sp_mask.value > 0) & (p.sp_mask.value < 1))
 
-    def test_attention_masks_recorded(self):
+    def test_attention_masks_recorded(self, monkeypatch):
+        """Each layer is gated by the mask of the prediction before it, whose
+        open pattern goes to the structure trace in layer order; the last
+        prediction gates nothing, so its mask is not built."""
         dec, _, cfg = self.make()
+        built = []
+
+        def spy(prev_mask, tau):
+            built.append((prev_mask, build_attention_mask(prev_mask, tau)))
+            return built[-1][1]
+
+        monkeypatch.setattr(decoder, "build_attention_mask", spy)
+        monkeypatch.setattr(ad, "structure_trace", [])
         preds = dec.run(*self.inputs(cfg))
-        assert len(dec.attention_masks) == len(preds)
-        for mask, p in zip(dec.attention_masks, preds):
+        assert len(built) == cfg.layers == len(preds) - 1
+        patterns = iter(ad.structure_trace)
+        for (prev, mask), p in zip(built, preds):
+            assert prev is p.sp_mask.value
             want = np.where(p.sp_mask.value >= cfg.tau, 0.0, -np.inf)
             dead = ~np.isfinite(want).any(axis=1)
             want[dead] = 0.0
             np.testing.assert_array_equal(mask, want)
+            assert np.isfinite(mask).tobytes() in patterns  # consumes: in order
 
     def test_capture_shape(self):
         dec, _, cfg = self.make()

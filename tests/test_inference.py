@@ -320,7 +320,7 @@ class TestPredictionFiles:
         ]
         path = tmp_path / "scene_000.pred.txt"
         inference.write_predictions(path, "scene_000", 30, 7, instances)
-        sid, n_sp, back = inference.read_predictions(path, 30)
+        sid, n_sp, back = inference.read_predictions(path, 30, 3)
         assert sid == "scene_000" and n_sp == 7
         assert len(back) == 3
         for a, b in zip(instances, back):
@@ -332,7 +332,7 @@ class TestPredictionFiles:
         p = tmp_path / "bad.txt"
         p.write_text("nope\n")
         with pytest.raises(ParseError):
-            inference.read_predictions(p, 4)
+            inference.read_predictions(p, 4, 3)
 
     @pytest.mark.parametrize(
         "body, line",
@@ -349,7 +349,7 @@ class TestPredictionFiles:
         p = tmp_path / "bad.pred.txt"
         p.write_text(body)
         with pytest.raises(ParseError) as info:
-            inference.read_predictions(p, 4)
+            inference.read_predictions(p, 4, 3)
         assert info.value.line == line
 
     @pytest.mark.parametrize(
@@ -366,7 +366,7 @@ class TestPredictionFiles:
         p = tmp_path / "bad.pred.txt"
         p.write_text(f"scene s 4 1\ninstance 0 0.5 0 4\ninstance 1 0.5 {runs}\n")
         with pytest.raises(ParseError, match=f"^line 3: .*{match}") as info:
-            inference.read_predictions(p, 4)
+            inference.read_predictions(p, 4, 3)
         assert info.value.line == 3
 
     @settings(max_examples=200, deadline=None)
@@ -377,7 +377,11 @@ class TestPredictionFiles:
                 st.lists(
                     st.tuples(
                         arrays(bool, n),
-                        st.sampled_from(["ok"] * 6 + ["short", "long", "negative", "huge", "text"]),
+                        st.sampled_from(
+                            ["ok"] * 6
+                            + ["short", "long", "negative", "huge", "text"]
+                            + ["class_high", "class_negative", "nan", "inf"]
+                        ),
                     ),
                     max_size=5,
                 ),
@@ -400,31 +404,33 @@ class TestPredictionFiles:
             elif fault == "huge":
                 runs = [2**70] + runs
             runs = " ".join(map(str, runs)) + (" x" if fault == "text" else "")
-            body.append(f"instance {i % 3} {0.1 * i!r} {runs}")
+            cls = {"class_high": 7, "class_negative": -1}.get(fault, i % 3)
+            score = {"nan": "nan", "inf": "-inf" if i % 2 else "inf"}.get(fault, repr(0.1 * i))
+            body.append(f"instance {cls} {score} {runs}")
         path = tmp_path_factory.mktemp("pred") / "s.pred.txt"
         path.write_text("\n".join(body) + "\n")
         bad = [ln for ln, (_, fault) in enumerate(lines, start=2) if fault != "ok"]
         if not bad:
-            sid, n_sp, got = inference.read_predictions(path, n)
-            assert (sid, n_sp) == read_predictions_loop(path)[:2] == ("s", 3)
-            want = read_predictions_loop(path)[2]
+            sid, n_sp, got = inference.read_predictions(path, n, 3)
+            assert (sid, n_sp) == read_predictions_loop(path, 3)[:2] == ("s", 3)
+            want = read_predictions_loop(path, 3)[2]
             assert [(a.class_id, a.final_score) for a in got] == [
                 (b.class_id, b.final_score) for b in want
             ]
             assert [a.point_mask.tobytes() for a in got] == [b.point_mask.tobytes() for b in want]
             return
         with pytest.raises(ParseError) as info:
-            inference.read_predictions(path, n)
+            inference.read_predictions(path, n, 3)
         assert info.value.line == bad[0]
         with pytest.raises(ParseError) as oracle:
-            read_predictions_loop(path)
+            read_predictions_loop(path, 3)
         assert oracle.value.line in (None, bad[0])
 
     def test_negative_run_rejected(self, tmp_path):
         p = tmp_path / "bad.pred.txt"
         p.write_text("scene s 4 1\ninstance 0 0.5 6 -2\n")
         with pytest.raises(ParseError, match="negative"):
-            inference.read_predictions(p, 4)
+            inference.read_predictions(p, 4, 3)
 
     def test_header_count_checked_against_scene_before_decoding(self, tmp_path, monkeypatch):
         n = 99999999999999
@@ -432,10 +438,10 @@ class TestPredictionFiles:
         p.write_text(f"scene s {n} 1\ninstance 0 0.5 {n}\n")
         monkeypatch.setattr(inference, "_rle_decode", None)  # decoding would fail loudly
         with pytest.raises(ParseError, match=f"^line 1: header gives {n} points, the scene has 4$"):
-            inference.read_predictions(p, 4)
+            inference.read_predictions(p, 4, 3)
         monkeypatch.undo()
         p.write_text("scene s 4 1\ninstance 0 0.5 1 3\n")
-        _, _, (inst,) = inference.read_predictions(p, 4)
+        _, _, (inst,) = inference.read_predictions(p, 4, 3)
         assert inst.point_mask.tolist() == [False, True, True, True]
 
 

@@ -37,6 +37,17 @@ class TestSphereQuery:
         lists = kernels.sphere_query_lists(pos[:3], pos, 1e9, 10)
         assert all(len(g) == 10 for g in lists)
 
+    def test_radius_whose_square_overflows(self):
+        """float(r) ** 2 overflows for r above about 1.3e154; every point is
+        then in range, as for any radius beyond the cloud, and the cap keeps
+        the nearest."""
+        rng = np.random.default_rng(2)
+        pos = rng.normal(size=(50, 3))
+        for cap in (10, 50):
+            got = kernels.sphere_query_lists(pos[:3], pos, 1e300, cap)
+            want = kernels.sphere_query_lists(pos[:3], pos, 1e9, cap)
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         pos = rng.uniform(0, 2, size=(200, 3))
