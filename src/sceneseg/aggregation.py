@@ -60,13 +60,13 @@ def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
     repeatedly the eligible point farthest from all prior picks.
 
     One distance row per pick updates both the eligibility (eligible_points,
-    less each pick's rq-ball) and one score array: f for the first pick, then
-    the distance to the nearest pick, -inf where f <= beta or inside the
-    first pick's ball. A point a later ball covers keeps its distance, which
-    is below rq * rq while an eligible point's is not, so argmax never
-    returns it. Positions are finite (SegModel.prepare refuses the rest): no
-    distance is NaN, and the running minimum keeps each -inf. The picks go to
-    ad.structure_trace.
+    less each pick's rq-ball, which holds the pick even at rq = 0) and one
+    score array: f for the first pick, then the distance to the nearest pick,
+    -inf at each pick, where f <= beta or inside the first pick's ball. A
+    point a later ball covers keeps its distance, which is below rq * rq
+    while an eligible point's is not, so argmax never returns it. Positions
+    are finite (SegModel.prepare refuses the rest): no distance is NaN, and
+    the running minimum keeps each -inf. The picks go to ad.structure_trace.
     """
     # contiguous once here, so min_sq_dist_to_set copies nothing per pick
     positions = np.ascontiguousarray(positions, dtype=np.float64)
@@ -80,8 +80,10 @@ def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
         pick = int(np.argmax(score))
         d = kernels.min_sq_dist_to_set(positions, np.array([pick], dtype=np.int64))
         ok &= ~(d < rq * rq)
+        ok[pick] = False
         if indices:
             np.minimum(score, d, out=score)
+            score[pick] = -np.inf
         else:
             score = np.where(ok, d, -np.inf)
         indices.append(pick)

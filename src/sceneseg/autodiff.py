@@ -40,8 +40,8 @@ Four rules keep the bytes and bound the memory:
   code drops it; the CLI's `predict` and `inspect-attn` run this way. Its
   push becomes a sentinel: `backward` from such a tensor, or through a
   taped graph that reaches one, raises ContractError instead of leaving
-  gradients silently missing. The values are those of the taped pass,
-  byte for byte.
+  gradients silently missing. The values, and the weights `inspect-attn`
+  takes from `attention_trace`, are those of the taped pass, byte for byte.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ CHECKPOINT_VERSION = 1
 # decoder layer's gating mask. Finite-difference checks use this to detect
 # entries where a kink or routing choice flips under the probe perturbation.
 structure_trace = None
+# When set to a list, each masked `attention` call appends its heads x K x M
+# weights: in the decoder, the gated cross-attention over superpoints by layer.
+attention_trace = None
 
 
 def record_structure(pattern):
@@ -266,15 +269,15 @@ def softmax_rows(x, extra=None):
     return Tensor(s, (x,), push)
 
 
-def attention(q, k, v, heads, mask=None, capture=None):
+def attention(q, k, v, heads, mask=None):
     """Multi-head scaled dot-product attention of q's rows over k's and v's.
 
     q is K x d and k, v are M x d. Column block h (width d/heads) of each
     attends on its own, and the heads' outputs are concatenated into K x d.
     `mask` is a constant K x M additive {0, -inf} matrix shared by all heads;
     a row with no finite logit raises FullyMaskedRowError. With zero context
-    rows the output is a zero constant. `capture`, if a list, receives one
-    K x M weight matrix per head.
+    rows the output is a zero constant. A call with a mask appends a copy of
+    its heads x K x M weights to attention_trace when that is a list.
 
     One tape node: the heads run as stacked matmuls under a hand-written
     backward. Each step mirrors the per-head slice / transpose / matmul /
@@ -311,8 +314,8 @@ def attention(q, k, v, heads, mask=None, capture=None):
     s -= m
     np.exp(s, out=s)
     s /= s.sum(axis=2, keepdims=True)
-    if capture is not None:
-        capture.extend(w.copy() for w in s)
+    if mask is not None and attention_trace is not None:
+        attention_trace.append(s.copy())
 
     def push(g):
         g = split(g)

@@ -95,14 +95,14 @@ def cmd_train(cfg, data_dir, out_dir):
     return 0
 
 
-def _untaped_forward(cfg, checkpoint, scene_path, capture_attention=False):
+def _untaped_forward(cfg, checkpoint, scene_path):
     """The prepared scene and the untaped forward pass of the checkpoint's model."""
     scene = scenegen.read_ply(scene_path)
     model = SegModel(cfgmod.model_config(cfg))
     model.store.load(checkpoint)
     prep = model.prepare(scene)
     with ad.no_tape():
-        return prep, model.forward(prep, capture_attention=capture_attention)
+        return prep, model.forward(prep)
 
 
 def cmd_predict(cfg, checkpoint, scene_path, out_dir):
@@ -156,8 +156,12 @@ def cmd_inspect_attn(cfg, checkpoint, scene_path, layer, head, out_path):
         raise ConfigError(f"head {head} out of range [0, {cfg['decoder.heads']})")
     if not cfg["model.use_global"]:
         raise ConfigError("model.use_global=false: no masked cross-attention runs to inspect")
-    _, out = _untaped_forward(cfg, checkpoint, scene_path, capture_attention=True)
-    weights = out.attention[layer][head]
+    ad.attention_trace = trace = []
+    try:
+        _untaped_forward(cfg, checkpoint, scene_path)
+    finally:
+        ad.attention_trace = None
+    weights = trace[layer][head]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"sp{j}" for j in range(weights.shape[1])])

@@ -62,10 +62,10 @@ class MultiHeadAttention:
         self.v = ad.Linear(store, prefix + ".v", d, d, rng)
         self.out = ad.Linear(store, prefix + ".out", d, d, rng)
 
-    def __call__(self, z, f, mask=None, capture=None):
+    def __call__(self, z, f, mask=None):
         """Attention of z's rows over f's rows (see ad.attention); with zero
         context rows the output is the projection bias alone."""
-        return self.out(ad.attention(self.q(z), self.k(f), self.v(f), self.heads, mask, capture))
+        return self.out(ad.attention(self.q(z), self.k(f), self.v(f), self.heads, mask))
 
 
 class DecoderLayer:
@@ -86,11 +86,11 @@ class DecoderLayer:
             for i in range(3)
         ]
 
-    def __call__(self, z, f_g, f_l, mask, use_local, use_global, capture=None):
+    def __call__(self, z, f_g, f_l, mask, use_local, use_global):
         k = z.shape[0]
         d = self.fuse.w.shape[1]
         if use_global:
-            branch_g = self.cross_g(z, f_g, mask=mask, capture=capture)
+            branch_g = self.cross_g(z, f_g, mask=mask)
         else:
             branch_g = ad.constant(np.zeros((k, d)))
         if use_local:
@@ -131,19 +131,15 @@ class Decoder:
         ]
         self.head = PredictionHead(store, cfg, rng)
 
-    def run(self, f_g, f_l, s_mask, use_local=True, use_global=True, capture=None):
+    def run(self, f_g, f_l, s_mask, use_local=True, use_global=True):
         """All per-layer predictions (layers + 1 of them, first from the raw
-        queries); each layer is gated by the mask of the prediction before
-        it. `capture`, if a list, receives per-layer lists of per-head
-        masked cross-attention weights over superpoints."""
+        queries); with use_global each layer's cross-attention over
+        superpoints is gated by the mask of the prediction before it."""
         z = self.query
         s_mask_t = ad.transpose(s_mask)
         preds = [self.head(z, s_mask_t)]
         for layer in self.layers:
-            mask = build_attention_mask(preds[-1].sp_mask.value, self.cfg.tau)
-            layer_capture = [] if capture is not None else None
-            z = layer(z, f_g, f_l, mask, use_local, use_global, capture=layer_capture)
-            if capture is not None:
-                capture.append(layer_capture)
+            mask = build_attention_mask(preds[-1].sp_mask.value, self.cfg.tau) if use_global else None
+            z = layer(z, f_g, f_l, mask, use_local, use_global)
             preds.append(self.head(z, s_mask_t))
         return preds

@@ -1,4 +1,4 @@
-"""Geometric hot loops: farthest point sampling and sphere queries.
+"""Geometric hot loops: distance rows and sphere queries.
 
 Pure numpy, one distance row per step; ties always go to the lowest index.
 """
@@ -21,21 +21,6 @@ def _sq_dists(positions, center):
     t *= t
     d += t
     return d
-
-
-def farthest_point_sample(positions, n, start):
-    """Greedy max-min selection of n indices; ties resolved to the lowest index."""
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
-    if n > positions.shape[0]:
-        raise ContractError(f"cannot sample {n} of {positions.shape[0]} points")
-    chosen = np.empty(n, dtype=np.int64)
-    mind = np.full(positions.shape[0], np.inf)
-    cur = start
-    for i in range(n):
-        chosen[i] = cur
-        np.minimum(mind, _sq_dists(positions, positions[cur]), out=mind)
-        cur = int(np.argmax(mind))  # argmax takes the first max: lowest index on ties
-    return chosen
 
 
 def min_sq_dist_to_set(positions, indices):

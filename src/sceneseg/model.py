@@ -43,7 +43,6 @@ class ForwardResult:
     preds: list  # LayerPrediction per decoder stage (layers + 1)
     foreground: ad.Tensor  # N x 1
     keypoints: np.ndarray  # selected keypoint point-indices
-    attention: list | None = None
 
 
 class SegModel:
@@ -71,7 +70,7 @@ class SegModel:
             scene=scene, partition=partition, gt=scenegen.ground_truth(scene, partition)
         )
 
-    def forward(self, prep: PreparedScene, capture_attention=False) -> ForwardResult:
+    def forward(self, prep: PreparedScene) -> ForwardResult:
         cfg = self.cfg
         scene = prep.scene
         f_p = self.backbone(scene)
@@ -89,9 +88,5 @@ class SegModel:
         pooled = aggregation.superpoint_avg_pool(f_p, prep.partition)
         f_g, s_mask = self.proj(pooled)
 
-        capture = [] if capture_attention else None
-        preds = self.decoder.run(
-            f_g, f_l, s_mask,
-            use_local=cfg.use_local, use_global=cfg.use_global, capture=capture,
-        )
-        return ForwardResult(preds=preds, foreground=fg, keypoints=keypoints, attention=capture)
+        preds = self.decoder.run(f_g, f_l, s_mask, use_local=cfg.use_local, use_global=cfg.use_global)
+        return ForwardResult(preds=preds, foreground=fg, keypoints=keypoints)

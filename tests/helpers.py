@@ -5,6 +5,8 @@ autodiff ops and the small ops they are built of, the tape-keeping oracle of
 a fresh array for every step of the ops that now work in place, and tiny
 scene and model builders."""
 
+import contextlib
+
 import numpy as np
 from numpy.lib.array_utils import byte_bounds
 
@@ -107,6 +109,18 @@ def micro_model(seed=0, k=4, d=16, layers=2):
         seed=seed,
     )
     return model.SegModel(cfg)
+
+
+@contextlib.contextmanager
+def traced(sink):
+    """Set the autodiff sink `sink` ("structure_trace" or "attention_trace")
+    to a fresh list for the block, yield it, and reset the sink to None."""
+    trace = []
+    setattr(ad, sink, trace)
+    try:
+        yield trace
+    finally:
+        setattr(ad, sink, None)
 
 
 def forward_tensors(out):
@@ -269,9 +283,16 @@ def read_ply_loop(path):
     return scenegen.Scene(points=pts, semantic=sem, instance=inst, n_class=n_class)
 
 
+def ball_of(positions, pick, rq):
+    """N bool: the points within rq of the pick, and always the pick itself."""
+    ball = kernels.min_sq_dist_to_set(positions, np.array([pick], dtype=np.int64)) < rq * rq
+    ball[pick] = True
+    return ball
+
+
 def coverage_of(positions, indices, rq):
     """n_cand x N bool: the rq-ball membership of each listed point."""
-    balls = [kernels.min_sq_dist_to_set(positions, [i]) < rq * rq for i in indices]
+    balls = [ball_of(positions, i, rq) for i in indices]
     return np.array(balls) if balls else np.zeros((0, len(positions)), dtype=bool)
 
 
@@ -293,8 +314,7 @@ def candidate_sample_quadratic(positions, f, beta, k_cand, rq):
             d = kernels.min_sq_dist_to_set(positions, np.array(indices, dtype=np.int64))
             pick = int(np.argmax(np.where(ok, d, -np.inf)))
         indices.append(pick)
-        ball = kernels.min_sq_dist_to_set(positions, np.array([pick], dtype=np.int64)) < rq * rq
-        coverage = np.concatenate([coverage, ball[None]], axis=0)
+        coverage = np.concatenate([coverage, ball_of(positions, pick, rq)[None]], axis=0)
     return np.array(indices, dtype=np.int64), coverage
 
 
@@ -341,6 +361,7 @@ def candidate_sample_where(positions, f, beta, k_cand, rq):
         d = min_sq_dist_from_inf(positions, np.array([pick], dtype=np.int64))
         nearest = d if nearest is None else np.minimum(nearest, d)
         ball = d < rq * rq
+        ball[pick] = True
         ok &= ~ball
         indices.append(pick)
         balls.append(ball)
@@ -353,7 +374,7 @@ def candidate_sample_where(positions, f, beta, k_cand, rq):
 # stacked op with a fresh array for every step
 
 
-def attention_with_temporaries(q, k, v, heads, mask=None, capture=None):
+def attention_with_temporaries(q, k, v, heads, mask=None):
     """ad.attention computing each softmax and backward step into a new
     array, with k copied twice into its heads x dh x M layout."""
     rows, d = q.shape
@@ -378,8 +399,8 @@ def attention_with_temporaries(q, k, v, heads, mask=None, capture=None):
         raise ad.FullyMaskedRowError("softmax row has no finite entry")
     e = np.exp(z - m)
     s = e / e.sum(axis=2, keepdims=True)
-    if capture is not None:
-        capture.extend(w.copy() for w in s)
+    if mask is not None and ad.attention_trace is not None:
+        ad.attention_trace.append(s.copy())
 
     def push(g):
         g = split(g)
@@ -421,21 +442,22 @@ def slice_cols(x, a, b):
     return ad.Tensor(x.value[:, a:b].copy(), (x,), push)
 
 
-def composed_attention(q, k, v, heads, mask=None, capture=None):
+def composed_attention(q, k, v, heads, mask=None):
     """ad.attention built from per-head slice / transpose / matmul / affine /
     softmax_rows / matmul nodes joined by concat_cols."""
     if k.shape[0] == 0:
         return ad.constant(np.zeros(q.shape))
     dh = q.shape[1] // heads
-    outs = []
+    outs, weights = [], []
     for h in range(heads):
         a, b = h * dh, (h + 1) * dh
         qh, kh, vh = slice_cols(q, a, b), slice_cols(k, a, b), slice_cols(v, a, b)
         logits = ad.affine(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
         w = ad.softmax_rows(logits, extra=mask)
-        if capture is not None:
-            capture.append(w.value.copy())
+        weights.append(w.value)
         outs.append(ad.matmul(w, vh))
+    if mask is not None and ad.attention_trace is not None:
+        ad.attention_trace.append(np.stack(weights))
     return ad.concat_cols(outs)
 
 

@@ -32,7 +32,7 @@ from sceneseg.inference import InstanceResult
 from sceneseg.model import SegModel, seed_for
 from sceneseg.training import Assignment, TrainConfig
 
-from helpers import SMALL_CFG, micro_model, micro_scene
+from helpers import SMALL_CFG, micro_model, micro_scene, traced
 
 
 def criterion(num, name):
@@ -293,9 +293,11 @@ def test_attention_mask_semantics():
     rng = np.random.default_rng(1)
     z = ad.constant(rng.normal(size=(2, 8)))
     f = ad.constant(rng.normal(size=(3, 8)))
-    cap = []
-    attn(z, f, mask=a, capture=cap)
-    for w in cap:
+    with traced("attention_trace") as cap:
+        attn(z, f, mask=a)
+    (weights,) = cap
+    assert weights.shape == (2, 2, 3)  # heads x queries x context rows
+    for w in weights:
         assert np.all(w[0, 2] == 0.0)  # masked column: exactly zero weight
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
         assert np.all(np.isfinite(w))
@@ -303,10 +305,12 @@ def test_attention_mask_semantics():
     # all-zero previous mask: fallback to fully unmasked rows, no NaN
     fallback = build_attention_mask(np.zeros((2, 3)), 0.5)
     np.testing.assert_array_equal(fallback, np.zeros((2, 3)))
-    cap2 = []
-    out = attn(z, f, mask=fallback, capture=cap2)
+    with traced("attention_trace") as cap2:
+        out = attn(z, f, mask=fallback)
     assert np.all(np.isfinite(out.value))
-    for w in cap2:
+    (weights,) = cap2
+    assert weights.shape == (2, 2, 3)
+    for w in weights:
         assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
 
 
@@ -324,16 +328,21 @@ def test_geometry_oracles():
             want = np.nonzero(((pos - keys[k]) ** 2).sum(axis=1) < r * r)[0]
             np.testing.assert_array_equal(np.sort(got[k]), want)
 
+    # farthest point sampling is the candidate sampler with every point
+    # eligible and no ball but each pick's own (rq = 0); it starts at index 0
+    def fps(points, n):
+        return aggregation.iterative_candidate_sample(points, np.ones(len(points)), 0.5, n, 0.0).indices
+
     # unit-square example: start at (0,0) -> second pick is the far corner
     square = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-    picks = kernels.farthest_point_sample(square, 2, 0)
-    assert picks[1] == 3
+    picks = fps(square, 2)
+    assert picks[0] == 0 and picks[1] == 3
 
     # prefix property
     cloud = rng.uniform(size=(40, 3))
     for n in range(1, 12):
-        a = kernels.farthest_point_sample(cloud, n, 0)
-        b = kernels.farthest_point_sample(cloud, n + 1, 0)
+        a = fps(cloud, n)
+        b = fps(cloud, n + 1)
         np.testing.assert_array_equal(b[:n], a)
 
     # eligible-set monotonicity in beta over a 10x10 grid

@@ -109,6 +109,37 @@ class TestIterativeCandidateSample:
         assert cands.indices.dtype == np.int64 and len(cands.indices) == 5
         assert ad.structure_trace == [cands.indices.tobytes()]
 
+    def test_rq_zero_picks_each_point_once(self):
+        """At rq = 0 no ball covers another point, but each pick is covered by
+        its own: three eligible points give three picks, not six."""
+        pos = np.random.default_rng(5).uniform(size=(12, 3))
+        f = np.full(12, 0.1)
+        f[[3, 7, 11]] = 0.9
+        cands = agg.iterative_candidate_sample(pos, f, 0.3, 6, 0.0)
+        assert sorted(cands.indices) == [3, 7, 11]
+        pos[[7, 11]] = pos[3]  # coincident too
+        cands = agg.iterative_candidate_sample(pos, f, 0.3, 6, 0.0)
+        np.testing.assert_array_equal(cands.indices, [3, 7, 11])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.sampled_from([0.0, 0.3, 0.95]),
+        st.integers(1, 50),
+        st.sampled_from([0.0, 1e-200, 0.2, 0.5, 3.0]),
+    )
+    def test_picks_are_distinct(self, seed, n, beta, k_cand, rq):
+        """No point is picked twice, also at rq = 0, at an rq whose square
+        underflows to 0, and among repeated points."""
+        rng = np.random.default_rng(seed)
+        pos = rng.integers(0, 3, size=(n, 3)) * 0.5
+        f = rng.choice([0.1, 0.6, 1.0], size=n)
+        picks = agg.iterative_candidate_sample(pos, f, beta, k_cand, rq).indices
+        assert len(np.unique(picks)) == len(picks) <= min(k_cand, int((f > beta).sum()))
+        if rq * rq == 0.0:  # no ball covers another point: every eligible point is picked
+            assert len(picks) == min(k_cand, int((f > beta).sum()))
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(st.integers(0, 7), min_size=1, max_size=40),

@@ -36,6 +36,7 @@ from helpers import (
     sub,
     sum_all,
     sum_rows,
+    traced,
 )
 
 
@@ -267,18 +268,19 @@ class TestBackward:
 
 def attention_case(attend, data, heads, mask):
     """Run `attend` between Linear projections, as the decoder does, and
-    return the output, the captured weights and every gradient."""
+    return the output, the weights it sent to ad.attention_trace and every
+    gradient."""
     store = ad.ParamStore()
     z, f, g = (ad.Tensor(x.copy()) for x in data[:3])
     rng = np.random.default_rng(0)
     d = z.shape[1]
     proj = [ad.Linear(store, name, d, d, rng) for name in "qkv"]
     q, k, v = proj[0](z), proj[1](f), proj[2](f)
-    capture = []
-    out = attend(q, k, v, heads, mask, capture)
+    with traced("attention_trace") as trace:
+        out = attend(q, k, v, heads, mask)
     ad.backward(sum_all(mul(out, g)))
     grads = [t.grad for t in (q, k, v, z, f)] + [store.grad_of(n) for n in store.names()]
-    return out.value, capture, grads
+    return out.value, trace, grads
 
 
 @st.composite
@@ -310,8 +312,10 @@ class TestAttention:
         out, cap, grads = attention_case(ad.attention, data, heads, mask)
         want_out, want_cap, want_grads = attention_case(composed_attention, data, heads, mask)
         assert out.tobytes() == want_out.tobytes()
-        assert len(cap) == len(want_cap) == heads
+        # only a masked call records its weights: heads x rows x context
+        assert len(cap) == len(want_cap) == (mask is not None)
         for a, b in zip(cap, want_cap):
+            assert a.shape == b.shape == (heads,) + mask.shape
             assert a.tobytes() == b.tobytes()
         for a, b in zip(grads, want_grads):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -334,8 +338,8 @@ class TestAttention:
     def test_zero_context_rows_give_zero_constant(self):
         q = ad.Tensor(np.ones((3, 4)))
         empty = ad.Tensor(np.zeros((0, 4)))
-        cap = []
-        out = ad.attention(q, empty, empty, 2, np.zeros((3, 0)), cap)
+        with traced("attention_trace") as cap:
+            out = ad.attention(q, empty, empty, 2, np.zeros((3, 0)))
         np.testing.assert_array_equal(out.value, np.zeros((3, 4)))
         assert out.parents == () and cap == []
 
@@ -393,8 +397,8 @@ def layer_norm_inputs(draw):
 
 class TestInPlaceOps:
     """attention and layer_norm compute in arrays they allocate themselves;
-    their values, captures and gradients keep the bytes and the C/F order of
-    the same op computed with a fresh array for every step."""
+    their values, recorded weights and gradients keep the bytes and the C/F
+    order of the same op computed with a fresh array for every step."""
 
     @settings(max_examples=200, deadline=None)
     @given(attention_layouts())
@@ -402,17 +406,18 @@ class TestInPlaceOps:
         values, heads, mask, consumer, g = case
         results = []
         for op in (ad.attention, attention_with_temporaries):
-            capture = []
-            got = fused_case(
-                lambda q, k, v: op(q, k, v, heads, mask, capture),
-                values,
-                lambda out: CONSUMERS[consumer](out, g),
-            )
-            results.append((got, capture))
-        (got, capture), (want, want_capture) = results
+            with traced("attention_trace") as weights:
+                got = fused_case(
+                    lambda q, k, v: op(q, k, v, heads, mask),
+                    values,
+                    lambda out: CONSUMERS[consumer](out, g),
+                )
+            results.append((got, weights))
+        (got, weights), (want, want_weights) = results
         assert_same_bytes_and_order(got, want)
-        assert len(capture) == len(want_capture) == heads
-        for a, b in zip(capture, want_capture):
+        assert len(weights) == len(want_weights) == (mask is not None)
+        for a, b in zip(weights, want_weights):
+            assert a.shape == b.shape == (heads,) + mask.shape
             assert a.tobytes() == b.tobytes() and a.flags.c_contiguous
 
     @settings(max_examples=200, deadline=None)
@@ -929,18 +934,15 @@ class TestTapeLifetime:
 
 
 def forward_bytes(model, prep):
-    """Every output of one forward pass with captured attention, and every
-    discrete choice it records, as bytes."""
-    ad.structure_trace = trace = []
-    try:
-        out = model.forward(prep, capture_attention=True)
-    finally:
-        ad.structure_trace = None
+    """Every output of one forward pass, every discrete choice and every
+    masked attention weight it records, as bytes."""
+    with traced("structure_trace") as trace, traced("attention_trace") as weights:
+        out = model.forward(prep)
     layers = [
         (p.class_probs.value.tobytes(), p.iou_score.value.tobytes(), p.sp_mask.value.tobytes())
         for p in out.preds
     ]
-    attention = [[w.tobytes() for w in heads] for heads in out.attention]
+    attention = [w.tobytes() for w in weights]
     return layers, out.foreground.value.tobytes(), out.keypoints.tobytes(), trace, attention
 
 

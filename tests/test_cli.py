@@ -3,10 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from sceneseg import cli, config as cfgmod, inference, scenegen
+from sceneseg import autodiff as ad, cli, config as cfgmod, inference, scenegen
 from sceneseg.model import SegModel
 
-from helpers import forward_tensors, write_labels_loop
+from helpers import forward_tensors, traced, write_labels_loop
 
 SMALL = [
     "n_scenes=2",
@@ -230,8 +230,20 @@ class TestInspectAttn:
         model = SegModel(cfgmod.model_config(cfg))
         model.store.load(ckpt)
         prep = model.prepare(scenegen.read_ply(ply))
-        res = model.forward(prep, capture_attention=True)
-        np.testing.assert_array_equal(dumped, res.attention[0][1])
+        with traced("attention_trace") as trace:
+            model.forward(prep)
+        assert len(trace) == cfg["decoder.layers"]
+        np.testing.assert_array_equal(dumped, trace[0][1])
+
+    def test_corrupt_checkpoint_exit_3_resets_sink(self, workspace, tmp_path):
+        bad = tmp_path / "bad.psgw"
+        bad.write_bytes(b"JUNK" + b"\x00" * 32)
+        code = run(["inspect-attn", "--checkpoint", str(bad),
+                    "--scene", str(workspace / "data" / "scene_000.ply"),
+                    "--layer", "0", "--head", "0", "--out", str(tmp_path / "a.csv")])
+        assert code == 3
+        assert ad.attention_trace is None
+        assert not (tmp_path / "a.csv").exists()
 
     def test_layer_out_of_range_exit_2(self, workspace, tmp_path):
         code = run(

@@ -12,7 +12,7 @@ from sceneseg.decoder import (
 )
 from sceneseg.errors import ContractError
 
-from helpers import sum_all
+from helpers import sum_all, traced
 
 
 def micro_cfg(**kw):
@@ -75,9 +75,11 @@ class TestMultiHeadAttention:
         f = ad.constant(rng.normal(size=(5, 8)))
         mask = np.zeros((3, 5))
         mask[:, 2] = -np.inf
-        cap = []
-        attn(z, f, mask=mask, capture=cap)
-        for w in cap:
+        with traced("attention_trace") as cap:
+            attn(z, f, mask=mask)
+        (weights,) = cap
+        assert weights.shape == (2, 3, 5)
+        for w in weights:
             assert np.all(w[:, 2] == 0.0)
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
 
@@ -98,9 +100,11 @@ class TestMultiHeadAttention:
         mask = np.full((2, 4), -np.inf)
         mask[0, 1] = 0.0
         mask[1, 3] = 0.0
-        cap = []
-        out = attn(z, f, mask=mask, capture=cap).value
-        for w in cap:
+        with traced("attention_trace") as cap:
+            out = attn(z, f, mask=mask).value
+        (weights,) = cap
+        assert weights.shape == (2, 2, 4)
+        for w in weights:
             np.testing.assert_allclose(w[0], [0, 1, 0, 0], atol=1e-15)
             np.testing.assert_allclose(w[1], [0, 0, 0, 1], atol=1e-15)
         # with one-hot attention the context is just the selected value rows
@@ -264,16 +268,48 @@ class TestDecoder:
             np.testing.assert_array_equal(mask, want)
             assert np.isfinite(mask).tobytes() in patterns  # consumes: in order
 
-    def test_capture_shape(self):
+    def test_no_gating_mask_without_global_branch(self, monkeypatch):
+        """With use_global off no attention reads a gating mask, so none is
+        built and none of their open patterns reaches the structure trace."""
         dec, _, cfg = self.make()
-        cap = []
-        dec.run(*self.inputs(cfg), capture=cap)
+        calls = []
+
+        def spy(prev_mask, tau):
+            calls.append(tau)
+            return build_attention_mask(prev_mask, tau)
+
+        monkeypatch.setattr(decoder, "build_attention_mask", spy)
+        lengths = {}
+        for use_global in (True, False):
+            calls.clear()
+            with traced("structure_trace") as trace, traced("attention_trace") as weights:
+                dec.run(*self.inputs(cfg), use_global=use_global)
+            lengths[use_global] = len(trace)
+            assert len(calls) == len(weights) == (cfg.layers if use_global else 0)
+        # the same ReLU patterns either way; the gated run adds one per layer
+        assert lengths[True] - lengths[False] == cfg.layers
+
+    def test_attention_trace_shape(self):
+        """With the sink set, each layer's gated cross-attention records its
+        heads x K x M weights, and no other attention records any."""
+        dec, _, cfg = self.make()
+        with traced("attention_trace") as cap:
+            dec.run(*self.inputs(cfg))
         assert len(cap) == cfg.layers
         for per_layer in cap:
-            assert len(per_layer) == cfg.heads
+            assert per_layer.shape == (cfg.heads, cfg.k, 9)
             for w in per_layer:
-                assert w.shape == (cfg.k, 9)
                 np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_attention_trace_off_keeps_nothing(self):
+        """With the sink None again, a run appends to no list: not to the
+        sink, and not to a list that an earlier caller set and reset."""
+        dec, _, cfg = self.make()
+        with traced("attention_trace") as earlier:
+            pass
+        preds = dec.run(*self.inputs(cfg))
+        assert len(preds) == cfg.layers + 1
+        assert ad.attention_trace is None and earlier == []
 
     def test_no_nan_under_adversarial_masks(self):
         dec, _, cfg = self.make()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sceneseg import kernels
+from sceneseg import aggregation, kernels
 from sceneseg.errors import ContractError
 
 from helpers import min_sq_dist_from_inf, sq_dists_with_temporaries
@@ -63,41 +63,52 @@ class TestSphereQuery:
             kernels.sphere_query_lists(np.zeros((1, 3)), np.zeros((1, 3)), 0.0, 4)
 
 
+def max_min_picks(pos, k):
+    """Greedy max-min (farthest point) selection of up to k indices: the
+    candidate sampler with every point eligible, no ball but each pick's own,
+    and index 0 as the first pick."""
+    return aggregation.iterative_candidate_sample(pos, np.ones(len(pos)), 0.5, k, 0.0).indices
+
+
 class TestFPS:
     def test_all_points(self):
         pos = np.random.default_rng(0).normal(size=(9, 3))
-        idx = kernels.farthest_point_sample(pos, 9, 0)
+        idx = max_min_picks(pos, 9)
         assert sorted(idx) == list(range(9))
 
     def test_unit_square(self):
         pos = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        idx = kernels.farthest_point_sample(pos, 2, 0)
-        assert idx[1] == 3  # opposite corner
+        idx = max_min_picks(pos, 2)
+        assert idx[0] == 0 and idx[1] == 3  # opposite corner
 
     def test_prefix_property(self):
         pos = np.random.default_rng(2).uniform(size=(40, 3))
         for n in range(1, 15):
-            a = kernels.farthest_point_sample(pos, n, 5)
-            b = kernels.farthest_point_sample(pos, n + 1, 5)
+            a = max_min_picks(pos, n)
+            b = max_min_picks(pos, n + 1)
             np.testing.assert_array_equal(a, b[:n])
 
     def test_greedy_optimality(self):
         # each pick is the point with maximum distance to the selected set
         rng = np.random.default_rng(3)
         pos = rng.uniform(size=(30, 3))
-        idx = kernels.farthest_point_sample(pos, 10, 0)
+        idx = max_min_picks(pos, 10)
+        assert len(idx) == 10
         for step in range(1, 10):
             prev = idx[:step]
             d = kernels.min_sq_dist_to_set(pos, prev)
             assert d[idx[step]] == d.max()
 
     def test_too_many(self):
-        with pytest.raises(ContractError):
-            kernels.farthest_point_sample(np.zeros((3, 3)), 4, 0)
+        """Asked for more picks than points, each point is picked once, also
+        when all of them coincide."""
+        np.testing.assert_array_equal(max_min_picks(np.zeros((3, 3)), 4), [0, 1, 2])
+        pos = np.random.default_rng(4).normal(size=(5, 3))
+        assert sorted(max_min_picks(pos, 9)) == list(range(5))
 
     def test_tie_break_lowest_index(self):
         pos = np.array([[0, 0, 0], [1, 0, 0], [1, 0, 0], [0.5, 0, 0]])
-        idx = kernels.farthest_point_sample(pos, 2, 0)
+        idx = max_min_picks(pos, 2)
         assert idx[1] == 1
 
 

@@ -595,8 +595,8 @@ class TestFit:
         monkeypatch.setattr(
             MultiHeadAttention,
             "__call__",
-            lambda self, z, f, mask=None, capture=None: self.out(
-                composed_attention(self.q(z), self.k(f), self.v(f), self.heads, mask, capture)
+            lambda self, z, f, mask=None: self.out(
+                composed_attention(self.q(z), self.k(f), self.v(f), self.heads, mask)
             ),
         )
         assert self.train_small() == fused
