@@ -65,6 +65,7 @@ CHECKPOINT_VERSION = 1
 structure_trace = None
 # When set to a list, each masked `attention` call appends its heads x K x M
 # weights: in the decoder, the gated cross-attention over superpoints by layer.
+# A caller sets either sink to a list around a pass and to None after it.
 attention_trace = None
 
 

@@ -144,6 +144,7 @@ VERDICTS = {
     },
     "BENCH_14.json": {EVERY: "within bound"},
     "BENCH_15.json": {EVERY: "within bound"},
+    "BENCH_18.json": {("train-cluttered", "setup_s"): "unresolved"},
 }
 
 
