@@ -213,11 +213,7 @@ def affine(a, scale=1.0, shift=0.0):
     `scale` and `shift` may be scalars or arrays broadcastable to a's shape.
     """
     scale = np.asarray(scale, dtype=np.float64)
-    if scale.ndim == 0:
-        push = lambda g: a._take(g * float(scale))
-    else:
-        push = lambda g: a._take(g * scale)
-    return Tensor(scale * a.value + shift, (a,), push)
+    return Tensor(scale * a.value + shift, (a,), lambda g: a._take(g * scale))
 
 
 def linear(x, w, b, relu=False):
@@ -250,13 +246,12 @@ def sigmoid(x):
     return Tensor(s, (x,), lambda g: x._take(g * s * (1.0 - s)))
 
 
-def softmax_rows(x, extra=None):
-    """Row softmax; `extra` is an optional constant additive matrix (may hold -inf).
-
-    -inf logits map to exactly zero weight. A row with no finite logit raises
-    FullyMaskedRowError; callers apply their own fallback before retrying.
+def softmax_rows(x):
+    """Row softmax. -inf logits map to exactly zero weight. A row with no
+    finite logit raises FullyMaskedRowError; callers apply their own fallback
+    before retrying.
     """
-    z = x.value if extra is None else x.value + extra
+    z = x.value
     m = np.max(z, axis=1, keepdims=True) if z.shape[1] else np.full((z.shape[0], 1), -np.inf)
     if np.any(np.isneginf(m)):
         raise FullyMaskedRowError("softmax row has no finite entry")
@@ -523,10 +518,6 @@ def set_criterion(probs, score, mask, rows, onehot, iou, gt, sizes, weights, eps
 # parameters, linear layers, MLPs
 
 
-def init_bound(fan_in):
-    return np.sqrt(1.0 / fan_in)
-
-
 class ParamStore:
     """Named parameter leaves plus flat-binary checkpoint I/O."""
 
@@ -541,7 +532,7 @@ class ParamStore:
         if fill is not None:
             value = np.full((rows, cols), float(fill))
         else:
-            bound = init_bound(fan_in if fan_in is not None else max(rows, 1))
+            bound = np.sqrt(1.0 / (fan_in if fan_in is not None else max(rows, 1)))
             value = rng.uniform(-bound, bound, size=(rows, cols))
         t = Tensor(value, name=name)
         self.params[name] = t
@@ -549,9 +540,6 @@ class ParamStore:
 
     def __getitem__(self, name):
         return self.params[name]
-
-    def __contains__(self, name):
-        return name in self.params
 
     def names(self):
         return sorted(self.params)
@@ -597,6 +585,8 @@ class ParamStore:
                     name = read_exactly(nlen).decode("utf-8")
                 except UnicodeDecodeError:
                     raise ParseError("checkpoint parameter name is not UTF-8") from None
+                if name in arrays:
+                    raise ParseError(f"checkpoint names parameter {name!r} twice")
                 rows, cols = struct.unpack("<II", read_exactly(8))
                 buf = read_exactly(rows * cols * 8)
                 arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()

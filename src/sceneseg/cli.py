@@ -129,7 +129,7 @@ def cmd_eval(pred_dir, gt_dir, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     gts = _load_scenes(gt_dir)
-    pred_paths = {p.stem.replace(".pred", ""): p for p in Path(pred_dir).glob("*.pred.txt")}
+    pred_paths = {p.name.removesuffix(".pred.txt"): p for p in Path(pred_dir).glob("*.pred.txt")}
     missing = sorted(set(gts) ^ set(pred_paths))
     if missing:
         raise DataError(f"scene id mismatch between pred and gt dirs: {missing}")

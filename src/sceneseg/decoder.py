@@ -86,17 +86,11 @@ class DecoderLayer:
             for i in range(3)
         ]
 
-    def __call__(self, z, f_g, f_l, mask, use_local, use_global):
-        k = z.shape[0]
-        d = self.fuse.w.shape[1]
-        if use_global:
-            branch_g = self.cross_g(z, f_g, mask=mask)
-        else:
-            branch_g = ad.constant(np.zeros((k, d)))
-        if use_local:
-            branch_l = self.cross_l(z, self.local_proj(f_l))
-        else:
-            branch_l = ad.constant(np.zeros((k, d)))
+    def __call__(self, z, f_g, f_l, mask):
+        """One layer; a branch whose features are None (ablated) gives zeros."""
+        zeros = np.zeros((z.shape[0], self.fuse.w.shape[1]))
+        branch_g = ad.constant(zeros) if f_g is None else self.cross_g(z, f_g, mask=mask)
+        branch_l = ad.constant(zeros) if f_l is None else self.cross_l(z, self.local_proj(f_l))
         x = ad.add(z, self.fuse(ad.concat_cols([branch_g, branch_l])))
         x = ad.layer_norm(x, *self.norms[0])
         x = ad.layer_norm(ad.add(x, self.self_attn(x, x)), *self.norms[1])
@@ -131,15 +125,16 @@ class Decoder:
         ]
         self.head = PredictionHead(store, cfg, rng)
 
-    def run(self, f_g, f_l, s_mask, use_local=True, use_global=True):
+    def run(self, f_g, f_l, s_mask):
         """All per-layer predictions (layers + 1 of them, first from the raw
-        queries); with use_global each layer's cross-attention over
-        superpoints is gated by the mask of the prediction before it."""
+        queries). Unless f_g is None, each layer's cross-attention over
+        superpoints is gated by the mask of the prediction before it; a None
+        f_g or f_l switches that branch off."""
         z = self.query
         s_mask_t = ad.transpose(s_mask)
         preds = [self.head(z, s_mask_t)]
         for layer in self.layers:
-            mask = build_attention_mask(preds[-1].sp_mask.value, self.cfg.tau) if use_global else None
-            z = layer(z, f_g, f_l, mask, use_local, use_global)
+            mask = None if f_g is None else build_attention_mask(preds[-1].sp_mask.value, self.cfg.tau)
+            z = layer(z, f_g, f_l, mask)
             preds.append(self.head(z, s_mask_t))
         return preds

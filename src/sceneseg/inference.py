@@ -44,11 +44,6 @@ def final_score(p, s, ms):
     return float(np.cbrt(p * s * ms))
 
 
-def propagate_mask(sp_mask, assignment):
-    """Superpoint mask -> point mask through the partition assignment."""
-    return np.asarray(sp_mask, dtype=bool)[assignment]
-
-
 def predict(pred, partition, top_k=None, min_score=0.0):
     """Ranked instances from a final-layer prediction.
 
@@ -73,9 +68,7 @@ def predict(pred, partition, top_k=None, min_score=0.0):
         score = final_score(probs[i, cls], scores[i], mask_score(masks[i], sizes))
         if score < min_score:
             continue
-        results.append(
-            (score, i, InstanceResult(cls, score, sp, propagate_mask(sp, partition.assignment)))
-        )
+        results.append((score, i, InstanceResult(cls, score, sp, sp[partition.assignment])))
     results.sort(key=lambda t: (-t[0], t[1]))
     out = [r for _, _, r in results]
     return out if top_k is None else out[:top_k]
@@ -110,12 +103,10 @@ def _average_precision(tp_flags, n_gt):
     return float(ap)
 
 
-def evaluate(preds_per_scene, gts_per_scene, n_class, thresholds=None) -> EvalReport:
+def evaluate(preds_per_scene, gts_per_scene, n_class) -> EvalReport:
     """Greedy score-ordered matching pooled over scenes, per class and
     threshold; classes with no gt instances are excluded from the means."""
-    thresholds = MAP_THRESHOLDS if thresholds is None else np.asarray(thresholds)
     scene_ids = sorted(preds_per_scene)
-    all_thresholds = sorted(set(thresholds.tolist()) | {0.25, 0.50})
 
     gt_count = {c: 0 for c in range(n_class)}
     for sid in scene_ids:
@@ -140,7 +131,7 @@ def evaluate(preds_per_scene, gts_per_scene, n_class, thresholds=None) -> EvalRe
             candidates.append(
                 (sid, [(j, iou_points(inst.point_mask, gt.point_masks[j])) for j in js])
             )
-        for t in all_thresholds:
+        for t in [0.25, *MAP_THRESHOLDS.tolist()]:
             matched = {
                 sid: np.zeros(len(gts_per_scene[sid].instance_classes), dtype=bool)
                 for sid in scene_ids
@@ -165,7 +156,7 @@ def evaluate(preds_per_scene, gts_per_scene, n_class, thresholds=None) -> EvalRe
     return EvalReport(
         classes=classes,
         ap=ap,
-        map_=mean_over([t for t in thresholds.tolist()]),
+        map_=mean_over(MAP_THRESHOLDS.tolist()),
         ap50=mean_over([0.50]),
         ap25=mean_over([0.25]),
     )

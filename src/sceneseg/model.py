@@ -76,17 +76,15 @@ class SegModel:
         f_p = self.backbone(scene)
         fg = self.fg_head(f_p)
 
+        keypoints, f_l = np.empty(0, dtype=np.int64), None
         if cfg.use_local:
-            cands = aggregation.iterative_candidate_sample(
+            keypoints = aggregation.iterative_candidate_sample(
                 scene.positions, fg.value, cfg.agg.beta, cfg.agg.k_cand, cfg.agg.rq
-            )
-            keypoints = cands.indices
-        else:
-            keypoints = np.empty(0, dtype=np.int64)
-        f_l = self.local(f_p, scene.positions, keypoints)
+            ).indices
+            f_l = self.local(f_p, scene.positions, keypoints)
 
         pooled = aggregation.superpoint_avg_pool(f_p, prep.partition)
         f_g, s_mask = self.proj(pooled)
 
-        preds = self.decoder.run(f_g, f_l, s_mask, use_local=cfg.use_local, use_global=cfg.use_global)
+        preds = self.decoder.run(f_g if cfg.use_global else None, f_l, s_mask)
         return ForwardResult(preds=preds, foreground=fg, keypoints=keypoints)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DataError, GenerationError, ParseError, at_least, read_text, require
+from .errors import DataError, GenerationError, ParseError, at_least, read_text, require
 
 CLASS_NAMES = ("box", "sphere", "cylinder")
 FLOOR_INSTANCE = -1
@@ -211,30 +211,11 @@ def unique_rows(cells):
     return ordered[new], inverse
 
 
-@dataclass
-class Voxelization:
-    coords: np.ndarray  # V x 3 integer cells, lexicographically sorted
-    point_to_voxel: np.ndarray  # N
-
-
-def voxelize(positions, voxel_size) -> Voxelization:
-    if voxel_size <= 0:
-        raise ContractError("voxel_size must be positive")
-    cells = np.floor(np.asarray(positions)[:, :3] / voxel_size).astype(np.int64)
-    coords, inverse = unique_rows(cells)
-    return Voxelization(coords=coords, point_to_voxel=inverse)
-
-
 def build_superpoints(scene: Scene, coarse_size) -> SuperpointPartition:
     """One superpoint per occupied coarse voxel cell."""
-    vox = voxelize(scene.positions, coarse_size)
-    sizes = np.bincount(vox.point_to_voxel, minlength=len(vox.coords))
-    return SuperpointPartition(assignment=vox.point_to_voxel, sizes=sizes)
-
-
-def gt_point_masks(scene: Scene):
-    k = scene.n_instances
-    return np.stack([scene.instance == i for i in range(k)]) if k else np.zeros((0, scene.n_points), bool)
+    cells = np.floor(scene.positions / coarse_size).astype(np.int64)
+    assignment = unique_rows(cells)[1]
+    return SuperpointPartition(assignment=assignment, sizes=np.bincount(assignment))
 
 
 def gt_superpoint_masks(partition: SuperpointPartition, point_masks):
@@ -252,7 +233,7 @@ def gt_superpoint_masks(partition: SuperpointPartition, point_masks):
 def ground_truth(scene: Scene, partition: SuperpointPartition | None = None) -> GroundTruth:
     """Instance classes and point masks; superpoint masks only when a
     partition is given (training needs them, evaluation does not)."""
-    pm = gt_point_masks(scene)
+    pm = scene.instance == np.arange(scene.n_instances)[:, None]
     classes = np.array(
         [scene.semantic[scene.instance == i][0] for i in range(len(pm))], dtype=np.int64
     )

@@ -28,9 +28,6 @@ class Assignment:
         q, g = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         return cls(query_idx=q, gt_idx=g)
 
-    def __len__(self):
-        return len(self.query_idx)
-
     @property
     def pairs(self):
         """[(query index, gt index), ...] as Python ints; its repr is what
@@ -70,8 +67,6 @@ class LossReport:
 def hungarian(cost) -> Assignment:
     """Min-cost one-to-one assignment over min(K, K_gt) pairs."""
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.size == 0:
-        return Assignment.of([])
     if not np.all(np.isfinite(cost)):
         raise ContractError("cost matrix must be finite")
     rows, cols = linear_sum_assignment(cost)

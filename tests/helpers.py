@@ -444,7 +444,8 @@ def slice_cols(x, a, b):
 
 def composed_attention(q, k, v, heads, mask=None):
     """ad.attention built from per-head slice / transpose / matmul / affine /
-    softmax_rows / matmul nodes joined by concat_cols."""
+    softmax_rows / matmul nodes joined by concat_cols; the mask enters as
+    the affine's shift."""
     if k.shape[0] == 0:
         return ad.constant(np.zeros(q.shape))
     dh = q.shape[1] // heads
@@ -452,8 +453,10 @@ def composed_attention(q, k, v, heads, mask=None):
     for h in range(heads):
         a, b = h * dh, (h + 1) * dh
         qh, kh, vh = slice_cols(q, a, b), slice_cols(k, a, b), slice_cols(v, a, b)
-        logits = ad.affine(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
-        w = ad.softmax_rows(logits, extra=mask)
+        logits = ad.affine(
+            ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh), 0.0 if mask is None else mask
+        )
+        w = ad.softmax_rows(logits)
         weights.append(w.value)
         outs.append(ad.matmul(w, vh))
     if mask is not None and ad.attention_trace is not None:

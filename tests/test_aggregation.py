@@ -10,6 +10,8 @@ from helpers import (
     candidate_sample_where,
     coverage_of,
     finite_diff,
+    micro_model,
+    micro_scene,
     mul,
     rel_err,
     sum_all,
@@ -347,3 +349,31 @@ class TestGlobalProjector:
             outs.append((f_g.value, s_mask.value))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert np.array_equal(outs[0][1], outs[1][1])
+
+
+class TestLocalBranchOff:
+    def test_forward_skips_sampler_and_aggregator(self, monkeypatch):
+        """With use_local off, a forward pass neither samples candidates nor
+        runs LocalAggregator; with it on, both run once."""
+        calls = []
+        sample, local = agg.iterative_candidate_sample, agg.LocalAggregator.__call__
+
+        def spy_sample(*args):
+            calls.append("sample")
+            return sample(*args)
+
+        def spy_local(self, *args):
+            calls.append("local")
+            return local(self, *args)
+
+        monkeypatch.setattr(agg, "iterative_candidate_sample", spy_sample)
+        monkeypatch.setattr(agg.LocalAggregator, "__call__", spy_local)
+        model = micro_model()
+        prep = model.prepare(micro_scene())
+        model.forward(prep)
+        assert calls == ["sample", "local"]
+        calls.clear()
+        model.cfg.use_local = False
+        out = model.forward(prep)
+        assert calls == []
+        assert out.keypoints.dtype == np.int64 and out.keypoints.shape == (0,)

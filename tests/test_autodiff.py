@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 import warnings
 
@@ -103,15 +104,13 @@ class TestSoftmax:
         assert np.abs(out.sum(axis=1) - 1).max() < 1e-12
 
     def test_neg_inf_exact_zero(self):
-        extra = np.array([[0.0, -np.inf, 0.0]])
-        out = ad.softmax_rows(ad.constant([[1.0, 50.0, 2.0]]), extra=extra).value
+        out = ad.softmax_rows(ad.constant([[1.0, -np.inf, 2.0]])).value
         assert out[0, 1] == 0.0
         assert abs(out.sum() - 1) < 1e-12
 
     def test_all_masked_row_signaled(self):
-        extra = np.full((1, 3), -np.inf)
         with pytest.raises(ad.FullyMaskedRowError):
-            ad.softmax_rows(ad.constant([[1.0, 2.0, 3.0]]), extra=extra)
+            ad.softmax_rows(ad.constant(np.full((1, 3), -np.inf)))
 
 
 class TestElementwise:
@@ -1141,6 +1140,27 @@ class TestCheckpoint:
         other.create("a.w", 2, 4, np.random.default_rng(0))
         with pytest.raises(CheckpointError, match="a.w"):
             other.load(path)
+
+    def test_parameter_named_twice_rejected(self, tmp_path):
+        """Records a, b and a second a, count 3: the last record must not
+        silently win."""
+        from sceneseg.errors import ParseError
+
+        def record(name, value):
+            raw = name.encode()
+            return (struct.pack("<I", len(raw)) + raw + struct.pack("<II", 1, 2)
+                    + np.array(value, dtype="<f8").tobytes())
+
+        path = tmp_path / "twice.psgw"
+        path.write_bytes(ad.CHECKPOINT_MAGIC + struct.pack("<II", ad.CHECKPOINT_VERSION, 3)
+                         + record("a", [1.0, 2.0]) + record("b", [3.0, 4.0])
+                         + record("a", [9.0, 9.0]))
+        store = ad.ParamStore()
+        for name in ("a", "b"):
+            store.create(name, 1, 2, None, fill=0.0)
+        with pytest.raises(ParseError, match="checkpoint names parameter 'a' twice"):
+            store.load(path)
+        assert store["a"].value.tolist() == [[0.0, 0.0]]
 
     def test_magic_checked(self, tmp_path):
         from sceneseg.errors import ParseError

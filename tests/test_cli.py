@@ -1,4 +1,5 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -6,26 +7,9 @@ import pytest
 from sceneseg import autodiff as ad, cli, config as cfgmod, inference, scenegen
 from sceneseg.model import SegModel
 
-from helpers import forward_tensors, traced, write_labels_loop
+from helpers import SMALL_CFG, forward_tensors, traced, write_labels_loop
 
-SMALL = [
-    "n_scenes=2",
-    "n_objects=2",
-    "n_points=600",
-    "room_extent=3.0",
-    "backbone.base_voxel=0.3",
-    "backbone.channels=8",
-    "backbone.levels=1",
-    "superpoints.coarse_size=0.6",
-    "msa.cap=8",
-    "msa.k_cand=6",
-    "msa.width=8",
-    "decoder.k=4",
-    "decoder.d=16",
-    "decoder.layers=2",
-    "decoder.heads=4",
-    "train.steps=5",
-]
+SMALL = [s for s in SMALL_CFG if not s.startswith("train.steps=")] + ["train.steps=5"]
 
 
 def run(args, sets=()):
@@ -195,6 +179,21 @@ class TestEval:
             ["eval", "--pred", str(pred_dir), "--gt", str(workspace / "data"), "--out", str(out)]
         )
         assert code == 3
+
+    def test_scene_stem_containing_pred(self, workspace, tmp_path, capsys):
+        """The scene id is the file name less ".pred.txt", so a stem that
+        itself holds ".pred" still pairs with its ground truth."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "room.pred1.ply").write_bytes((workspace / "data" / "scene_000.ply").read_bytes())
+        runs, preds = tmp_path / "runs", tmp_path / "preds"
+        assert run(["train", "--data", str(data), "--out", str(runs)]) == 0
+        assert run(["predict", "--checkpoint", str(runs / "checkpoint.psgw"),
+                    "--scene", str(data / "room.pred1.ply"), "--out", str(preds)]) == 0
+        assert (preds / "room.pred1.pred.txt").exists()
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--pred", str(preds), "--gt", str(data), "--out", str(out)]) == 0
+        assert (out / "report.txt").read_text() == capsys.readouterr().out
 
 
 class TestInspectAttn:
@@ -550,6 +549,21 @@ class TestBadInputExitCodes:
         bad = tmp_path / "short.psgw"
         bad.write_bytes(raw[:-8])
         assert predict(checkpoint=bad) == 3
+
+    def test_checkpoint_naming_a_parameter_twice(self, workspace, tmp_path, predict, capsys):
+        """Every parameter plus a second record of the first one: without the
+        check the set matches and the later record wins."""
+        raw = (workspace / "runs" / "checkpoint.psgw").read_bytes()
+        (count,) = struct.unpack_from("<I", raw, 8)
+        (nlen,) = struct.unpack_from("<I", raw, 12)
+        name = raw[16:16 + nlen]
+        rows, cols = struct.unpack_from("<II", raw, 16 + nlen)
+        first = raw[12:24 + nlen + 8 * rows * cols]
+        bad = tmp_path / "twice.psgw"
+        bad.write_bytes(raw[:8] + struct.pack("<I", count + 1) + raw[12:] + first)
+        assert predict(checkpoint=bad) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{name.decode()!r} twice" in err
 
     def test_checkpoint_trailing_bytes(self, workspace, tmp_path, predict):
         raw = (workspace / "runs" / "checkpoint.psgw").read_bytes()

@@ -174,31 +174,45 @@ class TestDecoderLayer:
     def test_output_shape(self):
         layer, _, cfg = self.make()
         z, f_g, f_l = self.rand_inputs(cfg)
-        out = layer(z, f_g, f_l, np.zeros((cfg.k, 7)), True, True)
+        out = layer(z, f_g, f_l, np.zeros((cfg.k, 7)))
         assert out.value.shape == (cfg.k, cfg.d)
         assert np.all(np.isfinite(out.value))
 
+    def silenced(self, layer, store, branch):
+        """`layer` with the out-projection of one cross-attention zeroed, so
+        that branch adds exactly zero whatever its features."""
+        for part in ("w", "b"):
+            store[f"layer.{branch}.out.{part}"].value[:] = 0.0
+        return layer
+
     def test_disabled_global_branch_ignores_f_g(self):
-        layer, _, cfg = self.make()
+        """A None f_g gives the bytes of a global branch that adds zero."""
+        layer, store, cfg = self.make()
         z, f_g, f_l = self.rand_inputs(cfg)
         other = ad.constant(np.random.default_rng(9).normal(size=f_g.shape))
-        a = layer(z, f_g, f_l, np.zeros((cfg.k, 7)), True, False).value
-        b = layer(z, other, f_l, np.zeros((cfg.k, 7)), True, False).value
-        np.testing.assert_array_equal(a, b)
+        a = layer(z, None, f_l, None).value
+        self.silenced(layer, store, "cross_g")
+        b = layer(z, f_g, f_l, np.zeros((cfg.k, 7))).value
+        c = layer(z, other, f_l, np.zeros((cfg.k, 7))).value
+        assert a.tobytes() == b.tobytes() == c.tobytes()
 
     def test_disabled_local_branch_ignores_f_l(self):
-        layer, _, cfg = self.make()
+        """A None f_l gives the bytes of a local branch that adds zero."""
+        layer, store, cfg = self.make()
         z, f_g, f_l = self.rand_inputs(cfg)
         other = ad.constant(np.random.default_rng(9).normal(size=f_l.shape))
-        a = layer(z, f_g, f_l, np.zeros((cfg.k, 7)), False, True).value
-        b = layer(z, f_g, other, np.zeros((cfg.k, 7)), False, True).value
-        np.testing.assert_array_equal(a, b)
+        mask = np.zeros((cfg.k, 7))
+        a = layer(z, f_g, None, mask).value
+        self.silenced(layer, store, "cross_l")
+        b = layer(z, f_g, f_l, mask).value
+        c = layer(z, f_g, other, mask).value
+        assert a.tobytes() == b.tobytes() == c.tobytes()
 
     def test_empty_local_features(self):
         layer, _, cfg = self.make()
         z, f_g, _ = self.rand_inputs(cfg)
         f_l = ad.constant(np.zeros((0, 8)))
-        out = layer(z, f_g, f_l, np.zeros((cfg.k, 7)), True, True)
+        out = layer(z, f_g, f_l, np.zeros((cfg.k, 7)))
         assert np.all(np.isfinite(out.value))
 
     def test_zero_weights_reduce_to_normed_residual(self):
@@ -208,7 +222,7 @@ class TestDecoderLayer:
                 if name.endswith(".w") or name.endswith(".b"):
                     store[name].value[:] = 0
         z, f_g, f_l = self.rand_inputs(cfg)
-        out = layer(z, f_g, f_l, np.zeros((cfg.k, 7)), True, True).value
+        out = layer(z, f_g, f_l, np.zeros((cfg.k, 7))).value
         # every sub-block contributes zero, so output = LN(LN(LN(z)))
         x = z.value
         for gain, bias in layer.norms:
@@ -269,8 +283,8 @@ class TestDecoder:
             assert np.isfinite(mask).tobytes() in patterns  # consumes: in order
 
     def test_no_gating_mask_without_global_branch(self, monkeypatch):
-        """With use_global off no attention reads a gating mask, so none is
-        built and none of their open patterns reaches the structure trace."""
+        """With f_g None no attention reads a gating mask, so none is built
+        and none of their open patterns reaches the structure trace."""
         dec, _, cfg = self.make()
         calls = []
 
@@ -282,8 +296,9 @@ class TestDecoder:
         lengths = {}
         for use_global in (True, False):
             calls.clear()
+            f_g, f_l, s_mask = self.inputs(cfg)
             with traced("structure_trace") as trace, traced("attention_trace") as weights:
-                dec.run(*self.inputs(cfg), use_global=use_global)
+                dec.run(f_g if use_global else None, f_l, s_mask)
             lengths[use_global] = len(trace)
             assert len(calls) == len(weights) == (cfg.layers if use_global else 0)
         # the same ReLU patterns either way; the gated run adds one per layer
@@ -383,7 +398,7 @@ class TestPredictionHead:
         dec = Decoder(ad.ParamStore(), cfg, 6, np.random.default_rng(0))
         rng = np.random.default_rng(4)
         s_mask = ad.Tensor(rng.normal(size=(9, cfg.d)))
-        preds = dec.run(None, ad.constant(rng.normal(size=(3, 6))), s_mask, use_global=False)
+        preds = dec.run(None, ad.constant(rng.normal(size=(3, 6))), s_mask)
         loss = preds[0].sp_mask
         for p in preds[1:]:
             loss = ad.add(loss, p.sp_mask)

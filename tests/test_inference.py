@@ -206,7 +206,7 @@ class TestEvaluate:
             InstanceResult(0, 0.9, None, np.array([1, 1, 0, 0, 0, 0], bool)),
             InstanceResult(0, 0.8, None, np.array([0, 0, 1, 0, 0, 0], bool)),
         ]
-        rep = inference.evaluate({0: preds}, {0: gt}, 1, thresholds=np.array([0.5]))
+        rep = inference.evaluate({0: preds}, {0: gt}, 1)
         assert rep.ap[(0, 0.5)] == 0.5
 
     def test_scene_order_invariance(self):

@@ -114,21 +114,39 @@ class TestGenerate:
         assert got.tobytes() == want.tobytes()
 
 
+def cells_scene(positions):
+    """A background-only scene at the given positions, for the partition."""
+    n = len(positions)
+    points = np.concatenate([np.asarray(positions, dtype=np.float64), np.zeros((n, 3))], axis=1)
+    return scenegen.Scene(points=points, semantic=np.full(n, -1), instance=np.full(n, -1), n_class=3)
+
+
+def assert_one_superpoint_per_cell(scene, size):
+    """The hash-set property: as many superpoints as distinct cells, sizes
+    summing to N, and two points share an id exactly when they share a cell."""
+    part = scenegen.build_superpoints(scene, size)
+    cells = np.floor(scene.positions / size).astype(np.int64)
+    want = {tuple(c) for c in cells}
+    assert part.n_superpoints == len(want)
+    assert part.sizes.sum() == scene.n_points and np.all(part.sizes > 0)
+    cell_of = {}
+    for sp, c in zip(part.assignment.tolist(), map(tuple, cells)):
+        assert cell_of.setdefault(sp, c) == c
+    assert set(cell_of.values()) == want
+    return part
+
+
 class TestVoxelize:
     def test_single_cell(self):
-        pos = np.full((10, 3), 0.2)
-        vox = scenegen.voxelize(pos, 1.0)
-        assert len(vox.coords) == 1
+        part = assert_one_superpoint_per_cell(cells_scene(np.full((10, 3), 0.2)), 1.0)
+        assert part.n_superpoints == 1 and part.sizes.tolist() == [10]
 
     def test_distinct_cells(self):
-        vox = scenegen.voxelize(np.array([[0, 0, 0], [1, 0, 0]], dtype=float), 0.5)
-        assert len(vox.coords) == 2
+        part = assert_one_superpoint_per_cell(cells_scene([[0, 0, 0], [1, 0, 0]]), 0.5)
+        assert part.assignment.tolist() == [0, 1]
 
     def test_matches_hash_set(self, scene):
-        vox = scenegen.voxelize(scene.positions, 0.05)
-        want = {tuple(c) for c in np.floor(scene.positions / 0.05).astype(int)}
-        assert len(vox.coords) == len(want)
-        assert {tuple(c) for c in vox.coords} == want
+        assert_one_superpoint_per_cell(scene, 0.05)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -153,10 +171,12 @@ class TestVoxelize:
         assert inverse.tobytes() == want_inverse.tobytes()
 
     def test_maps_consistent(self, scene):
-        vox = scenegen.voxelize(scene.positions, 0.1)
+        """Ids follow the cells' lexicographic order, and sizes count them."""
+        part = assert_one_superpoint_per_cell(scene, 0.1)
         cells = np.floor(scene.positions / 0.1).astype(np.int64)
-        np.testing.assert_array_equal(vox.coords[vox.point_to_voxel], cells)
-        assert np.all(np.bincount(vox.point_to_voxel, minlength=len(vox.coords)) > 0)
+        coords, inverse = unique_rows_np(cells)
+        np.testing.assert_array_equal(part.assignment, inverse)
+        np.testing.assert_array_equal(part.sizes, np.bincount(inverse, minlength=len(coords)))
 
 
 class TestSuperpoints:

@@ -106,7 +106,11 @@ class TestHungarian:
             assert training.hungarian(cost * 7.3).pairs == base
 
     def test_empty(self):
-        assert training.hungarian(np.zeros((0, 0))).pairs == []
+        """No pairs, as two empty int64 arrays, whichever side is empty."""
+        for shape in [(0, 0), (2, 0), (0, 3)]:
+            a = training.hungarian(np.zeros(shape))
+            assert a.pairs == [] and a.query_idx.shape == a.gt_idx.shape == (0,)
+            assert a.query_idx.dtype == a.gt_idx.dtype == np.int64
 
     def test_index_arrays_and_hashed_pairs(self):
         """Two int64 arrays, query indices ascending; `pairs` has the repr
@@ -115,7 +119,7 @@ class TestHungarian:
         a = training.hungarian(cost)
         assert a.query_idx.dtype == np.int64 and a.gt_idx.dtype == np.int64
         assert a.query_idx.tolist() == [0, 2] and a.gt_idx.tolist() == [1, 0]
-        assert repr(a.pairs) == "[(0, 1), (2, 0)]" and len(a) == 2
+        assert repr(a.pairs) == "[(0, 1), (2, 0)]" and len(a.query_idx) == 2
         assert repr(Assignment.of([]).pairs) == "[]"
 
     def test_nonfinite_rejected(self):
