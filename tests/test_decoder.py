@@ -178,12 +178,11 @@ class TestDecoderLayer:
         assert out.value.shape == (cfg.k, cfg.d)
         assert np.all(np.isfinite(out.value))
 
-    def silenced(self, layer, store, branch):
-        """`layer` with the out-projection of one cross-attention zeroed, so
-        that branch adds exactly zero whatever its features."""
+    def silence(self, store, branch):
+        """Zero one cross-attention's out-projection, so that branch adds
+        exactly zero whatever its features."""
         for part in ("w", "b"):
             store[f"layer.{branch}.out.{part}"].value[:] = 0.0
-        return layer
 
     def test_disabled_global_branch_ignores_f_g(self):
         """A None f_g gives the bytes of a global branch that adds zero."""
@@ -191,7 +190,7 @@ class TestDecoderLayer:
         z, f_g, f_l = self.rand_inputs(cfg)
         other = ad.constant(np.random.default_rng(9).normal(size=f_g.shape))
         a = layer(z, None, f_l, None).value
-        self.silenced(layer, store, "cross_g")
+        self.silence(store, "cross_g")
         b = layer(z, f_g, f_l, np.zeros((cfg.k, 7))).value
         c = layer(z, other, f_l, np.zeros((cfg.k, 7))).value
         assert a.tobytes() == b.tobytes() == c.tobytes()
@@ -203,7 +202,7 @@ class TestDecoderLayer:
         other = ad.constant(np.random.default_rng(9).normal(size=f_l.shape))
         mask = np.zeros((cfg.k, 7))
         a = layer(z, f_g, None, mask).value
-        self.silenced(layer, store, "cross_l")
+        self.silence(store, "cross_l")
         b = layer(z, f_g, f_l, mask).value
         c = layer(z, f_g, other, mask).value
         assert a.tobytes() == b.tobytes() == c.tobytes()
