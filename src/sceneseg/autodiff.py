@@ -52,7 +52,7 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointError, ContractError, ParseError, ShapeError
+from .errors import CheckpointError, ContractError, NumericError, ParseError, ShapeError
 
 CHECKPOINT_MAGIC = b"PSGW"
 CHECKPOINT_VERSION = 1
@@ -92,10 +92,6 @@ def no_tape():
 
 def _untaped(g):
     raise ContractError("backward reached a tensor made under no_tape()")
-
-
-class FullyMaskedRowError(ValueError):
-    """A softmax row contained only -inf entries; caller decides the fallback."""
 
 
 class Tensor:
@@ -248,13 +244,11 @@ def sigmoid(x):
 
 def softmax_rows(x):
     """Row softmax. -inf logits map to exactly zero weight. A row with no
-    finite logit raises FullyMaskedRowError; callers apply their own fallback
-    before retrying.
-    """
+    finite logit raises NumericError."""
     z = x.value
     m = np.max(z, axis=1, keepdims=True) if z.shape[1] else np.full((z.shape[0], 1), -np.inf)
     if np.any(np.isneginf(m)):
-        raise FullyMaskedRowError("softmax row has no finite entry")
+        raise NumericError("softmax row has no finite entry")
     e = np.exp(z - m)
     s = e / e.sum(axis=1, keepdims=True)
 
@@ -271,7 +265,7 @@ def attention(q, k, v, heads, mask=None):
     q is K x d and k, v are M x d. Column block h (width d/heads) of each
     attends on its own, and the heads' outputs are concatenated into K x d.
     `mask` is a constant K x M additive {0, -inf} matrix shared by all heads;
-    a row with no finite logit raises FullyMaskedRowError. With zero context
+    a row with no finite logit raises NumericError. With zero context
     rows the output is a zero constant. A call with a mask appends a copy of
     its heads x K x M weights to attention_trace when that is a list.
 
@@ -306,7 +300,7 @@ def attention(q, k, v, heads, mask=None):
         s += mask
     m = s.max(axis=2, keepdims=True)
     if np.any(np.isneginf(m)):
-        raise FullyMaskedRowError("softmax row has no finite entry")
+        raise NumericError("softmax row has no finite entry")
     s -= m
     np.exp(s, out=s)
     s /= s.sum(axis=2, keepdims=True)
@@ -590,6 +584,8 @@ class ParamStore:
                 rows, cols = struct.unpack("<II", read_exactly(8))
                 buf = read_exactly(rows * cols * 8)
                 arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
+                if not np.isfinite(arrays[name]).all():
+                    raise ParseError(f"checkpoint parameter {name!r} holds a non-finite value")
             if fh.read(1):
                 raise ParseError("trailing bytes after the last checkpoint array")
         return arrays

@@ -101,7 +101,7 @@ def _untaped_forward(cfg, checkpoint, scene_path):
     model = SegModel(cfgmod.model_config(cfg))
     model.store.load(checkpoint)
     prep = model.prepare(scene)
-    with ad.no_tape():
+    with ad.no_tape(), np.errstate(over="ignore"):  # stderr gets the error an overflow leads to
         return prep, model.forward(prep)
 
 

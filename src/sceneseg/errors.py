@@ -39,7 +39,7 @@ class GenerationError(RuntimeError):
 
 
 class NumericError(RuntimeError):
-    """A non-finite value appeared during optimization."""
+    """A non-finite value appeared in a forward pass or during optimization."""
 
 
 class CheckpointError(ValueError):

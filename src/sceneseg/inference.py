@@ -204,10 +204,10 @@ def read_predictions(path, n_points, n_class):
     size an allocation; so is an instance of another class or a non-finite
     score, which evaluate would drop or sort arbitrarily."""
     lines = read_text(path).splitlines()
-    header = lines[0].split() if lines else []
-    if len(header) != 4 or header[0] != "scene":
+    header = lines[0].rsplit(None, 2) if lines else []  # the id may hold spaces
+    if len(header) != 3 or not header[0].startswith("scene "):
         raise ParseError("missing scene header", line=1)
-    _, scene_id, n_header, n_sp = header
+    scene_id, n_header, n_sp = header[0].removeprefix("scene "), header[1], header[2]
     try:
         n_header, n_sp = int(n_header), int(n_sp)
     except ValueError:

@@ -16,26 +16,6 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
-class Assignment:
-    """Matched pairs as two int64 index arrays, query indices ascending."""
-
-    query_idx: np.ndarray
-    gt_idx: np.ndarray
-
-    @classmethod
-    def of(cls, pairs):
-        """From (query index, gt index) pairs, query indices ascending."""
-        q, g = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        return cls(query_idx=q, gt_idx=g)
-
-    @property
-    def pairs(self):
-        """[(query index, gt index), ...] as Python ints; its repr is what
-        `total_loss` hashes into `structure`."""
-        return list(zip(self.query_idx.tolist(), self.gt_idx.tolist()))
-
-
-@dataclass
 class TrainConfig:
     lr: float = 1e-3
     steps: int = 500
@@ -64,14 +44,14 @@ class LossReport:
     structure: bytes = b""
 
 
-def hungarian(cost) -> Assignment:
-    """Min-cost one-to-one assignment over min(K, K_gt) pairs."""
+def hungarian(cost):
+    """Min-cost one-to-one assignment over min(K, K_gt) pairs: SciPy's
+    (query_idx, gt_idx) int64 arrays, query indices ascending as SciPy
+    sorts them."""
     cost = np.asarray(cost, dtype=np.float64)
     if not np.all(np.isfinite(cost)):
         raise ContractError("cost matrix must be finite")
-    rows, cols = linear_sum_assignment(cost)
-    order = np.argsort(rows)
-    return Assignment(query_idx=rows[order].astype(np.int64), gt_idx=cols[order].astype(np.int64))
+    return linear_sum_assignment(cost)
 
 
 def match_cost(pred, gt, sizes, lambda_cls=1.0, lambda_mask=1.0):
@@ -90,11 +70,12 @@ def match_cost(pred, gt, sizes, lambda_cls=1.0, lambda_mask=1.0):
     return lambda_cls * nll + lambda_mask * (bce + 1.0 - num / den)
 
 
-def set_loss(pred, assignment: Assignment, gt, sizes, cfg: TrainConfig, eps=DICE_EPS):
-    """A layer's ad.set_criterion node and (cls, score, bce, dice). Unmatched
-    queries target "no instance"; the score targets are the point-weighted
-    IoUs of the binarized matched masks, exact sums of point counts."""
-    q, gi = assignment.query_idx, assignment.gt_idx
+def set_loss(pred, match, gt, sizes, cfg: TrainConfig, eps=DICE_EPS):
+    """A layer's ad.set_criterion node and (cls, score, bce, dice) for the
+    (query_idx, gt_idx) pair `match`. Unmatched queries target "no instance";
+    the score targets are the point-weighted IoUs of the binarized matched
+    masks, exact sums of point counts."""
+    q, gi = match
     k, slots = pred.class_probs.shape
     targets = np.full(k, slots - 1)
     targets[q] = gt.instance_classes[gi]
@@ -133,10 +114,10 @@ def total_loss(preds, gt, sizes, fg, scene, cfg: TrainConfig) -> LossReport:
             raise NumericError("non-finite loss component 'bce'")
         if not np.all(np.isfinite(pred.iou_score.value)):
             raise NumericError("non-finite loss component 'score'")
-        assignment = hungarian(match_cost(pred, gt, sizes, cfg.lambda_cls, cfg.lambda_mask))
-        h.update(repr(assignment.pairs).encode())
+        q, gi = hungarian(match_cost(pred, gt, sizes, cfg.lambda_cls, cfg.lambda_mask))
+        h.update(repr(list(zip(q.tolist(), gi.tolist()))).encode())
         h.update((pred.sp_mask.value > 0.5).tobytes())
-        layer_total, components = set_loss(pred, assignment, gt, sizes, cfg)
+        layer_total, components = set_loss(pred, (q, gi), gt, sizes, cfg)
         for part, v in zip(parts.values(), components):
             part.append(v)
         layer_totals.append(layer_total)

@@ -13,7 +13,7 @@ from numpy.lib.array_utils import byte_bounds
 from sceneseg import aggregation, inference, kernels
 from sceneseg import autodiff as ad
 from sceneseg import scenegen, training
-from sceneseg.errors import ContractError, ParseError, ShapeError, read_text
+from sceneseg.errors import ContractError, NumericError, ParseError, ShapeError, read_text
 
 
 def finite_diff(f, x, h=1e-4):
@@ -166,10 +166,10 @@ def rle_decode_loop(runs, n):
 def read_predictions_loop(path, n_class):
     """inference.read_predictions, converting one run at a time with int()."""
     lines = read_text(path).splitlines()
-    header = lines[0].split() if lines else []
-    if len(header) != 4 or header[0] != "scene":
+    header = lines[0].rsplit(None, 2) if lines else []
+    if len(header) != 3 or not header[0].startswith("scene "):
         raise ParseError("missing scene header", line=1)
-    _, scene_id, n_points, n_sp = header
+    scene_id, n_points, n_sp = header[0].removeprefix("scene "), header[1], header[2]
     try:
         n_points, n_sp = int(n_points), int(n_sp)
     except ValueError:
@@ -396,7 +396,7 @@ def attention_with_temporaries(q, k, v, heads, mask=None):
         z = z + mask
     m = z.max(axis=2, keepdims=True)
     if np.any(np.isneginf(m)):
-        raise ad.FullyMaskedRowError("softmax row has no finite entry")
+        raise NumericError("softmax row has no finite entry")
     e = np.exp(z - m)
     s = e / e.sum(axis=2, keepdims=True)
     if mask is not None and ad.attention_trace is not None:
@@ -660,6 +660,20 @@ def weighted_dice_rows(pred_rows, gt_rows, sizes, eps=training.DICE_EPS):
     num = 2.0 * (pred_rows * gt_rows) @ sizes + eps
     den = pred_rows @ sizes + gt_rows @ sizes + eps
     return 1.0 - num / den
+
+
+def match_of(pairs):
+    """training.hungarian's (query_idx, gt_idx) int64 arrays from
+    (query index, gt index) pairs, query indices ascending."""
+    q, g = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return q, g
+
+
+def pairs_of(match):
+    """[(query index, gt index), ...] as Python ints from hungarian's pair of
+    arrays; its repr is what training.total_loss hashes into `structure`."""
+    q, g = match
+    return list(zip(q.tolist(), g.tolist()))
 
 
 def match_cost_loop(pred, gt, sizes, lambda_cls=1.0, lambda_mask=1.0):

@@ -30,9 +30,9 @@ from sceneseg import (
 from sceneseg.decoder import LayerPrediction, MultiHeadAttention, build_attention_mask
 from sceneseg.inference import InstanceResult
 from sceneseg.model import SegModel, seed_for
-from sceneseg.training import Assignment, TrainConfig
+from sceneseg.training import TrainConfig
 
-from helpers import SMALL_CFG, micro_model, micro_scene, traced
+from helpers import SMALL_CFG, match_of, micro_model, micro_scene, pairs_of, traced
 
 
 def criterion(num, name):
@@ -235,7 +235,7 @@ def test_hungarian_oracle():
                 total = sum(cost[perm[j], j] for j in range(size))
                 if best is None or total < best:
                     best = total
-            pairs = training.hungarian(cost).pairs
+            pairs = pairs_of(training.hungarian(cost))
             by_col = {g: q for q, g in pairs}
             got = sum(cost[by_col[j], j] for j in range(size))
             assert got == best, f"size {size}: {got} != {best}"
@@ -244,7 +244,7 @@ def test_hungarian_oracle():
 @criterion(3, "loss identities")
 def test_loss_identities(monkeypatch):
     def components(pred, gt, eps):
-        return training.set_loss(pred, Assignment.of([(0, 0)]), gt, np.ones(4), TrainConfig(), eps)[1]
+        return training.set_loss(pred, match_of([(0, 0)]), gt, np.ones(4), TrainConfig(), eps)[1]
 
     gt_same = make_gt([0], [[True, False, True, False]])
     pred_same = constant_pred(np.ones((1, 2)), [0.5], [[1.0, 0.0, 1.0, 0.0]])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sceneseg import autodiff as ad
-from sceneseg.errors import ContractError, ShapeError
+from sceneseg.errors import ContractError, NumericError, ShapeError
 
 from sceneseg import config, scenegen, training
 from sceneseg.model import SegModel, seed_for
@@ -109,7 +109,7 @@ class TestSoftmax:
         assert abs(out.sum() - 1) < 1e-12
 
     def test_all_masked_row_signaled(self):
-        with pytest.raises(ad.FullyMaskedRowError):
+        with pytest.raises(NumericError):
             ad.softmax_rows(ad.constant(np.full((1, 3), -np.inf)))
 
 
@@ -331,7 +331,7 @@ class TestAttention:
         q, k, v = (ad.constant(rng.normal(size=s)) for s in [(3, 4), (5, 4), (5, 4)])
         mask = np.zeros((3, 5))
         mask[1] = -np.inf
-        with pytest.raises(ad.FullyMaskedRowError):
+        with pytest.raises(NumericError):
             ad.attention(q, k, v, 2, mask)
 
     def test_zero_context_rows_give_zero_constant(self):
@@ -1161,6 +1161,25 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="checkpoint names parameter 'a' twice"):
             store.load(path)
         assert store["a"].value.tolist() == [[0.0, 0.0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        """`train` never saves a non-finite parameter; a checkpoint holding
+        one is corrupt, and loading it leaves the model as it was."""
+        from sceneseg.errors import ParseError
+
+        store = ad.ParamStore()
+        store.create("a.w", 3, 4, np.random.default_rng(0))
+        store.create("b.bias", 1, 7, None, fill=0.0)
+        store["b.bias"].value[0, 5] = bad
+        path = tmp_path / "ckpt.psgw"
+        store.save(path)
+        other = ad.ParamStore()
+        other.create("a.w", 3, 4, None, fill=1.0)
+        other.create("b.bias", 1, 7, None, fill=1.0)
+        with pytest.raises(ParseError, match="^checkpoint parameter 'b.bias' holds a non-finite"):
+            other.load(path)
+        assert all(np.all(other[n].value == 1.0) for n in other.names())
 
     def test_magic_checked(self, tmp_path):
         from sceneseg.errors import ParseError

@@ -19,6 +19,16 @@ def run(args, sets=()):
     return cli.main(argv)
 
 
+def patched_checkpoint(workspace, path, names, value):
+    """The workspace checkpoint with every entry of `names` set to `value`."""
+    store = ad.ParamStore()
+    for name, arr in ad.ParamStore.read_arrays(workspace / "runs" / "checkpoint.psgw").items():
+        store.create(name, *arr.shape, None, fill=0.0).value = (
+            np.full_like(arr, value) if name in names else arr)
+    store.save(path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("ws")
@@ -191,6 +201,22 @@ class TestEval:
         assert run(["predict", "--checkpoint", str(runs / "checkpoint.psgw"),
                     "--scene", str(data / "room.pred1.ply"), "--out", str(preds)]) == 0
         assert (preds / "room.pred1.pred.txt").exists()
+        out = tmp_path / "eval"
+        assert cli.main(["eval", "--pred", str(preds), "--gt", str(data), "--out", str(out)]) == 0
+        assert (out / "report.txt").read_text() == capsys.readouterr().out
+
+
+    def test_scene_id_with_space(self, workspace, tmp_path, capsys):
+        """predict writes the header `scene my room <n> <m>`; eval reads the
+        counts as the last two fields, so the id may hold a space."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "my room.ply").write_bytes((workspace / "data" / "scene_000.ply").read_bytes())
+        runs, preds = tmp_path / "runs", tmp_path / "preds"
+        assert run(["train", "--data", str(data), "--out", str(runs)], ["train.steps=1"]) == 0
+        assert run(["predict", "--checkpoint", str(runs / "checkpoint.psgw"),
+                    "--scene", str(data / "my room.ply"), "--out", str(preds)]) == 0
+        assert (preds / "my room.pred.txt").read_text().startswith("scene my room ")
         out = tmp_path / "eval"
         assert cli.main(["eval", "--pred", str(preds), "--gt", str(data), "--out", str(out)]) == 0
         assert (out / "report.txt").read_text() == capsys.readouterr().out
@@ -381,6 +407,24 @@ class TestFixedExits:
         assert err.count("\n") == 1 and "model.use_global" in err
         assert not (tmp_path / "a.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command, extra", [("predict", []), ("inspect-attn", ["--layer", "0", "--head", "0"])]
+    )
+    def test_class_logits_without_a_finite_entry_exit_4(
+        self, workspace, tmp_path, capsys, recwarn, command, extra
+    ):
+        """Class-head weights of -1e308 overflow every logit to -inf; the
+        softmax's error ended in a traceback (exit 1), after two overflow
+        RuntimeWarnings."""
+        ckpt = patched_checkpoint(workspace, tmp_path / "neg.psgw",
+                                  ["head.cls.1.w", "head.cls.1.b"], -1e308)
+        code = run([command, *extra, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
+                    "--scene", str(workspace / "data" / "scene_000.ply")])
+        assert code == 4
+        assert capsys.readouterr().err == "numeric failure: softmax row has no finite entry\n"
+        assert not [w.message for w in recwarn], [str(w.message) for w in recwarn]
+        assert ad.attention_trace is None
+
     @pytest.mark.parametrize("n_class", [1, 2])
     def test_train_rejects_classes_beyond_n_class_exit_3(
         self, workspace, tmp_path, capsys, n_class
@@ -564,6 +608,16 @@ class TestBadInputExitCodes:
         assert predict(checkpoint=bad) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{name.decode()!r} twice" in err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_checkpoint_parameter(self, workspace, tmp_path, predict, capsys, bad):
+        """predict exited 0 on such a checkpoint, with no instances for NaN
+        and after a RuntimeWarning for inf; train never writes one."""
+        ckpt = patched_checkpoint(workspace, tmp_path / "bad.psgw", ["head.cls.1.b"], bad)
+        assert predict(checkpoint=ckpt) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: checkpoint parameter 'head.cls.1.b' holds a non-finite value\n"
+        assert not list((tmp_path / "o").glob("*.pred.txt"))
 
     def test_checkpoint_trailing_bytes(self, workspace, tmp_path, predict):
         raw = (workspace / "runs" / "checkpoint.psgw").read_bytes()

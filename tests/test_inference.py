@@ -328,6 +328,19 @@ class TestPredictionFiles:
             assert a.final_score == b.final_score  # repr() round-trips floats
             np.testing.assert_array_equal(a.point_mask, b.point_mask)
 
+    @pytest.mark.parametrize("scene_id", ["my room", "a  b c", "7 8"])
+    def test_roundtrip_id_with_spaces(self, tmp_path, scene_id):
+        """The counts are the header's last two fields; the id is all between
+        `scene ` and them."""
+        mask = np.array([False, True, True, False])
+        path = tmp_path / f"{scene_id}.pred.txt"
+        inference.write_predictions(path, scene_id, 4, 2, [InstanceResult(1, 0.5, None, mask)])
+        assert path.read_text().splitlines()[0] == f"scene {scene_id} 4 2"
+        for sid, n_sp, (inst,) in (inference.read_predictions(path, 4, 3),
+                                   read_predictions_loop(path, 3)):
+            assert (sid, n_sp, inst.class_id) == (scene_id, 2, 1)
+            assert inst.point_mask.tolist() == mask.tolist()
+
     def test_missing_header(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("nope\n")

@@ -13,7 +13,7 @@ from sceneseg.backbone import BackboneConfig
 from sceneseg.decoder import DecoderConfig, LayerPrediction, MultiHeadAttention
 from sceneseg.model import SegModel, seed_for
 from sceneseg.errors import ContractError, NumericError
-from sceneseg.training import Assignment, TrainConfig
+from sceneseg.training import TrainConfig
 
 from helpers import (
     SMALL_CFG,
@@ -26,15 +26,20 @@ from helpers import (
     dice_loss_per_pair,
     loop_set_criterion,
     match_cost_loop,
+    match_of,
     micro_model,
     micro_scene,
+    pairs_of,
     scatter_add_at,
     unique_rows_np,
 )
 
 
 def brute_force_cost(cost):
+    """Least total cost of min(K, K_gt) one-to-one pairs, by enumeration."""
     k, k_gt = cost.shape
+    if k < k_gt:
+        return brute_force_cost(cost.T)
     best = np.inf
     n = min(k, k_gt)
     rows = range(k)
@@ -86,41 +91,57 @@ class TestHungarian:
         rng = np.random.default_rng(size)
         for _ in range(20):
             cost = rng.uniform(size=(size, size))
-            a = training.hungarian(cost)
-            got = sum(cost[q, g] for q, g in a.pairs)
+            got = sum(cost[q, g] for q, g in pairs_of(training.hungarian(cost)))
             assert abs(got - brute_force_cost(cost)) < 1e-12
 
     def test_rectangular(self):
         rng = np.random.default_rng(0)
         cost = rng.uniform(size=(5, 3))
-        a = training.hungarian(cost)
-        assert len(a.pairs) == 3
-        got = sum(cost[q, g] for q, g in a.pairs)
+        pairs = pairs_of(training.hungarian(cost))
+        assert len(pairs) == 3
+        got = sum(cost[q, g] for q, g in pairs)
         assert abs(got - brute_force_cost(cost)) < 1e-12
 
     def test_positive_rescaling_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             cost = rng.uniform(size=(6, 4))
-            base = training.hungarian(cost).pairs
-            assert training.hungarian(cost * 7.3).pairs == base
+            base = pairs_of(training.hungarian(cost))
+            assert pairs_of(training.hungarian(cost * 7.3)) == base
 
     def test_empty(self):
         """No pairs, as two empty int64 arrays, whichever side is empty."""
         for shape in [(0, 0), (2, 0), (0, 3)]:
-            a = training.hungarian(np.zeros(shape))
-            assert a.pairs == [] and a.query_idx.shape == a.gt_idx.shape == (0,)
-            assert a.query_idx.dtype == a.gt_idx.dtype == np.int64
+            q, g = training.hungarian(np.zeros(shape))
+            assert pairs_of((q, g)) == [] and q.shape == g.shape == (0,)
+            assert q.dtype == g.dtype == np.int64
 
     def test_index_arrays_and_hashed_pairs(self):
-        """Two int64 arrays, query indices ascending; `pairs` has the repr
-        that total_loss hashes into the structure digest."""
+        """Two int64 arrays, query indices ascending; their pairs have the
+        repr that total_loss hashes into the structure digest."""
         cost = np.array([[5.0, 0.0], [9.0, 9.0], [0.0, 5.0]])
-        a = training.hungarian(cost)
-        assert a.query_idx.dtype == np.int64 and a.gt_idx.dtype == np.int64
-        assert a.query_idx.tolist() == [0, 2] and a.gt_idx.tolist() == [1, 0]
-        assert repr(a.pairs) == "[(0, 1), (2, 0)]" and len(a.query_idx) == 2
-        assert repr(Assignment.of([]).pairs) == "[]"
+        q, g = training.hungarian(cost)
+        assert q.dtype == np.int64 and g.dtype == np.int64
+        assert q.tolist() == [0, 2] and g.tolist() == [1, 0]
+        assert repr(pairs_of((q, g))) == "[(0, 1), (2, 0)]" and len(q) == 2
+        assert repr(pairs_of(match_of([]))) == "[]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**32 - 1), st.booleans())
+    def test_scipy_order_and_optimal_cost(self, k, k_gt, seed, ties):
+        """Any K x K_gt cost, ties included: two int64 arrays of min(K, K_gt)
+        pairs, query indices strictly ascending (SciPy's order, which
+        total_loss hashes), gt indices distinct, and a brute-force optimal
+        cost whenever min(K, K_gt) <= 6."""
+        cost = np.random.default_rng(seed).uniform(size=(k, k_gt))
+        if ties:
+            cost = np.round(cost * 3)
+        q, g = training.hungarian(cost)
+        n = min(k, k_gt)
+        assert q.dtype == g.dtype == np.int64 and q.shape == g.shape == (n,)
+        assert np.all(np.diff(q) > 0) and len(set(g.tolist())) == n
+        if n <= 6:
+            assert abs(cost[q, g].sum() - brute_force_cost(cost)) < 1e-9
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ContractError):
@@ -153,7 +174,7 @@ class TestMatchCost:
         got = training.match_cost(pred, gt, sizes, lambda_cls=0.7, lambda_mask=1.3)
         want = match_cost_loop(pred, gt, sizes, lambda_cls=0.7, lambda_mask=1.3)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        pairs, want_pairs = training.hungarian(got).pairs, training.hungarian(want).pairs
+        pairs, want_pairs = pairs_of(training.hungarian(got)), pairs_of(training.hungarian(want))
         if pairs != want_pairs:  # only on an exact tie of the loop's costs
             total = lambda ps: sum(want[q, g] for q, g in ps)
             assert abs(total(pairs) - total(want_pairs)) <= 1e-12
@@ -162,7 +183,7 @@ class TestMatchCost:
 def layer_loss(pred, pairs, gt, sizes, eps=training.DICE_EPS, **weights):
     """The program's criterion of one supervised layer: its loss node and its
     (cls, score, bce, dice) components."""
-    return training.set_loss(pred, Assignment.of(pairs), gt, sizes, TrainConfig(**weights), eps)
+    return training.set_loss(pred, match_of(pairs), gt, sizes, TrainConfig(**weights), eps)
 
 
 class TestClassificationLoss:
@@ -319,7 +340,7 @@ class TestDiceLoss:
         n = min(k, k_gt)
         queries = np.sort(rng.choice(k, n, replace=False))
         pairs = list(zip(queries.tolist(), rng.permutation(k_gt)[:n].tolist()))
-        a = Assignment.of(pairs)
+        q, gi = match_of(pairs)
 
         def leaf_and_pred():
             leaf = ad.Tensor(pred.sp_mask.value.copy())
@@ -329,8 +350,8 @@ class TestDiceLoss:
         loss, (*_, value) = layer_loss(p, pairs, gt, sizes, w_cls=0.0, w_score=0.0, w_bce=0.0)
         ad.backward(loss)
         want_leaf, _ = leaf_and_pred()
-        g = gt.superpoint_masks[a.gt_idx].astype(np.float64)
-        want = dice_loss_per_pair(want_leaf, a.query_idx, g, sizes, training.DICE_EPS)
+        g = gt.superpoint_masks[gi].astype(np.float64)
+        want = dice_loss_per_pair(want_leaf, q, g, sizes, training.DICE_EPS)
         ad.backward(want)
         want_value = want.value[0, 0]
         assert leaf.grad.tobytes() == want_leaf.grad.tobytes()
@@ -442,10 +463,10 @@ class TestTotalLoss:
         preds = [fake_pred(np.full((2, 4), 0.25), [[0.7, 0.2], [0.4, 0.9]]),
                  fake_pred(np.full((2, 4), 0.25), [[0.1, 0.6], [0.5, 0.3]])]
         cost = training.match_cost(preds[0], gt, sizes)
-        assert cost.shape == (2, 0) and training.hungarian(cost).pairs == []
+        assert cost.shape == (2, 0) and pairs_of(training.hungarian(cost)) == []
         got = training.total_loss(preds, gt, sizes, fg, scene, TrainConfig())
         monkeypatch.setattr(training, "match_cost", lambda *a: None)
-        monkeypatch.setattr(training, "hungarian", lambda cost: Assignment.of([]))
+        monkeypatch.setattr(training, "hungarian", lambda cost: match_of([]))
         want = training.total_loss(preds, gt, sizes, fg, scene, TrainConfig())
         fields = ("cls", "score", "bce", "dice", "foreground", "total", "structure")
         assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
