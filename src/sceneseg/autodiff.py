@@ -52,7 +52,7 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointError, ContractError, NumericError, ParseError, ShapeError
+from .errors import CheckpointError, ContractError, ParseError, ShapeError
 
 CHECKPOINT_MAGIC = b"PSGW"
 CHECKPOINT_VERSION = 1
@@ -243,13 +243,10 @@ def sigmoid(x):
 
 
 def softmax_rows(x):
-    """Row softmax. -inf logits map to exactly zero weight. A row with no
-    finite logit raises NumericError."""
+    """Row softmax of at least one column. -inf logits map to exactly zero
+    weight; a row with no finite logit, or with a +inf one, is NaN."""
     z = x.value
-    m = np.max(z, axis=1, keepdims=True) if z.shape[1] else np.full((z.shape[0], 1), -np.inf)
-    if np.any(np.isneginf(m)):
-        raise NumericError("softmax row has no finite entry")
-    e = np.exp(z - m)
+    e = np.exp(z - np.max(z, axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
 
     def push(g):
@@ -265,7 +262,7 @@ def attention(q, k, v, heads, mask=None):
     q is K x d and k, v are M x d. Column block h (width d/heads) of each
     attends on its own, and the heads' outputs are concatenated into K x d.
     `mask` is a constant K x M additive {0, -inf} matrix shared by all heads;
-    a row with no finite logit raises NumericError. With zero context
+    a row with no finite logit gives NaN weights. With zero context
     rows the output is a zero constant. A call with a mask appends a copy of
     its heads x K x M weights to attention_trace when that is a list.
 
@@ -298,10 +295,7 @@ def attention(q, k, v, heads, mask=None):
     s *= scale
     if mask is not None:
         s += mask
-    m = s.max(axis=2, keepdims=True)
-    if np.any(np.isneginf(m)):
-        raise NumericError("softmax row has no finite entry")
-    s -= m
+    s -= s.max(axis=2, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=2, keepdims=True)
     if mask is not None and attention_trace is not None:

@@ -101,7 +101,7 @@ def _untaped_forward(cfg, checkpoint, scene_path):
     model = SegModel(cfgmod.model_config(cfg))
     model.store.load(checkpoint)
     prep = model.prepare(scene)
-    with ad.no_tape(), np.errstate(over="ignore"):  # stderr gets the error an overflow leads to
+    with ad.no_tape():
         return prep, model.forward(prep)
 
 
@@ -215,30 +215,31 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "eval":
-            return cmd_eval(args.pred, args.gt, args.out)
-        cfg = cfgmod.load_config(args.config, args.set)
-        if args.command == "gen":
-            return cmd_gen(cfg, args.out)
-        if args.command == "train":
-            return cmd_train(cfg, args.data, args.out)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.checkpoint, args.scene, args.out)
-        if args.command == "inspect-attn":
-            return cmd_inspect_attn(
-                cfg, args.checkpoint, args.scene, args.layer, args.head, args.out
-            )
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, ParseError, CheckpointError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 4
+    with np.errstate(over="ignore", invalid="ignore"):  # exit 4 prints one line, no warnings
+        try:
+            if args.command == "eval":
+                return cmd_eval(args.pred, args.gt, args.out)
+            cfg = cfgmod.load_config(args.config, args.set)
+            if args.command == "gen":
+                return cmd_gen(cfg, args.out)
+            if args.command == "train":
+                return cmd_train(cfg, args.data, args.out)
+            if args.command == "predict":
+                return cmd_predict(cfg, args.checkpoint, args.scene, args.out)
+            if args.command == "inspect-attn":
+                return cmd_inspect_attn(
+                    cfg, args.checkpoint, args.scene, args.layer, args.head, args.out
+                )
+            raise ConfigError(f"unknown command {args.command!r}")
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (DataError, ParseError, CheckpointError, OSError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return 3
+        except NumericError as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ class GenerationError(RuntimeError):
 
 
 class NumericError(RuntimeError):
-    """A non-finite value appeared in a forward pass or during optimization."""
+    """A non-finite forward output, matching cost or loss component: exit 4."""
 
 
 class CheckpointError(ValueError):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aggregation, autodiff as ad, backbone as bb, decoder as dec, scenegen
-from .errors import DataError, require
+from .errors import DataError, NumericError, require
 
 
 def seed_for(global_seed, name):
@@ -71,6 +71,8 @@ class SegModel:
         )
 
     def forward(self, prep: PreparedScene) -> ForwardResult:
+        """The pass's outputs; NumericError names the first non-finite one:
+        the foreground, then each stage's class_probs, iou_score and sp_mask."""
         cfg = self.cfg
         scene = prep.scene
         f_p = self.backbone(scene)
@@ -87,4 +89,10 @@ class SegModel:
         f_g, s_mask = self.proj(pooled)
 
         preds = self.decoder.run(f_g if cfg.use_global else None, f_l, s_mask)
+        outputs = [("foreground", fg)] + [(f"{name} of decoder stage {i}", getattr(p, name))
+                                          for i, p in enumerate(preds)
+                                          for name in ("class_probs", "iou_score", "sp_mask")]
+        for what, t in outputs:
+            if not np.isfinite(t.value).all():
+                raise NumericError(f"non-finite {what}")
         return ForwardResult(preds=preds, foreground=fg, keypoints=keypoints)

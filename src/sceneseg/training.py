@@ -6,7 +6,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .errors import ContractError, NumericError, at_least, require
@@ -47,10 +46,12 @@ class LossReport:
 def hungarian(cost):
     """Min-cost one-to-one assignment over min(K, K_gt) pairs: SciPy's
     (query_idx, gt_idx) int64 arrays, query indices ascending as SciPy
-    sorts them."""
+    sorts them; NumericError for an overflowed cost. Imports SciPy lazily."""
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.asarray(cost, dtype=np.float64)
     if not np.all(np.isfinite(cost)):
-        raise ContractError("cost matrix must be finite")
+        raise NumericError("non-finite matching cost")
     return linear_sum_assignment(cost)
 
 
@@ -106,14 +107,6 @@ def total_loss(preds, gt, sizes, fg, scene, cfg: TrainConfig) -> LossReport:
     parts = {"cls": [], "score": [], "bce": [], "dice": []}
     layer_totals = []
     for pred in supervised:
-        # a poisoned forward pass would otherwise die inside the matcher with
-        # an unhelpful message; name the component that would go non-finite
-        if not np.all(np.isfinite(pred.class_probs.value)):
-            raise NumericError("non-finite loss component 'cls'")
-        if not np.all(np.isfinite(pred.sp_mask.value)):
-            raise NumericError("non-finite loss component 'bce'")
-        if not np.all(np.isfinite(pred.iou_score.value)):
-            raise NumericError("non-finite loss component 'score'")
         q, gi = hungarian(match_cost(pred, gt, sizes, cfg.lambda_cls, cfg.lambda_mask))
         h.update(repr(list(zip(q.tolist(), gi.tolist()))).encode())
         h.update((pred.sp_mask.value > 0.5).tobytes())
@@ -175,8 +168,8 @@ def fit(model, preps, cfg: TrainConfig, on_step=None):
 
     Returns the loss trace as a list of LossReport. Raises ContractError
     before the first step when a scene holds an instance class the model has
-    no slot for; aborts with NumericError naming the first non-finite loss
-    component and its step.
+    no slot for; aborts with NumericError naming the first non-finite
+    forward output, matching cost or loss component, and its step.
     """
     if not preps:
         raise ContractError("need at least one scene")

@@ -13,7 +13,7 @@ from numpy.lib.array_utils import byte_bounds
 from sceneseg import aggregation, inference, kernels
 from sceneseg import autodiff as ad
 from sceneseg import scenegen, training
-from sceneseg.errors import ContractError, NumericError, ParseError, ShapeError, read_text
+from sceneseg.errors import ContractError, ParseError, ShapeError, read_text
 
 
 def finite_diff(f, x, h=1e-4):
@@ -394,10 +394,7 @@ def attention_with_temporaries(q, k, v, heads, mask=None):
     z = (qh @ kt) * scale
     if mask is not None:
         z = z + mask
-    m = z.max(axis=2, keepdims=True)
-    if np.any(np.isneginf(m)):
-        raise NumericError("softmax row has no finite entry")
-    e = np.exp(z - m)
+    e = np.exp(z - z.max(axis=2, keepdims=True))
     s = e / e.sum(axis=2, keepdims=True)
     if mask is not None and ad.attention_trace is not None:
         ad.attention_trace.append(s.copy())

@@ -1,8 +1,16 @@
+import contextlib
 import csv
+import io
+import os
 import struct
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sceneseg import autodiff as ad, cli, config as cfgmod, inference, scenegen
 from sceneseg.model import SegModel
@@ -391,6 +399,9 @@ class TestConfigRanges:
         assert not list(out.glob("*.ply")) and not (out / "checkpoint.psgw").exists()
 
 
+COMMANDS = [("predict", []), ("inspect-attn", ["--layer", "0", "--head", "0"])]
+
+
 class TestFixedExits:
     """Inputs that once ended in an IndexError traceback (exit 1), or trained
     without complaint, now exit with a one-line message."""
@@ -407,23 +418,66 @@ class TestFixedExits:
         assert err.count("\n") == 1 and "model.use_global" in err
         assert not (tmp_path / "a.csv").exists()
 
-    @pytest.mark.parametrize(
-        "command, extra", [("predict", []), ("inspect-attn", ["--layer", "0", "--head", "0"])]
-    )
+    @staticmethod
+    def exits_4_on(workspace, tmp_path, capsys, recwarn, command, extra, names, value, what):
+        """`command` on the workspace checkpoint with `names` set to `value`
+        exits 4 with the one line naming the non-finite output `what`, writes
+        nothing and leaves the attention sink reset."""
+        ckpt = patched_checkpoint(workspace, tmp_path / "bad.psgw", names, value)
+        out = tmp_path / "o"
+        code = run([command, *extra, "--checkpoint", str(ckpt), "--out", str(out),
+                    "--scene", str(workspace / "data" / "scene_000.ply")])
+        assert code == 4
+        assert capsys.readouterr().err == f"numeric failure: non-finite {what}\n"
+        assert not [w.message for w in recwarn], [str(w.message) for w in recwarn]
+        assert not out.is_file() and not list(out.glob("*.pred.txt"))
+        assert ad.attention_trace is None
+
+    @pytest.mark.parametrize("command, extra", COMMANDS)
     def test_class_logits_without_a_finite_entry_exit_4(
         self, workspace, tmp_path, capsys, recwarn, command, extra
     ):
         """Class-head weights of -1e308 overflow every logit to -inf; the
         softmax's error ended in a traceback (exit 1), after two overflow
         RuntimeWarnings."""
-        ckpt = patched_checkpoint(workspace, tmp_path / "neg.psgw",
-                                  ["head.cls.1.w", "head.cls.1.b"], -1e308)
-        code = run([command, *extra, "--checkpoint", str(ckpt), "--out", str(tmp_path / "o"),
-                    "--scene", str(workspace / "data" / "scene_000.ply")])
+        self.exits_4_on(workspace, tmp_path, capsys, recwarn, command, extra,
+                        ["head.cls.1.w", "head.cls.1.b"], -1e308, "class_probs of decoder stage 0")
+
+    @pytest.mark.parametrize("command, extra", COMMANDS)
+    @pytest.mark.parametrize(
+        "names, what",
+        [(["head.cls.1.w", "head.cls.1.b"], "class_probs of decoder stage 0"),
+         (["global.mask.1.w", "global.mask.1.b"], "sp_mask of decoder stage 0"),
+         (["global.proj.w", "global.proj.b"], "class_probs of decoder stage 2"),
+         (["backbone.norm.gain", "foreground.lin.w"], "foreground")],
+    )
+    def test_non_finite_forward_output_exit_4(
+        self, workspace, tmp_path, capsys, recwarn, command, extra, names, what
+    ):
+        """Parameters of +1e308 that overflow into NaN: predict exited 0 on
+        each, writing scores of nan (the class head), no instances after a
+        RuntimeWarning (the global branch) or ranking by a NaN foreground.
+        The norm gain gives the features magnitudes past 1.8 of both signs,
+        so that the foreground's dot products meet inf - inf."""
+        self.exits_4_on(workspace, tmp_path, capsys, recwarn, command, extra,
+                        names, 1e308, what)
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [(["train.lambda_cls=1e308", "train.lambda_mask=1e308"], "non-finite matching cost"),
+         (["train.w_cls=1e308"], "non-finite loss component 'total'")],
+    )
+    def test_train_overflow_exit_4(self, workspace, tmp_path, capsys, recwarn, sets, message):
+        """An overflowing matching cost ended in a ContractError traceback
+        (exit 1); an overflowing loss printed a RuntimeWarning before its
+        line. train.lambda_cls=1e308 alone overflows the cost once a class
+        NLL passes 1.8 (step 17 here, step 1 at the default config)."""
+        out = tmp_path / "run"
+        code = run(["train", "--data", str(workspace / "data"), "--out", str(out)], sets)
         assert code == 4
-        assert capsys.readouterr().err == "numeric failure: softmax row has no finite entry\n"
+        assert capsys.readouterr().err == f"numeric failure: {message} at step 0\n"
         assert not [w.message for w in recwarn], [str(w.message) for w in recwarn]
-        assert ad.attention_trace is None
+        assert not (out / "checkpoint.psgw").exists()
 
     @pytest.mark.parametrize("n_class", [1, 2])
     def test_train_rejects_classes_beyond_n_class_exit_3(
@@ -449,6 +503,56 @@ class TestFixedExits:
         code = run(["train", "--data", str(workspace / "data"), "--out", str(out)],
                    ["msa.r2=1e300", "train.steps=1"])
         assert code == 0 and (out / "checkpoint.psgw").exists()
+
+
+def test_predict_loads_no_scipy(workspace, tmp_path):
+    """A one-shot predict in a fresh interpreter imports no SciPy module:
+    only training.hungarian uses SciPy, and it imports it at its first call."""
+    argv = ["predict", "--checkpoint", str(workspace / "runs" / "checkpoint.psgw"),
+            "--scene", str(workspace / "data" / "scene_000.ply"), "--out", str(tmp_path / "o")]
+    argv += [a for s in SMALL for a in ("--set", s)]
+    script = ("import sys\nfrom sceneseg import cli\n"
+              f"code = cli.main({argv!r})\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+    assert (tmp_path / "o" / "scene_000.pred.txt").exists()
+
+
+class TestExtremeCheckpoints:
+    """A checkpoint with one parameter at an extreme finite value either
+    predicts a file that eval reads or exits 4 with one line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_predict_exits_0_or_4(self, workspace, tmp_path_factory, data):
+        names = sorted(ad.ParamStore.read_arrays(workspace / "runs" / "checkpoint.psgw"))
+        name = data.draw(st.sampled_from(names), label="parameter")
+        value = data.draw(st.sampled_from([-1.0, 1.0]), label="sign") * data.draw(
+            st.floats(1e150, 1e308), label="magnitude")
+        tmp = tmp_path_factory.mktemp("extreme")
+        ckpt = patched_checkpoint(workspace, tmp / "x.psgw", [name], value)
+        scene_path = workspace / "data" / "scene_000.ply"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(["predict", "--checkpoint", str(ckpt), "--scene", str(scene_path),
+                        "--out", str(tmp / "o")])
+        assert not caught, [str(w.message) for w in caught]
+        pred = tmp / "o" / "scene_000.pred.txt"
+        if code == 0:
+            assert err.getvalue() == ""
+            scene = scenegen.read_ply(scene_path)
+            inference.read_predictions(pred, scene.n_points, scene.n_class)
+        else:
+            assert code == 4
+            assert err.getvalue().startswith("numeric failure: non-finite ")
+            assert err.getvalue().count("\n") == 1 and not pred.exists()
+        assert ad.attention_trace is None
 
 
 class TestBadInputExitCodes:

@@ -144,7 +144,8 @@ class TestHungarian:
             assert abs(cost[q, g].sum() - brute_force_cost(cost)) < 1e-9
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ContractError):
+        """An overflowed cost is a numeric failure (exit 4), not a broken contract."""
+        with pytest.raises(NumericError, match="^non-finite matching cost$"):
             training.hungarian(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
@@ -571,9 +572,9 @@ class TestFit:
     def test_nan_abort_names_component(self):
         m = micro_model(seed=1)
         m.store["decoder.query"].value[0, 0] = np.nan
-        with pytest.raises(NumericError, match="cls|score|bce|dice|foreground|total") as exc:
+        with pytest.raises(NumericError) as exc:
             training.fit(m, [self.prepared(m)], TrainConfig(steps=3))
-        assert str(exc.value).endswith(" at step 0")
+        assert str(exc.value) == "non-finite class_probs of decoder stage 0 at step 0"
 
     @pytest.mark.parametrize("n_class", [1, 2])
     def test_refuses_a_class_the_model_has_no_slot_for(self, n_class):
