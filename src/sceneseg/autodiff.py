@@ -5,10 +5,10 @@ pass; `backward` walks it once in reverse topological order. All ops are pure
 given their inputs, so repeated runs are bit-identical. Every op hands its
 push to the `Tensor` constructor, which alone decides whether it is kept.
 
-Fused ops (`linear` with its optional ReLU, `attention`, `weighted_bce`,
-`set_criterion`) are one tape node each, with a hand-written backward that
-repeats the arithmetic of the composed chain it replaces, so values and
-gradients keep their bytes.
+Fused ops (`linear` with its optional ReLU, `attention_block`,
+`add_layer_norm`, `weighted_bce`, `set_criterion`) are one tape node each,
+with a hand-written backward that repeats the arithmetic of the composed
+chain it replaces, so values and gradients keep their bytes.
 Four rules keep the bytes and bound the memory:
 
 - Ownership. A push hands each parent its gradient through `_take` or
@@ -17,10 +17,12 @@ Four rules keep the bytes and bound the memory:
   `_accumulate(g)` copies it first. Pushes that pass on their own incoming
   gradient or a view of it must copy: `add` (both sides), `concat_cols`
   (column slices) and `transpose` (g.T). Otherwise two nodes share one
-  buffer, and the next `+=` into either changes both. The same holds for
-  work in place (`linear`'s ReLU, `layer_norm`, `attention`): an op writes
-  only into arrays it has allocated itself, never into a parent's value or
-  the g its push receives.
+  buffer, and the next `+=` into either changes both. `add_layer_norm`
+  hands the one gradient it computes to both its inputs, so it copies it
+  for x and lets y take it. The same holds for work in place (`linear`'s
+  ReLU, the layer norms, `attention_block`): an op writes only into arrays
+  it has allocated itself, never into a parent's value or the g its push
+  receives.
 - Memory order. BLAS results depend on the operands' layout, not only on
   their values, and a gradient's layout decides the path of every matmul
   that later reads it. A taken gradient keeps the layout it was allocated
@@ -63,8 +65,9 @@ CHECKPOINT_VERSION = 1
 # decoder layer's gating mask. Finite-difference checks use this to detect
 # entries where a kink or routing choice flips under the probe perturbation.
 structure_trace = None
-# When set to a list, each masked `attention` call appends its heads x K x M
-# weights: in the decoder, the gated cross-attention over superpoints by layer.
+# When set to a list, each masked `attention_block` call appends its heads x K
+# x M weights: in the decoder, the gated cross-attention over superpoints by
+# layer.
 # A caller sets either sink to a list around a pass and to None after it.
 attention_trace = None
 
@@ -256,29 +259,38 @@ def softmax_rows(x):
     return Tensor(s, (x,), push)
 
 
-def attention(q, k, v, heads, mask=None):
-    """Multi-head scaled dot-product attention of q's rows over k's and v's.
+def attention_block(z, f, q, k, v, out, heads, mask=None):
+    """Multi-head attention of z's rows over f's rows with its projections,
+    out(attention(q(z), k(f), v(f))): q, k, v and out are (w, b) pairs of a
+    d x d weight and a 1 x d bias, each applied as `linear` applies it.
 
-    q is K x d and k, v are M x d. Column block h (width d/heads) of each
-    attends on its own, and the heads' outputs are concatenated into K x d.
-    `mask` is a constant K x M additive {0, -inf} matrix shared by all heads;
-    a row with no finite logit gives NaN weights. With zero context
-    rows the output is a zero constant. A call with a mask appends a copy of
-    its heads x K x M weights to attention_trace when that is a list.
+    z is K x d and f is M x d (f may be z). Column block h (width d/heads) of
+    the projections attends on its own, and the heads' outputs are
+    concatenated into K x d. `mask` is a constant K x M additive {0, -inf}
+    matrix shared by all heads; a row with no finite logit gives NaN weights.
+    With zero context rows the attention is zero, so the output is out's
+    bias and only out's pair gets a gradient. A call with a mask appends a
+    copy of its heads x K x M weights to attention_trace when that is a list.
 
     One tape node: the heads run as stacked matmuls under a hand-written
-    backward. Each step mirrors the per-head slice / transpose / matmul /
-    affine / softmax_rows / matmul / concat_cols chain, operand layout and
-    order included, so values and gradients are bit-identical to it.
+    backward that pushes the out projection (bias, weight), the attention,
+    then the q, k and v projections (bias, input, weight each). Each step
+    mirrors the linear / per-head slice / transpose / matmul / affine /
+    softmax_rows / matmul / concat_cols / linear chain, operand layout and
+    order included, so values and gradients are bit-identical to it, but
+    for one order: the block pushes into f when the walk reaches it, so an
+    f read by several blocks sums their pushes in the blocks' walk order.
+    The projections are not kept, only their per-head copies.
     """
-    rows, d = q.shape
-    n = k.shape[0]
-    if heads < 1 or d % heads or k.shape[1] != d or v.shape != k.shape:
-        raise ShapeError(f"attention q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = q, k, v, out
+    rows, d = z.shape
+    n = f.shape[0]
+    if heads < 1 or d % heads or f.shape[1] != d or any(
+        w.shape != (d, d) or b.shape != (1, d) for w, b in (q, k, v, out)
+    ):
+        raise ShapeError(f"attention_block z {z.shape}, f {f.shape}, {heads} heads")
     if mask is not None and np.shape(mask) != (rows, n):
         raise ShapeError(f"attention mask {np.shape(mask)} for {rows} x {n} logits")
-    if n == 0:
-        return constant(np.zeros((rows, d)))
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
 
@@ -288,48 +300,69 @@ def attention(q, k, v, heads, mask=None):
     def merge(x):  # heads x n x dh -> n x d, C-contiguous like concat_cols' output
         return np.ascontiguousarray(x.transpose(1, 0, 2).reshape(x.shape[1], d))
 
-    qh, vh = split(q.value), split(v.value)
-    kt = np.ascontiguousarray(k.value.reshape(n, heads, dh).transpose(1, 2, 0))  # heads x dh x n
-    # the softmax runs in place in the logits: s = exp(z - max) / sum
-    s = qh @ kt
-    s *= scale
-    if mask is not None:
-        s += mask
-    s -= s.max(axis=2, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=2, keepdims=True)
-    if mask is not None and attention_trace is not None:
-        attention_trace.append(s.copy())
+    def project(x, w, b):
+        y = x @ w.value
+        y += b.value
+        return y
+
+    if n == 0:
+        a = np.zeros((rows, d))
+    else:
+        qh, vh = split(project(z.value, wq, bq)), split(project(f.value, wv, bv))
+        kt = project(f.value, wk, bk).reshape(n, heads, dh).transpose(1, 2, 0)
+        kt = np.ascontiguousarray(kt)  # heads x dh x n
+        # the softmax runs in place in the logits: s = exp(z - max) / sum
+        s = qh @ kt
+        s *= scale
+        if mask is not None:
+            s += mask
+        s -= s.max(axis=2, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=2, keepdims=True)
+        if mask is not None and attention_trace is not None:
+            attention_trace.append(s.copy())
+        a = merge(s @ vh)
 
     def push(g):
-        g = split(g)
-        gz = g @ vh.transpose(0, 2, 1)  # gs, then s * (gs - sum(gs * s)) * scale
+        bo._take(g.sum(axis=0, keepdims=True))
+        wo._take(a.T @ g)
+        if n == 0:
+            return
+        ga = split(g @ wo.value.T)
+        gz = ga @ vh.transpose(0, 2, 1)  # gs, then s * (gs - sum(gs * s)) * scale
         inner = (gz * s).sum(axis=2, keepdims=True)
         gz -= inner
         gz *= s
         gz *= scale
-        q._take(merge(gz @ kt.transpose(0, 2, 1)))
-        k._take(merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
-        v._take(merge(s.transpose(0, 2, 1) @ g))
+        gq = merge(gz @ kt.transpose(0, 2, 1))
+        gk = merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1))
+        gv = merge(s.transpose(0, 2, 1) @ ga)
+        for x, (w, b), gx in ((z, q, gq), (f, k, gk), (f, v, gv)):
+            b._take(gx.sum(axis=0, keepdims=True))
+            x._take(gx @ w.value.T)
+            w._take(x.value.T @ gx)
 
-    return Tensor(merge(s @ vh), (q, k, v), push)
+    # the walk reaches f before z, as the chain's v projection did
+    parents = (z, wq, bq, wk, bk, f, wv, bv, wo, bo) if n else (wo, bo)
+    return Tensor(project(a, wo, bo), parents, push)
 
 
 LAYER_NORM_EPS = 1e-5
 
 
-def layer_norm(x, gain, bias):
-    """Normalize each row to zero mean / unit variance, then apply affine."""
-    if gain.shape != (1, x.shape[1]) or bias.shape != (1, x.shape[1]):
+def _layer_norm(v, gain, bias):
+    """layer_norm's value for the array v, and its backward: a function of
+    the output's gradient g that hands gain and bias theirs and returns v's."""
+    if gain.shape != (1, v.shape[1]) or bias.shape != (1, v.shape[1]):
         raise ShapeError("layer_norm gain/bias must be 1xC")
-    xhat = x.value - x.value.mean(axis=1, keepdims=True)
+    xhat = v - v.mean(axis=1, keepdims=True)
     out = np.square(xhat)
     inv = 1.0 / np.sqrt(out.mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gain.value, out=out)
     out += bias.value
 
-    def push(g):
+    def grad(g):
         # inv * ((dxh - mean(dxh)) - xhat * mean(dxh * xhat)), in the array
         # of dxh * xhat: its layout, C or F, is the one that chain gives
         dxh = g * gain.value
@@ -339,11 +372,32 @@ def layer_norm(x, gain, bias):
         dxh -= mean_dxh
         np.subtract(dxh, term, out=term)
         term *= inv
-        x._take(term)
         gain._take((g * xhat).sum(axis=0, keepdims=True))
         bias._take(g.sum(axis=0, keepdims=True))
+        return term
 
-    return Tensor(out, (x, gain, bias), push)
+    return out, grad
+
+
+def layer_norm(x, gain, bias):
+    """Normalize each row to zero mean / unit variance, then apply affine."""
+    out, grad = _layer_norm(x.value, gain, bias)
+    return Tensor(out, (x, gain, bias), lambda g: x._take(grad(g)))
+
+
+def add_layer_norm(x, y, gain, bias):
+    """layer_norm(add(x, y), gain, bias) as one node; the sum is not kept.
+    Both x and y receive the sum's gradient: x a copy, y the array itself."""
+    if x.shape != y.shape:
+        raise ShapeError(f"add {x.shape} vs {y.shape}")
+    out, grad = _layer_norm(x.value + y.value, gain, bias)
+
+    def push(g):
+        term = grad(g)
+        x._accumulate(term)
+        y._take(term)
+
+    return Tensor(out, (x, y, gain, bias), push)
 
 
 def concat_cols(tensors):
@@ -507,17 +561,21 @@ def set_criterion(probs, score, mask, rows, onehot, iou, gt, sizes, weights, eps
 
 
 class ParamStore:
-    """Named parameter leaves plus flat-binary checkpoint I/O."""
+    """Named parameter leaves plus flat-binary checkpoint I/O. A store made
+    with draw=False creates zeros for `load` to replace, and draws nothing."""
 
-    def __init__(self):
+    def __init__(self, draw=True):
         self.params = {}
+        self.draw = draw
 
     def create(self, name, rows, cols, rng, fan_in=None, fill=None):
         """New leaf tensor. Default init is uniform(-b, b) with b = sqrt(1/fan_in);
         `fill` overrides it with a constant (used for norm gains and biases)."""
         if name in self.params:
             raise ContractError(f"duplicate parameter {name!r}")
-        if fill is not None:
+        if not self.draw:
+            value = np.zeros((rows, cols))
+        elif fill is not None:
             value = np.full((rows, cols), float(fill))
         else:
             bound = np.sqrt(1.0 / (fan_in if fan_in is not None else max(rows, 1)))

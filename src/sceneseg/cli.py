@@ -98,8 +98,7 @@ def cmd_train(cfg, data_dir, out_dir):
 def _untaped_forward(cfg, checkpoint, scene_path):
     """The prepared scene and the untaped forward pass of the checkpoint's model."""
     scene = scenegen.read_ply(scene_path)
-    model = SegModel(cfgmod.model_config(cfg))
-    model.store.load(checkpoint)
+    model = SegModel(cfgmod.model_config(cfg), checkpoint)
     prep = model.prepare(scene)
     with ad.no_tape():
         return prep, model.forward(prep)

@@ -63,9 +63,11 @@ class MultiHeadAttention:
         self.out = ad.Linear(store, prefix + ".out", d, d, rng)
 
     def __call__(self, z, f, mask=None):
-        """Attention of z's rows over f's rows (see ad.attention); with zero
-        context rows the output is the projection bias alone."""
-        return self.out(ad.attention(self.q(z), self.k(f), self.v(f), self.heads, mask))
+        """Attention of z's rows over f's rows as one tape node (see
+        ad.attention_block); with zero context rows the output is the
+        projection bias alone."""
+        pairs = [(p.w, p.b) for p in (self.q, self.k, self.v, self.out)]
+        return ad.attention_block(z, f, *pairs, self.heads, mask)
 
 
 class DecoderLayer:
@@ -91,11 +93,9 @@ class DecoderLayer:
         zeros = np.zeros((z.shape[0], self.fuse.w.shape[1]))
         branch_g = ad.constant(zeros) if f_g is None else self.cross_g(z, f_g, mask=mask)
         branch_l = ad.constant(zeros) if f_l is None else self.cross_l(z, self.local_proj(f_l))
-        x = ad.add(z, self.fuse(ad.concat_cols([branch_g, branch_l])))
-        x = ad.layer_norm(x, *self.norms[0])
-        x = ad.layer_norm(ad.add(x, self.self_attn(x, x)), *self.norms[1])
-        x = ad.layer_norm(ad.add(x, self.ffn(x)), *self.norms[2])
-        return x
+        x = ad.add_layer_norm(z, self.fuse(ad.concat_cols([branch_g, branch_l])), *self.norms[0])
+        x = ad.add_layer_norm(x, self.self_attn(x, x), *self.norms[1])
+        return ad.add_layer_norm(x, self.ffn(x), *self.norms[2])
 
 
 class PredictionHead:

@@ -46,9 +46,11 @@ class ForwardResult:
 
 
 class SegModel:
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, checkpoint=None):
+        """Parameters drawn from cfg.seed, or read from the checkpoint file
+        when one is given, without drawing an init first."""
         self.cfg = cfg
-        self.store = ad.ParamStore()
+        self.store = ad.ParamStore(draw=checkpoint is None)
         c = cfg.backbone.channels
         rng = lambda name: np.random.default_rng(seed_for(cfg.seed, name))
         self.backbone = bb.Backbone(self.store, cfg.backbone, rng("backbone"))
@@ -56,6 +58,8 @@ class SegModel:
         self.local = aggregation.LocalAggregator(self.store, c, cfg.agg, rng("local"))
         self.proj = aggregation.GlobalProjector(self.store, c, cfg.dec.d, rng("global"))
         self.decoder = dec.Decoder(self.store, cfg.dec, cfg.agg.width, rng("decoder"))
+        if checkpoint is not None:
+            self.store.load(checkpoint)
 
     def prepare(self, scene: scenegen.Scene) -> PreparedScene:
         """Superpoints and ground truth; DataError when a coordinate is too far

@@ -370,12 +370,76 @@ def candidate_sample_where(positions, f, beta, k_cand, rq):
 
 
 # ---------------------------------------------------------------------------
-# oracles of the fused attention op: the per-head composed chain, and the
-# stacked op with a fresh array for every step
+# oracles of the fused attention block and residual norm: the chains they
+# replaced, the stacked attention op of those chains, its per-head composed
+# chain, and the stacked op with a fresh array for every step
+
+
+def composed_attention_block(z, f, q, k, v, out, heads, mask=None):
+    """ad.attention_block as the chain it replaced: three `linear`s, the
+    stacked `attention` node and the out `linear`."""
+    (wq, bq), (wk, bk), (wv, bv), (wo, bo) = q, k, v, out
+    a = attention(ad.linear(z, wq, bq), ad.linear(f, wk, bk), ad.linear(f, wv, bv), heads, mask)
+    return ad.linear(a, wo, bo)
+
+
+def composed_add_layer_norm(x, y, gain, bias):
+    """ad.add_layer_norm as the add node and the layer_norm node it replaced."""
+    return ad.layer_norm(ad.add(x, y), gain, bias)
+
+
+def attention(q, k, v, heads, mask=None):
+    """The attention node of the chain ad.attention_block replaced: heads
+    of q's rows over k's and v's (K x d, M x d, M x d) as stacked matmuls
+    under a hand-written backward, bit-identical to composed_attention. With
+    zero context rows the output is a zero constant; a masked call appends
+    its heads x K x M weights to ad.attention_trace when that is a list."""
+    rows, d = q.shape
+    n = k.shape[0]
+    if heads < 1 or d % heads or k.shape[1] != d or v.shape != k.shape:
+        raise ShapeError(f"attention q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
+    if mask is not None and np.shape(mask) != (rows, n):
+        raise ShapeError(f"attention mask {np.shape(mask)} for {rows} x {n} logits")
+    if n == 0:
+        return ad.constant(np.zeros((rows, d)))
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(x):  # n x d -> heads x n x dh, each head's block C-contiguous
+        return np.ascontiguousarray(x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2))
+
+    def merge(x):  # heads x n x dh -> n x d, C-contiguous like concat_cols' output
+        return np.ascontiguousarray(x.transpose(1, 0, 2).reshape(x.shape[1], d))
+
+    qh, vh = split(q.value), split(v.value)
+    kt = np.ascontiguousarray(k.value.reshape(n, heads, dh).transpose(1, 2, 0))  # heads x dh x n
+    # the softmax runs in place in the logits: s = exp(z - max) / sum
+    s = qh @ kt
+    s *= scale
+    if mask is not None:
+        s += mask
+    s -= s.max(axis=2, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=2, keepdims=True)
+    if mask is not None and ad.attention_trace is not None:
+        ad.attention_trace.append(s.copy())
+
+    def push(g):
+        g = split(g)
+        gz = g @ vh.transpose(0, 2, 1)  # gs, then s * (gs - sum(gs * s)) * scale
+        inner = (gz * s).sum(axis=2, keepdims=True)
+        gz -= inner
+        gz *= s
+        gz *= scale
+        q._take(merge(gz @ kt.transpose(0, 2, 1)))
+        k._take(merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1)))
+        v._take(merge(s.transpose(0, 2, 1) @ g))
+
+    return ad.Tensor(merge(s @ vh), (q, k, v), push)
 
 
 def attention_with_temporaries(q, k, v, heads, mask=None):
-    """ad.attention computing each softmax and backward step into a new
+    """attention computing each softmax and backward step into a new
     array, with k copied twice into its heads x dh x M layout."""
     rows, d = q.shape
     if k.shape[0] == 0:
@@ -440,7 +504,7 @@ def slice_cols(x, a, b):
 
 
 def composed_attention(q, k, v, heads, mask=None):
-    """ad.attention built from per-head slice / transpose / matmul / affine /
+    """attention built from per-head slice / transpose / matmul / affine /
     softmax_rows / matmul nodes joined by concat_cols; the mask enters as
     the affine's shift."""
     if k.shape[0] == 0:

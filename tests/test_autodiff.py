@@ -15,10 +15,13 @@ from sceneseg.model import SegModel, seed_for
 
 from helpers import (
     add_bias,
+    attention,
     attention_with_temporaries,
     backward_keep_tape,
     clip,
+    composed_add_layer_norm,
     composed_attention,
+    composed_attention_block,
     composed_linear,
     composed_set_criterion,
     composed_weighted_bce,
@@ -313,7 +316,7 @@ class TestAttention:
     @given(attention_inputs())
     def test_bit_identical_to_composed_chain(self, case):
         data, heads, mask = case
-        out, cap, grads = attention_case(ad.attention, data, heads, mask)
+        out, cap, grads = attention_case(attention, data, heads, mask)
         want_out, want_cap, want_grads = attention_case(composed_attention, data, heads, mask)
         assert out.tobytes() == want_out.tobytes()
         # only a masked call records its weights: heads x rows x context
@@ -328,7 +331,7 @@ class TestAttention:
     def test_one_tape_node(self):
         rng = np.random.default_rng(0)
         q, k, v = (ad.Tensor(rng.normal(size=s)) for s in [(3, 8), (5, 8), (5, 8)])
-        out = ad.attention(q, k, v, 4)
+        out = attention(q, k, v, 4)
         assert out.parents == (q, k, v)
 
     def test_fully_masked_row_gives_nan(self):
@@ -338,26 +341,26 @@ class TestAttention:
         mask = np.zeros((3, 5))
         mask[1] = -np.inf
         with np.errstate(invalid="ignore"):
-            out = ad.attention(q, k, v, 2, mask).value
+            out = attention(q, k, v, 2, mask).value
         assert np.isnan(out[1]).all()
-        np.testing.assert_array_equal(out[[0, 2]], ad.attention(q, k, v, 2).value[[0, 2]])
+        np.testing.assert_array_equal(out[[0, 2]], attention(q, k, v, 2).value[[0, 2]])
 
     def test_zero_context_rows_give_zero_constant(self):
         q = ad.Tensor(np.ones((3, 4)))
         empty = ad.Tensor(np.zeros((0, 4)))
         with traced("attention_trace") as cap:
-            out = ad.attention(q, empty, empty, 2, np.zeros((3, 0)))
+            out = attention(q, empty, empty, 2, np.zeros((3, 0)))
         np.testing.assert_array_equal(out.value, np.zeros((3, 4)))
         assert out.parents == () and cap == []
 
     def test_shape_errors(self):
         x = ad.constant(np.ones((3, 6)))
         with pytest.raises(ShapeError):
-            ad.attention(x, x, x, 4)  # 6 columns do not split into 4 heads
+            attention(x, x, x, 4)  # 6 columns do not split into 4 heads
         with pytest.raises(ShapeError):
-            ad.attention(x, ad.constant(np.ones((3, 4))), x, 2)
+            attention(x, ad.constant(np.ones((3, 4))), x, 2)
         with pytest.raises(ShapeError):
-            ad.attention(x, x, x, 2, np.zeros((3, 2)))
+            attention(x, x, x, 2, np.zeros((3, 2)))
 
     def test_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -367,7 +370,7 @@ class TestAttention:
         mask[:, 0] = 0.0
 
         def loss():
-            return sum_all(mul(ad.attention(q, k, v, 3, mask), ad.constant(g)))
+            return sum_all(mul(attention(q, k, v, 3, mask), ad.constant(g)))
 
         ad.backward(loss())
         for t in (q, k, v):
@@ -412,7 +415,7 @@ class TestInPlaceOps:
     def test_attention_same_bytes_as_fresh_arrays(self, case):
         values, heads, mask, consumer, g = case
         results = []
-        for op in (ad.attention, attention_with_temporaries):
+        for op in (attention, attention_with_temporaries):
             with traced("attention_trace") as weights:
                 got = fused_case(
                     lambda q, k, v: op(q, k, v, heads, mask),
@@ -766,6 +769,177 @@ class TestSetCriterion:
             assert rel_err(t.grad, fd) < 1e-6
 
 
+@st.composite
+def attention_block_inputs(draw):
+    """z, f and the q, k, v and out weight/bias pairs, all C- or F-ordered,
+    for one of four kinds of block: masked (some rows fully open, as the
+    decoder's fallback rows are), unmasked, self-attention (f is z) and
+    zero context rows (with or without a K x 0 mask); a consumer."""
+    heads = draw(st.integers(1, 4))
+    d = heads * draw(st.integers(1, 4))
+    rows = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["masked", "unmasked", "self", "empty"]))
+    n = {"self": rows, "empty": 0}.get(kind, draw(st.integers(1, 10)))
+    values, rng = draw_values(draw, [(rows, d), (n, d)] + [(d, d), (1, d)] * 4)
+    mask = None
+    if kind == "masked":
+        mask = np.where(rng.uniform(size=(rows, n)) < draw(st.floats(0.0, 1.0)), -np.inf, 0.0)
+        mask[np.arange(rows), rng.integers(0, n, size=rows)] = 0.0
+        mask[rng.uniform(size=rows) < 0.3] = 0.0
+    elif kind == "empty" and draw(st.booleans()):
+        mask = np.zeros((rows, 0))
+    consumer = draw(st.sampled_from(sorted(CONSUMERS)))
+    return values, heads, mask, kind, consumer, rng.normal(size=(rows, d))
+
+
+def block_case(op, case):
+    """fused_case for an attention block (q, k, v and out pairs from the
+    leaves after z and f), with the weights it sent to ad.attention_trace."""
+    values, heads, mask, kind, consumer, g = case
+
+    def run(z, f, *params):
+        pairs = [params[i : i + 2] for i in range(0, 8, 2)]
+        return op(z, f, *pairs, heads, mask)
+
+    with traced("attention_trace") as weights:
+        got = fused_case(
+            run, values, lambda out: CONSUMERS[consumer](out, g), [(0, 1)] if kind == "self" else ()
+        )
+    return got, [w.tobytes() for w in weights]
+
+
+def assert_same_grads(got, want):
+    """assert_same_bytes_and_order where some gradients may be None: the same
+    ones on both sides."""
+    grads, want_grads = got[2], want[2]
+    assert [a is None for a in grads] == [b is None for b in want_grads]
+    kept = lambda gs: [a for a in gs if a is not None]
+    assert_same_bytes_and_order(got[:2] + (kept(grads),), want[:2] + (kept(want_grads),))
+
+
+def block_params(rng, d):
+    return [(ad.Tensor(rng.normal(size=(d, d))), ad.Tensor(rng.normal(size=(1, d)))) for _ in range(4)]
+
+
+class TestAttentionBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(attention_block_inputs())
+    def test_same_bytes_as_composed_chain(self, case):
+        """Output, recorded weights and the bytes and memory order of every
+        gradient, against linear x 3 -> attention -> linear."""
+        (got, weights), (want, want_weights) = (
+            block_case(op, case) for op in (ad.attention_block, composed_attention_block)
+        )
+        assert_same_grads(got, want)
+        assert weights == want_weights and len(weights) == (case[2] is not None and case[3] != "empty")
+        if case[3] == "empty":  # the out bias alone; only the out pair learns
+            assert [a is None for a in got[2][1:]] == [True] * 8 + [False] * 2
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(0)
+        z, f = ad.Tensor(rng.normal(size=(3, 8))), ad.Tensor(rng.normal(size=(5, 8)))
+        pairs = block_params(rng, 8)
+        (wq, bq), (wk, bk), (wv, bv), (wo, bo) = pairs
+        assert ad.attention_block(z, f, *pairs, 4).parents == (z, wq, bq, wk, bk, f, wv, bv, wo, bo)
+        empty = ad.Tensor(np.zeros((0, 8)))
+        out = ad.attention_block(z, empty, *pairs, 4)
+        assert out.parents == (wo, bo)
+        assert out.value.tobytes() == np.tile(bo.value, (3, 1)).tobytes()
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(1)
+        x = ad.constant(np.ones((3, 6)))
+        pairs = block_params(rng, 6)
+        with pytest.raises(ShapeError):
+            ad.attention_block(x, x, *pairs, 4)  # 6 columns do not split into 4 heads
+        with pytest.raises(ShapeError):
+            ad.attention_block(x, ad.constant(np.ones((3, 4))), *pairs, 2)
+        with pytest.raises(ShapeError):
+            ad.attention_block(x, x, *pairs[:3], block_params(rng, 4)[0], 2)
+        with pytest.raises(ShapeError):
+            ad.attention_block(x, x, *pairs, 2, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("kind", ["masked", "self"])
+    def test_finite_differences(self, kind):
+        rng = np.random.default_rng(11)
+        z = ad.Tensor(rng.normal(size=(4, 6)))
+        f = z if kind == "self" else ad.Tensor(rng.normal(size=(7, 6)))
+        pairs = block_params(rng, 6)
+        g = ad.constant(rng.normal(size=(4, 6)))
+        mask = None
+        if kind == "masked":
+            mask = np.where(rng.uniform(size=(4, 7)) < 0.4, -np.inf, 0.0)
+            mask[:, 0] = 0.0
+            mask[1] = 0.0
+
+        def loss():
+            return sum_all(mul(ad.attention_block(z, f, *pairs, 3, mask), g))
+
+        ad.backward(loss())
+        for t in [z, f] + [t for pair in pairs for t in pair]:
+            fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
+            # bk's gradient is 0: it shifts every logit of a row alike
+            assert np.abs(t.grad - fd).max() < 1e-6 * max(np.abs(fd).max(), 1.0)
+
+
+@st.composite
+def add_layer_norm_inputs(draw):
+    """x, y, gain and bias in C or F order, with constant sums and rows at
+    scales from 1e-3 to 1e3; whether y is x; a consumer."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    values, rng = draw_values(draw, [(rows, cols), (rows, cols), (1, cols), (1, cols)])
+    x, y = values[:2]
+    scale = 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    x *= scale
+    y *= scale
+    flat = rng.uniform(size=rows) < 0.2
+    x[flat], y[flat] = rng.normal(), rng.normal()
+    consumer = draw(st.sampled_from(sorted(CONSUMERS)))
+    return values, draw(st.booleans()), consumer, rng.normal(size=(rows, cols))
+
+
+class TestAddLayerNorm:
+    @settings(max_examples=300, deadline=None)
+    @given(add_layer_norm_inputs())
+    def test_same_bytes_as_composed_chain(self, case):
+        """Output and the bytes and memory order of every gradient against
+        add -> layer_norm; x's gradient is a copy, never y's array."""
+        values, same, consumer, g = case
+        runs = []
+        for op in (ad.add_layer_norm, composed_add_layer_norm):
+            leaves = []
+            runs.append(fused_case(
+                lambda *ts: leaves.extend(ts) or op(*ts),
+                values,
+                lambda out: CONSUMERS[consumer](out, g),
+                [(0, 1)] if same else (),
+            ))
+            if not same:
+                assert shared_grads(leaves) == []
+        assert_same_bytes_and_order(*runs)
+
+    def test_one_tape_node(self):
+        x, y, gain, bias = (ad.Tensor(np.ones(s)) for s in [(3, 4), (3, 4), (1, 4), (1, 4)])
+        assert ad.add_layer_norm(x, y, gain, bias).parents == (x, y, gain, bias)
+        with pytest.raises(ShapeError):
+            ad.add_layer_norm(x, ad.constant(np.ones((3, 2))), gain, bias)
+        with pytest.raises(ShapeError):
+            ad.add_layer_norm(x, y, ad.constant(np.ones((1, 3))), bias)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(13)
+        x, y, gain, bias = (ad.Tensor(rng.normal(size=s)) for s in [(4, 6), (4, 6), (1, 6), (1, 6)])
+        g = ad.constant(rng.normal(size=(4, 6)))
+
+        def loss():
+            return sum_all(mul(ad.add_layer_norm(x, y, gain, bias), g))
+
+        ad.backward(loss())
+        for t in (x, y, gain, bias):
+            fd = finite_diff(lambda: float(loss().value[0, 0]), t.value)
+            assert rel_err(t.grad, fd) < 1e-6
+
+
 def default_step():
     """The loss report of one training step on the seed-1 default scene 0."""
     cfg = config.RunConfig()
@@ -784,6 +958,24 @@ def default_step_nodes():
     return nodes
 
 
+def default_step_grads():
+    """The bytes of every parameter gradient of one default training step."""
+    m = SegModel(config.model_config(config.RunConfig()))
+    prep = m.prepare(scenegen.generate_scene(seed_for(1, "scene0"), scenegen.SceneSpec()))
+    ad.backward(training.scene_loss(m, prep, config.train_config(config.RunConfig())).total_tensor)
+    return {n: m.store.grad_of(n).tobytes(order="A") for n in m.store.names()}
+
+
+def test_default_step_same_gradients_as_composed_chains(monkeypatch):
+    """At the default config (six layers, keypoint branch on) the walk over
+    the fused blocks and residual norms sums every gradient in the chains'
+    order: f_g's pushes, for one, last layer first."""
+    fused = default_step_grads()
+    monkeypatch.setattr(ad, "attention_block", composed_attention_block)
+    monkeypatch.setattr(ad, "add_layer_norm", composed_add_layer_norm)
+    assert default_step_grads() == fused
+
+
 class TestGradientOwnership:
     """A push may keep a gradient it allocated, but never one another node
     holds: no two nodes' .grad may share memory after a backward pass."""
@@ -793,7 +985,7 @@ class TestGradientOwnership:
         assert shared_grads(default_step_nodes) == []
 
     def test_default_step_tape_nodes(self, default_step_nodes):
-        assert len(default_step_nodes) <= 536
+        assert len(default_step_nodes) <= 446
         nodes = ad._toposort(default_step().total_tensor)
         assert "relu" not in [n._push.__qualname__.split(".")[0] for n in nodes if n._push]
 

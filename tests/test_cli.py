@@ -310,6 +310,27 @@ class TestUntaped:
         assert code == 0 and len(outs) == 1
         assert all(t.parents == () for t in forward_tensors(outs[0]))
 
+    @pytest.mark.parametrize(
+        "command, extra", [("predict", []), ("inspect-attn", ["--layer", "1", "--head", "0"])]
+    )
+    def test_checkpoint_model_draws_no_init(self, workspace, tmp_path, monkeypatch, command, extra):
+        """The model is read from the checkpoint without drawing an init
+        first, and every file written keeps its bytes."""
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"the checkpoint's model drew rng.{name}")
+
+        args = [command, *extra, "--checkpoint", str(workspace / "runs" / "checkpoint.psgw"),
+                "--scene", str(workspace / "data" / "scene_000.ply")]
+        def written(out):  # predict's --out is a directory, inspect-attn's a file
+            assert run(args + ["--out", str(out)]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else out.read_bytes()
+
+        drawn = written(tmp_path / "drawn")
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        assert written(tmp_path / "read") == drawn
+
 
 class TestExitCodes:
     def test_unknown_config_key_exit_2(self, tmp_path):

@@ -48,7 +48,8 @@ def test_install_counts_one_default_step_and_undo_restores():
     assert [owner.__dict__[attr] for owner, attr in patched] == before
 
     counts = {name: n for (_, name), n in rec.counts.items()}
-    assert counts["autodiff.tape_nodes"] == 536
+    assert counts["autodiff.tape_nodes"] == 446
+    assert sum(s.tensors for s in rec.spans if s.name == "decoder.forward") == 123
     assert counts["aggregation.keypoints"] > 0
     assert counts["kernels.min_sq_dist_calls"] == counts["aggregation.keypoints"]  # one per pick
     assert "decoder.fallback_rows" in counts

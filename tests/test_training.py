@@ -10,15 +10,18 @@ from hypothesis import given, settings, strategies as st
 from sceneseg import autodiff as ad, config as cfgmod, model, scenegen, training
 from sceneseg.aggregation import AggregationConfig
 from sceneseg.backbone import BackboneConfig
-from sceneseg.decoder import DecoderConfig, LayerPrediction, MultiHeadAttention
+from sceneseg.decoder import DecoderConfig, LayerPrediction
 from sceneseg.model import SegModel, seed_for
 from sceneseg.errors import ContractError, NumericError
 from sceneseg.training import TrainConfig
 
+import helpers
 from helpers import (
     SMALL_CFG,
     backward_keep_tape,
+    composed_add_layer_norm,
     composed_attention,
+    composed_attention_block,
     composed_linear,
     composed_linear_layer,
     composed_set_criterion,
@@ -617,14 +620,20 @@ class TestFit:
         return rows, {n: m.store[n].value.tobytes() for n in m.store.names()}
 
     def test_fused_attention_trains_like_composed_chain(self, monkeypatch):
+        """Each attention block, run as three linears, the stacked attention
+        node and the out linear, and then with the per-head chain in place of
+        that node, gives the bytes of the fused block."""
         fused = self.train_small()
-        monkeypatch.setattr(
-            MultiHeadAttention,
-            "__call__",
-            lambda self, z, f, mask=None: self.out(
-                composed_attention(self.q(z), self.k(f), self.v(f), self.heads, mask)
-            ),
-        )
+        monkeypatch.setattr(ad, "attention_block", composed_attention_block)
+        assert self.train_small() == fused
+        monkeypatch.setattr(helpers, "attention", composed_attention)
+        assert self.train_small() == fused
+
+    def test_add_layer_norm_trains_like_composed_chain(self, monkeypatch):
+        """Each post-norm residual, run as an add node and a layer_norm node,
+        gives the bytes of the fused one."""
+        fused = self.train_small()
+        monkeypatch.setattr(ad, "add_layer_norm", composed_add_layer_norm)
         assert self.train_small() == fused
 
     def test_fused_ops_train_like_composed_chains(self, monkeypatch):
