@@ -311,7 +311,7 @@ def attention_block(z, f, q, k, v, out, heads, mask=None):
         qh, vh = split(project(z.value, wq, bq)), split(project(f.value, wv, bv))
         kt = project(f.value, wk, bk).reshape(n, heads, dh).transpose(1, 2, 0)
         kt = np.ascontiguousarray(kt)  # heads x dh x n
-        # the softmax runs in place in the logits: s = exp(z - max) / sum
+        # the softmax runs in place in the logits l: s = exp(l - max) / sum
         s = qh @ kt
         s *= scale
         if mask is not None:
@@ -329,13 +329,13 @@ def attention_block(z, f, q, k, v, out, heads, mask=None):
         if n == 0:
             return
         ga = split(g @ wo.value.T)
-        gz = ga @ vh.transpose(0, 2, 1)  # gs, then s * (gs - sum(gs * s)) * scale
-        inner = (gz * s).sum(axis=2, keepdims=True)
-        gz -= inner
-        gz *= s
-        gz *= scale
-        gq = merge(gz @ kt.transpose(0, 2, 1))
-        gk = merge((qh.transpose(0, 2, 1) @ gz).transpose(0, 2, 1))
+        gl = ga @ vh.transpose(0, 2, 1)  # gs, then s * (gs - sum(gs * s)) * scale
+        inner = (gl * s).sum(axis=2, keepdims=True)
+        gl -= inner
+        gl *= s
+        gl *= scale
+        gq = merge(gl @ kt.transpose(0, 2, 1))
+        gk = merge((qh.transpose(0, 2, 1) @ gl).transpose(0, 2, 1))
         gv = merge(s.transpose(0, 2, 1) @ ga)
         for x, (w, b), gx in ((z, q, gq), (f, k, gk), (f, v, gv)):
             b._take(gx.sum(axis=0, keepdims=True))

@@ -498,6 +498,15 @@ def assert_same_bytes_and_order(got, want):
         )
 
 
+def assert_same_grads(got, want):
+    """assert_same_bytes_and_order where some gradients may be None: the same
+    ones on both sides."""
+    grads, want_grads = got[2], want[2]
+    assert [a is None for a in grads] == [b is None for b in want_grads]
+    kept = lambda gs: [a for a in gs if a is not None]
+    assert_same_bytes_and_order([*got[:2], kept(grads)], [*want[:2], kept(want_grads)])
+
+
 def draw_values(draw, shapes):
     """Normal values in the shapes given, all C- or all F-ordered."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -731,10 +740,7 @@ class TestSetCriterion:
         assert [np.float64(v).tobytes() for v in parts] == [
             np.float64(v).tobytes() for v in want_parts
         ]
-        grads, want_grads = got.pop(), want.pop()  # score and mask: None with no matched row
-        assert [g is None for g in grads] == [g is None for g in want_grads]
-        kept = lambda gs: [g for g in gs if g is not None]
-        assert_same_bytes_and_order(got + [kept(grads)], want + [kept(want_grads)])
+        assert_same_grads(got, want)  # score and mask: None with no matched row
 
     def test_one_tape_node(self):
         probs, score = ad.Tensor(np.full((2, 3), 1 / 3)), ad.Tensor(np.full((2, 1), 0.5))
@@ -806,15 +812,6 @@ def block_case(op, case):
             run, values, lambda out: CONSUMERS[consumer](out, g), [(0, 1)] if kind == "self" else ()
         )
     return got, [w.tobytes() for w in weights]
-
-
-def assert_same_grads(got, want):
-    """assert_same_bytes_and_order where some gradients may be None: the same
-    ones on both sides."""
-    grads, want_grads = got[2], want[2]
-    assert [a is None for a in grads] == [b is None for b in want_grads]
-    kept = lambda gs: [a for a in gs if a is not None]
-    assert_same_bytes_and_order(got[:2] + (kept(grads),), want[:2] + (kept(want_grads),))
 
 
 def block_params(rng, d):
@@ -905,18 +902,14 @@ class TestAddLayerNorm:
         """Output and the bytes and memory order of every gradient against
         add -> layer_norm; x's gradient is a copy, never y's array."""
         values, same, consumer, g = case
-        runs = []
-        for op in (ad.add_layer_norm, composed_add_layer_norm):
-            leaves = []
-            runs.append(fused_case(
-                lambda *ts: leaves.extend(ts) or op(*ts),
-                values,
-                lambda out: CONSUMERS[consumer](out, g),
-                [(0, 1)] if same else (),
-            ))
-            if not same:
-                assert shared_grads(leaves) == []
-        assert_same_bytes_and_order(*runs)
+        got, want = (
+            fused_case(op, values, lambda out: CONSUMERS[consumer](out, g), [(0, 1)] if same else ())
+            for op in (ad.add_layer_norm, composed_add_layer_norm)
+        )
+        assert_same_bytes_and_order(got, want)
+        out_grad, x_grad, y_grad = got[2][:3]
+        assert not np.shares_memory(out_grad, x_grad) and not np.shares_memory(out_grad, y_grad)
+        assert same or not np.shares_memory(x_grad, y_grad)
 
     def test_one_tape_node(self):
         x, y, gain, bias = (ad.Tensor(np.ones(s)) for s in [(3, 4), (3, 4), (1, 4), (1, 4)])
