@@ -47,6 +47,21 @@ def canonical_order(points):
     return order
 
 
+@dataclass
+class VoxelLayout:
+    """The backbone's scene-only input, for one scene and one BackboneConfig:
+    the inverse of the canonical order, the (in-voxel offset, colour) rows in
+    that order, each point's voxel and each level's child -> parent voxel map,
+    with the voxel count of each level."""
+
+    cfg: BackboneConfig
+    inv_order: np.ndarray
+    point_in: np.ndarray
+    p2v: np.ndarray
+    n_voxels: int
+    maps: list  # (child2parent, n_parents) per level
+
+
 class Backbone:
     def __init__(self, store: ad.ParamStore, cfg: BackboneConfig, rng):
         c = cfg.channels
@@ -62,8 +77,9 @@ class Backbone:
         self.norm_gain = store.create("backbone.norm.gain", 1, c, rng, fill=1.0)
         self.norm_bias = store.create("backbone.norm.bias", 1, c, rng, fill=0.0)
 
-    def __call__(self, scene):
-        """Feature matrix, one row per point, width cfg.channels."""
+    def layout(self, scene) -> VoxelLayout:
+        """The scene's VoxelLayout under this backbone's config; it depends
+        on the points alone, never on the parameters."""
         if scene.n_points == 0:
             raise ContractError("empty scene")
         cfg = self.cfg
@@ -80,26 +96,29 @@ class Backbone:
         cells -= cells.min(axis=0)
         coords, p2v = scenegen.unique_rows(cells)
 
-        point_in = ad.constant(np.concatenate([scaled - floor, col], axis=1))
-        point_emb = self.embed(point_in)
-
-        feats = [ad.segment_mean(point_emb, p2v, len(coords))]
         maps = []  # child-voxel -> parent-voxel index per level
         level_coords = coords
-        for i in range(cfg.levels):
-            parent_cells = level_coords >> 1
-            parent_coords, child2parent = scenegen.unique_rows(parent_cells)
-            pooled = ad.segment_mean(feats[-1], child2parent, len(parent_coords))
-            feats.append(self.down[i](pooled))
-            maps.append(child2parent)
-            level_coords = parent_coords
+        for _ in range(cfg.levels):
+            level_coords, child2parent = scenegen.unique_rows(level_coords >> 1)
+            maps.append((child2parent, len(level_coords)))
+        return VoxelLayout(cfg, inv_order, np.concatenate([scaled - floor, col], axis=1),
+                           p2v, len(coords), maps)
+
+    def __call__(self, layout: VoxelLayout):
+        """Feature matrix, one row per point of the layout's scene, width
+        cfg.channels."""
+        point_emb = self.embed(ad.constant(layout.point_in))
+
+        feats = [ad.segment_mean(point_emb, layout.p2v, layout.n_voxels)]
+        for down, (child2parent, n_parents) in zip(self.down, layout.maps):
+            feats.append(down(ad.segment_mean(feats[-1], child2parent, n_parents)))
 
         x = feats[-1]
-        for i in reversed(range(cfg.levels)):
-            up = ad.gather_rows(x, maps[i])
+        for i in reversed(range(self.cfg.levels)):
+            up = ad.gather_rows(x, layout.maps[i][0])
             x = self.up[i](ad.concat_cols([feats[i], up]))
 
-        per_point = ad.gather_rows(x, p2v)
+        per_point = ad.gather_rows(x, layout.p2v)
         out = self.head(ad.concat_cols([point_emb, per_point]))
         out = ad.layer_norm(out, self.norm_gain, self.norm_bias)
-        return ad.gather_rows(out, inv_order)
+        return ad.gather_rows(out, layout.inv_order)

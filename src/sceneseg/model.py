@@ -33,9 +33,15 @@ class ModelConfig:
 
 @dataclass
 class PreparedScene:
+    """A scene with its superpoints and ground truth, for the model that
+    prepared it. Its first forward keeps the backbone's VoxelLayout here
+    (rebuilt by a model with another BackboneConfig), so the scene must not
+    be edited after that forward."""
+
     scene: scenegen.Scene
     partition: scenegen.SuperpointPartition
     gt: scenegen.GroundTruth
+    layout: bb.VoxelLayout | None = None
 
 
 @dataclass
@@ -79,7 +85,9 @@ class SegModel:
         the foreground, then each stage's class_probs, iou_score and sp_mask."""
         cfg = self.cfg
         scene = prep.scene
-        f_p = self.backbone(scene)
+        if prep.layout is None or prep.layout.cfg != cfg.backbone:
+            prep.layout = self.backbone.layout(scene)
+        f_p = self.backbone(prep.layout)
         fg = self.fg_head(f_p)
 
         keypoints, f_l = np.empty(0, dtype=np.int64), None

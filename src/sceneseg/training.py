@@ -135,27 +135,71 @@ def total_loss(preds, gt, sizes, fg, scene, cfg: TrainConfig) -> LossReport:
 
 
 class Adam:
-    """Per-parameter adaptive moment estimation."""
+    """Adaptive moment estimation over cache-sized blocks of parameters.
+
+    The moments live in two flat buffers; `m[name]` and `v[name]` are views
+    into them. Whole parameters, in store order, are packed into blocks of
+    at most BLOCK elements (a larger parameter is a block of its own). A step
+    copies a block's gradients into a scratch row and runs the per-parameter
+    update's expressions, in their order, in place, so every byte matches
+    `m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    p -= lr (m / b1c) / (sqrt(v / b2c) + eps)`.
+    """
+
+    BLOCK = 16384
 
     def __init__(self, store, cfg: TrainConfig):
         self.store = store
         self.cfg = cfg
-        self.m = {n: np.zeros(store[n].shape) for n in store.names()}
-        self.v = {n: np.zeros(store[n].shape) for n in store.names()}
         self.t = 0
+        spans = []  # [start, end, names] per block
+        end = 0
+        for name in store.names():
+            size = store[name].value.size
+            if not spans or end - spans[-1][0] + size > self.BLOCK:
+                spans.append([end, end, []])
+            end += size
+            spans[-1][1] = end
+            spans[-1][2].append(name)
+        self._m, self._v = np.zeros(end), np.zeros(end)
+        scratch = np.empty((2, max((b - a for a, b, _ in spans), default=0)))
+        self.m, self.v = {}, {}
+        self.blocks = []  # (m, v, gradient row, second row, [(name, its slice of the row)])
+        for start, stop, names in spans:
+            g, s = scratch[:, : stop - start]
+            members, at = [], start
+            for name in names:
+                shape = store[name].shape
+                size = store[name].value.size
+                self.m[name] = self._m[at : at + size].reshape(shape)
+                self.v[name] = self._v[at : at + size].reshape(shape)
+                members.append((name, g[at - start : at - start + size].reshape(shape)))
+                at += size
+            self.blocks.append((self._m[start:stop], self._v[start:stop], g, s, members))
 
     def step(self):
-        cfg = self.cfg
+        lr, store = self.cfg.lr, self.store
         self.t += 1
         b1c = 1.0 - ADAM_BETA1**self.t
         b2c = 1.0 - ADAM_BETA2**self.t
-        for name in self.store.names():
-            g = self.store.grad_of(name)
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1 - ADAM_BETA2) * g * g
-            mhat = self.m[name] / b1c
-            vhat = self.v[name] / b2c
-            self.store[name].value -= cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        for m, v, g, s, members in self.blocks:
+            for name, row in members:
+                row[...] = store.grad_of(name)
+            np.multiply(g, 1 - ADAM_BETA1, out=s)
+            m *= ADAM_BETA1
+            m += s
+            np.multiply(g, 1 - ADAM_BETA2, out=s)
+            s *= g
+            v *= ADAM_BETA2
+            v += s
+            np.divide(v, b2c, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPS
+            np.divide(m, b1c, out=g)
+            g *= lr
+            g /= s
+            for name, row in members:
+                store[name].value -= row
 
 
 def scene_loss(model, prep, cfg: TrainConfig) -> LossReport:

@@ -2,8 +2,9 @@
 for the vectorised I/O and sampling code, the composed oracles of the fused
 autodiff ops and the small ops they are built of, the tape-keeping oracle of
 `backward`, the loop oracles of the vectorised training step, the forms with
-a fresh array for every step of the ops that now work in place, and tiny
-scene and model builders."""
+a fresh array for every step of the ops that now work in place, the
+per-parameter oracle of the blocked Adam, and tiny scene and model
+builders."""
 
 import contextlib
 
@@ -788,3 +789,28 @@ def loop_set_criterion(probs, score, mask, rows, onehot, iou, gt, sizes, weights
     return composed_set_criterion(
         probs, score, mask, rows, onehot, iou, gt, sizes, weights, eps, dice=dice_loss_per_pair
     )
+
+
+class PerParameterAdam:
+    """training.Adam as one fresh-array update per parameter, with its own
+    moment arrays: the blocked, in-place Adam's oracle."""
+
+    def __init__(self, store, cfg):
+        self.store = store
+        self.cfg = cfg
+        self.m = {n: np.zeros(store[n].shape) for n in store.names()}
+        self.v = {n: np.zeros(store[n].shape) for n in store.names()}
+        self.t = 0
+
+    def step(self):
+        b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+        self.t += 1
+        b1c = 1.0 - b1**self.t
+        b2c = 1.0 - b2**self.t
+        for name in self.store.names():
+            g = self.store.grad_of(name)
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            mhat = self.m[name] / b1c
+            vhat = self.v[name] / b2c
+            self.store[name].value -= self.cfg.lr * mhat / (np.sqrt(vhat) + eps)

@@ -1,12 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sceneseg import autodiff as ad, backbone, scenegen
+from sceneseg import autodiff as ad, backbone, scenegen, training
 from sceneseg.backbone import Backbone, BackboneConfig
 from sceneseg.errors import ContractError
+from sceneseg.model import SegModel
 
-from helpers import finite_diff, lexsort_order, micro_scene, mul, rel_err, sum_all
+from helpers import (
+    finite_diff,
+    forward_tensors,
+    lexsort_order,
+    micro_model,
+    micro_scene,
+    mul,
+    rel_err,
+    sum_all,
+)
 
 
 def make_backbone(channels=8, levels=2, seed=0):
@@ -28,16 +40,16 @@ class TestBackbone:
     def test_shape_and_finite(self):
         scene = micro_scene()
         bb, _ = make_backbone(channels=16)
-        out = bb(scene).value
+        out = bb(bb.layout(scene)).value
         assert out.shape == (scene.n_points, 16)
         assert np.all(np.isfinite(out))
 
     def test_permutation_equivariance_exact(self):
         scene = micro_scene(seed=5)
         bb, _ = make_backbone()
-        base = bb(scene).value
+        base = bb(bb.layout(scene)).value
         perm = np.random.default_rng(0).permutation(scene.n_points)
-        out = bb(permuted(scene, perm)).value
+        out = bb(bb.layout(permuted(scene, perm))).value
         assert np.array_equal(out, base[perm])
 
     def test_identical_points_identical_features(self):
@@ -45,13 +57,14 @@ class TestBackbone:
         # force two points into the same voxel with identical offset and color
         scene.points[1] = scene.points[0]
         bb, _ = make_backbone()
-        out = bb(scene).value
+        out = bb(bb.layout(scene)).value
         assert np.array_equal(out[0], out[1])
 
     def test_deterministic_across_runs(self):
         scene = micro_scene(seed=9)
-        a = make_backbone(seed=4)[0](scene).value
-        b = make_backbone(seed=4)[0](scene).value
+        bb_a, bb_b = make_backbone(seed=4)[0], make_backbone(seed=4)[0]
+        a = bb_a(bb_a.layout(scene)).value
+        b = bb_b(bb_b.layout(scene)).value
         assert np.array_equal(a, b)
 
     def test_empty_scene_rejected(self):
@@ -63,12 +76,12 @@ class TestBackbone:
         )
         bb, _ = make_backbone()
         with pytest.raises(ContractError):
-            bb(empty)
+            bb.layout(empty)
 
     def test_gradients_reach_every_parameter(self):
         scene = micro_scene(seed=1, n_points=50 * 2, n_objects=1)
         bb, store = make_backbone()
-        loss = sum_all(mul(bb(scene), bb(scene)))
+        loss = sum_all(mul(bb(bb.layout(scene)), bb(bb.layout(scene))))
         ad.backward(loss)
         for name in store.names():
             assert np.any(store.grad_of(name) != 0), name
@@ -78,7 +91,7 @@ class TestBackbone:
         bb, store = make_backbone()
 
         def loss():
-            out = bb(scene)
+            out = bb(bb.layout(scene))
             return sum_all(mul(out, out))
 
         l = loss()
@@ -113,6 +126,48 @@ class TestBackbone:
         # a zero voxel once cast NaN cells to int64 and ran without complaint
         with pytest.raises(ContractError):
             BackboneConfig(base_voxel=0.0)
+
+
+def forward_bytes(model, prep):
+    return [t.value.tobytes() for t in forward_tensors(model.forward(prep))]
+
+
+class TestVoxelLayout:
+    def test_built_once_per_prepared_scene_across_fit(self, monkeypatch):
+        m = micro_model()
+        preps = [m.prepare(micro_scene(seed=s)) for s in (3, 4)]
+        assert all(p.layout is None for p in preps)
+        built, inner = [], Backbone.layout
+
+        def spy(self, scene):
+            built.append(scene)
+            return inner(self, scene)
+
+        monkeypatch.setattr(Backbone, "layout", spy)
+        training.fit(m, preps, training.TrainConfig(steps=3 * len(preps)))
+        assert built == [p.scene for p in preps]
+        assert all(p.layout is not None for p in preps)
+
+    def test_reused_layout_same_forward_as_fresh_prepare(self):
+        m, scene = micro_model(), micro_scene(seed=5)
+        prep = m.prepare(scene)
+        m.forward(prep)
+        layout = prep.layout
+        reused = forward_bytes(m, prep)
+        assert prep.layout is layout
+        assert reused == forward_bytes(m, m.prepare(scene))
+
+    def test_other_base_voxel_gets_its_own_layout(self):
+        a, scene = micro_model(), micro_scene(seed=6)
+        cfg = dataclasses.replace(a.cfg, backbone=dataclasses.replace(a.cfg.backbone, base_voxel=0.7))
+        b = SegModel(cfg)
+        prep = a.prepare(scene)
+        a.forward(prep)
+        assert prep.layout.cfg == a.cfg.backbone
+        got = forward_bytes(b, prep)
+        assert prep.layout.cfg == b.cfg.backbone
+        assert prep.layout.n_voxels == b.backbone.layout(scene).n_voxels < a.backbone.layout(scene).n_voxels
+        assert got == forward_bytes(b, b.prepare(scene))
 
 
 # few distinct values, -0.0 beside 0.0: many rows tie on x, and on more
@@ -163,7 +218,7 @@ class TestCanonicalOrder:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(backbone, "canonical_order", order)
                 bb, store = make_backbone(seed=seed % 7)
-                out = bb(scene)
+                out = bb(bb.layout(scene))
                 ad.backward(sum_all(mul(out, out)))
             results.append([out.value] + [store.grad_of(n) for n in store.names()])
         for a, b in zip(*results):

@@ -18,6 +18,7 @@ from sceneseg.training import TrainConfig
 import helpers
 from helpers import (
     SMALL_CFG,
+    PerParameterAdam,
     backward_keep_tape,
     composed_add_layer_norm,
     composed_attention,
@@ -550,6 +551,72 @@ class TestAdam:
             for n in store.names():
                 want = np.array(params[n]).reshape(store[n].shape)
                 assert store[n].value.tobytes() == want.tobytes(), (t, n)
+
+
+@st.composite
+def adam_case(draw):
+    """A block size and parameter shapes around it: larger than a block,
+    exactly one block, or small enough that several share one."""
+    block = draw(st.integers(1, 24))
+    shapes = []
+    for kind in draw(st.lists(st.sampled_from(["larger", "exact", "small"]), min_size=1, max_size=8)):
+        size = {"larger": lambda: draw(st.integers(block + 1, 3 * block + 5)),
+                "exact": lambda: block,
+                "small": lambda: draw(st.integers(1, max(1, block // 3)))}[kind]()
+        rows = draw(st.sampled_from([d for d in range(1, size + 1) if size % d == 0]))
+        shapes.append((rows, size // rows))
+    return block, shapes
+
+
+class TestBlockedAdam:
+    @settings(max_examples=200, deadline=None)
+    @given(adam_case(), st.integers(3, 5), st.integers(0, 2**32 - 1), st.data())
+    def test_same_bytes_as_per_parameter_adam(self, case, steps, seed, data):
+        """Parameters and both moments of every parameter equal the
+        per-parameter update's bytes, whatever the packing into blocks, for
+        missing, C-ordered and F-ordered gradients."""
+        block, shapes = case
+        rng = np.random.default_rng(seed)
+        stores = [adam_store(shapes, np.random.default_rng(seed)) for _ in range(2)]
+        cfg = TrainConfig(lr=data.draw(st.sampled_from([1e-3, 0.3])))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training.Adam, "BLOCK", block)
+            opt = training.Adam(stores[0], cfg)
+        oracle = PerParameterAdam(stores[1], cfg)
+        for m, v, g, s, members in opt.blocks:
+            assert len(members) == 1 or len(g) <= block
+        for _ in range(steps):
+            for n in stores[0].names():
+                kind = data.draw(st.sampled_from(["none", "C", "F"]))
+                grad = None
+                if kind != "none":
+                    grad = rng.normal(size=stores[0][n].shape) * 10.0 ** rng.integers(-6, 4)
+                    grad = np.asfortranarray(grad) if kind == "F" else grad
+                stores[0][n].grad = grad
+                stores[1][n].grad = None if grad is None else grad.copy(order="K")
+            opt.step()
+            oracle.step()
+            for n in stores[0].names():
+                assert stores[0][n].value.tobytes() == stores[1][n].value.tobytes(), n
+                assert opt.m[n].tobytes() == oracle.m[n].tobytes(), n
+                assert opt.v[n].tobytes() == oracle.v[n].tobytes(), n
+
+    def test_default_model_same_bytes_as_per_parameter_adam(self):
+        """The default model's 267 parameters under the real block size."""
+        cfg, tcfg = cfgmod.model_config(cfgmod.RunConfig()), TrainConfig()
+        models = [SegModel(cfg), SegModel(cfg)]
+        opt, oracle = training.Adam(models[0].store, tcfg), PerParameterAdam(models[1].store, tcfg)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            for n in models[0].store.names():
+                grad = rng.normal(size=models[0].store[n].shape)
+                models[0].store[n].grad, models[1].store[n].grad = grad, grad.copy()
+            opt.step()
+            oracle.step()
+        for n in models[0].store.names():
+            assert models[0].store[n].value.tobytes() == models[1].store[n].value.tobytes(), n
+            assert opt.m[n].tobytes() == oracle.m[n].tobytes(), n
+            assert opt.v[n].tobytes() == oracle.v[n].tobytes(), n
 
 
 class TestFit:
