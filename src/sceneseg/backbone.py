@@ -6,7 +6,9 @@ skip concatenation and broadcast back to points. Everything is differentiable
 end-to-end through the autodiff tape.
 
 Rows are processed in a canonical lexicographic order of the raw point rows,
-which makes the output exactly permutation-equivariant.
+which makes the output exactly permutation-equivariant. That order and the
+voxel maps depend on the points alone: `Backbone.layout` builds them once as
+a VoxelLayout, and each forward pass reads it.
 """
 
 from __future__ import annotations
