@@ -11,22 +11,21 @@ with a hand-written backward that repeats the arithmetic of the composed
 chain it replaces, so values and gradients keep their bytes.
 Four rules keep the bytes and bound the memory:
 
-- Ownership. A push hands each parent its gradient through `_take` or
-  `_accumulate`. `_take(g)` keeps g itself as the parent's first `.grad`, so
-  g must be an array the push has just allocated and nothing else holds.
-  `_accumulate(g)` copies it first. Pushes that pass on their own incoming
-  gradient or a view of it must copy: `add` (both sides), `concat_cols`
-  (column slices) and `transpose` (g.T). Otherwise two nodes share one
-  buffer, and the next `+=` into either changes both. `add_layer_norm`
-  hands the one gradient it computes to both its inputs, so it copies it
-  for x and lets y take it. The same holds for work in place (`linear`'s
-  ReLU, the layer norms, `attention_block`): an op writes only into arrays
-  it has allocated itself, never into a parent's value or the g its push
-  receives.
+- Ownership. A push hands each parent its gradient through `_take(g)`,
+  which keeps g itself as the parent's first `.grad`, so g must be an array
+  the push has just allocated and nothing else holds. Pushes that pass on
+  their own incoming gradient or a view of it hand over `np.array(...)` of
+  it: `add` (both sides), `concat_cols` (each column slice) and `transpose`
+  (g.T). Otherwise two nodes share one buffer, and the next `+=` into
+  either changes both. `add_layer_norm` hands the one gradient it computes
+  to both its inputs, so x gets a copy and y the array itself. The same
+  holds for work in place (`linear`'s ReLU, the layer norms,
+  `attention_block`): an op writes only into arrays it has allocated
+  itself, never into a parent's value or the g its push receives.
 - Memory order. BLAS results depend on the operands' layout, not only on
   their values, and a gradient's layout decides the path of every matmul
   that later reads it. A taken gradient keeps the layout it was allocated
-  with; `_accumulate` copies in the layout it is given, so `transpose`
+  with, and `np.array` copies in the layout it is given, so `transpose`
   hands on an F-ordered copy of g.T. A fused op must hand on each gradient
   in the order (C or F) its chain produced. Made C-ordered, the mask
   features' gradient changes the parameter bytes within 12 default steps.
@@ -115,13 +114,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def _accumulate(self, g):
-        """Add a gradient this node must not keep: a copy becomes .grad."""
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
-
     def _take(self, g):
         """Add a float64 gradient the push has just allocated; the first one
         becomes .grad without a copy (see the ownership rule above)."""
@@ -192,7 +184,7 @@ def matmul(a, b):
 
 
 def transpose(a):
-    return Tensor(a.value.T.copy(), (a,), lambda g: a._accumulate(g.T))
+    return Tensor(a.value.T.copy(), (a,), lambda g: a._take(np.array(g.T)))
 
 
 def add(a, b):
@@ -200,8 +192,8 @@ def add(a, b):
         raise ShapeError(f"add {a.shape} vs {b.shape}")
 
     def push(g):
-        a._accumulate(g)
-        b._accumulate(g)
+        a._take(np.array(g))
+        b._take(np.array(g))
 
     return Tensor(a.value + b.value, (a, b), push)
 
@@ -394,7 +386,7 @@ def add_layer_norm(x, y, gain, bias):
 
     def push(g):
         term = grad(g)
-        x._accumulate(term)
+        x._take(np.array(term))
         y._take(term)
 
     return Tensor(out, (x, y, gain, bias), push)
@@ -409,7 +401,7 @@ def concat_cols(tensors):
 
     def push(g):
         for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            t._accumulate(g[:, a:b])
+            t._take(np.array(g[:, a:b]))
 
     return Tensor(np.concatenate([t.value for t in tensors], axis=1), tuple(tensors), push)
 

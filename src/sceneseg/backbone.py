@@ -51,12 +51,11 @@ def canonical_order(points):
 
 @dataclass
 class VoxelLayout:
-    """The backbone's scene-only input, for one scene and one BackboneConfig:
-    the inverse of the canonical order, the (in-voxel offset, colour) rows in
-    that order, each point's voxel and each level's child -> parent voxel map,
-    with the voxel count of each level."""
+    """The backbone's scene-only input, for one scene under the config of the
+    backbone that built it: the inverse of the canonical order, the (in-voxel
+    offset, colour) rows in that order, each point's voxel and each level's
+    child -> parent voxel map, with the voxel count of each level."""
 
-    cfg: BackboneConfig
     inv_order: np.ndarray
     point_in: np.ndarray
     p2v: np.ndarray
@@ -103,7 +102,7 @@ class Backbone:
         for _ in range(cfg.levels):
             level_coords, child2parent = scenegen.unique_rows(level_coords >> 1)
             maps.append((child2parent, len(level_coords)))
-        return VoxelLayout(cfg, inv_order, np.concatenate([scaled - floor, col], axis=1),
+        return VoxelLayout(inv_order, np.concatenate([scaled - floor, col], axis=1),
                            p2v, len(coords), maps)
 
     def __call__(self, layout: VoxelLayout):

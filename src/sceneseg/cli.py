@@ -18,7 +18,6 @@ from .errors import (
     CheckpointError,
     ConfigError,
     DataError,
-    GenerationError,
     NumericError,
     ParseError,
 )
@@ -55,12 +54,7 @@ def cmd_gen(cfg, out_dir):
     _echo_config(cfg, out_dir)
     spec = cfgmod.scene_spec(cfg)
     for i in range(cfg["n_scenes"]):
-        try:
-            scene = scenegen.generate_scene(seed_for(cfg["seed"], f"scene{i}"), spec)
-        except GenerationError as exc:
-            raise ConfigError(
-                f"n_objects={spec.n_objects} do not fit in room_extent={spec.room_extent!r}: {exc}"
-            ) from None
+        scene = scenegen.generate_scene(seed_for(cfg["seed"], f"scene{i}"), spec)
         stem = out_dir / f"scene_{i:03d}"
         scenegen.write_ply(f"{stem}.ply", scene)
         scenegen.write_labels(f"{stem}.labels", scene)
@@ -229,7 +223,6 @@ def main(argv=None):
                 return cmd_inspect_attn(
                     cfg, args.checkpoint, args.scene, args.layer, args.head, args.out
                 )
-            raise ConfigError(f"unknown command {args.command!r}")
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

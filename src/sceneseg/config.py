@@ -70,10 +70,8 @@ def check_ranges(cfg):
 
 
 class RunConfig:
-    def __init__(self, values=None):
+    def __init__(self):
         self.values = {k: d for k, (_, d) in DEFAULTS.items()}
-        if values:
-            self.values.update(values)
 
     def __getitem__(self, key):
         return self.values[key]

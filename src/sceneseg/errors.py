@@ -34,10 +34,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-class GenerationError(RuntimeError):
-    """Scene synthesis could not place all objects."""
-
-
 class NumericError(RuntimeError):
     """A non-finite forward output, matching cost or loss component: exit 4."""
 

@@ -34,9 +34,9 @@ class ModelConfig:
 @dataclass
 class PreparedScene:
     """A scene with its superpoints and ground truth, for the model that
-    prepared it. Its first forward keeps the backbone's VoxelLayout here
-    (rebuilt by a model with another BackboneConfig), so the scene must not
-    be edited after that forward."""
+    prepared it. Its first forward keeps that model's VoxelLayout here, so
+    the scene must not be edited after that forward, nor handed to a model
+    with another config."""
 
     scene: scenegen.Scene
     partition: scenegen.SuperpointPartition
@@ -85,7 +85,7 @@ class SegModel:
         the foreground, then each stage's class_probs, iou_score and sp_mask."""
         cfg = self.cfg
         scene = prep.scene
-        if prep.layout is None or prep.layout.cfg != cfg.backbone:
+        if prep.layout is None:
             prep.layout = self.backbone.layout(scene)
         f_p = self.backbone(prep.layout)
         fg = self.fg_head(f_p)

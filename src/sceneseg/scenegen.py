@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, GenerationError, ParseError, at_least, read_text, require
+from .errors import ConfigError, DataError, ParseError, at_least, read_text, require
 
 CLASS_NAMES = ("box", "sphere", "cylinder")
 FLOOR_INSTANCE = -1
@@ -157,7 +157,8 @@ def generate_scene(seed, spec: SceneSpec) -> Scene:
                 placed.append((c, half))
                 break
         else:
-            raise GenerationError(f"could not place object {i} after {_PLACE_RETRIES} tries")
+            raise ConfigError(f"n_objects={spec.n_objects} do not fit in room_extent={ext!r}: "
+                              f"could not place object {i} after {_PLACE_RETRIES} tries")
 
     chunks, sem_chunks, inst_chunks = [], [], []
     floor_xy = rng.uniform(0, ext, size=(n_floor, 2))

@@ -499,7 +499,7 @@ def slice_cols(x, a, b):
     def push(g):
         gx = np.zeros_like(x.value)
         gx[:, a:b] = g
-        x._accumulate(gx)
+        x._take(gx)
 
     return ad.Tensor(x.value[:, a:b].copy(), (x,), push)
 
@@ -528,7 +528,7 @@ def composed_attention(q, k, v, heads, mask=None):
 
 # ---------------------------------------------------------------------------
 # composed oracles of the fused linear, BCE and set-criterion ops, the small
-# ops they are built of, and the tape-keeping backward
+# ops they are built of, the tape-keeping backward and the copying hand-off
 
 
 def sub(a, b):
@@ -538,7 +538,7 @@ def sub(a, b):
         raise ShapeError(f"sub {a.shape} vs {b.shape}")
 
     def push(g):
-        a._accumulate(g)
+        a._take(np.array(g))
         b._take(-g)
 
     return ad.Tensor(a.value - b.value, (a, b), push)
@@ -550,7 +550,7 @@ def add_bias(x, b):
         raise ShapeError(f"bias {b.shape} for input {x.shape}")
 
     def push(g):
-        x._accumulate(g)
+        x._take(np.array(g))
         b._take(g.sum(axis=0, keepdims=True))
 
     return ad.Tensor(x.value + b.value, (x, b), push)
@@ -616,7 +616,7 @@ def sum_all(x):
 def sum_rows(x):
     """Column vector of per-row sums. Its push hands on a read-only
     broadcast of its gradient, so it copies it."""
-    push = lambda g: x._accumulate(np.broadcast_to(g, x.shape))
+    push = lambda g: x._take(np.array(np.broadcast_to(g, x.shape)))
     return ad.Tensor(x.value.sum(axis=1, keepdims=True), (x,), push)
 
 
@@ -692,6 +692,15 @@ def backward_keep_tape(loss):
     for node in reversed(order):
         if node._push is not None and node.grad is not None:
             node._push(node.grad)
+
+
+def take_copy(node, g):
+    """Tensor._take that keeps a copy of g, never g itself: a stand-in for
+    `_take` that shows a kept gradient gives the bytes of a copied one."""
+    if node.grad is None:
+        node.grad = np.array(g, dtype=np.float64)
+    else:
+        node.grad += g
 
 
 # ---------------------------------------------------------------------------

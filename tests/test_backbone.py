@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from sceneseg import autodiff as ad, backbone, scenegen, training
 from sceneseg.backbone import Backbone, BackboneConfig
 from sceneseg.errors import ContractError
-from sceneseg.model import SegModel
 
 from helpers import (
     finite_diff,
@@ -156,18 +154,6 @@ class TestVoxelLayout:
         reused = forward_bytes(m, prep)
         assert prep.layout is layout
         assert reused == forward_bytes(m, m.prepare(scene))
-
-    def test_other_base_voxel_gets_its_own_layout(self):
-        a, scene = micro_model(), micro_scene(seed=6)
-        cfg = dataclasses.replace(a.cfg, backbone=dataclasses.replace(a.cfg.backbone, base_voxel=0.7))
-        b = SegModel(cfg)
-        prep = a.prepare(scene)
-        a.forward(prep)
-        assert prep.layout.cfg == a.cfg.backbone
-        got = forward_bytes(b, prep)
-        assert prep.layout.cfg == b.cfg.backbone
-        assert prep.layout.n_voxels == b.backbone.layout(scene).n_voxels < a.backbone.layout(scene).n_voxels
-        assert got == forward_bytes(b, b.prepare(scene))
 
 
 # few distinct values, -0.0 beside 0.0: many rows tie on x, and on more

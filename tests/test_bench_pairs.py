@@ -198,3 +198,25 @@ def test_sigterm_removes_the_exported_trees(tmp_path):
         proc.stderr.close()
     assert list(tmp_path.glob("bench_pairs_*")) == []
     assert not (tool.parent.parent / "BENCH_sigterm_check.json").exists()
+
+
+def test_recorded_workload_is_never_replaced(tmp_path):
+    """A BENCH_<name>.json that already records the workload makes the tool
+    exit non-zero before it exports a tree, and keeps the file's bytes."""
+    tool = Path(bp.__file__)
+    path = tool.parent.parent / "BENCH_recorded_check.json"
+    recorded = json.dumps({"workloads": {"train-default": {"pairs": []}}}, indent=1).encode()
+    path.write_bytes(recorded)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(tool), "--parent", "HEAD", "--change", "HEAD",
+             "--workload", "train-default", "--seeds", "1", "--name", "recorded_check"],
+            env={**os.environ, "TMPDIR": str(tmp_path)}, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode != 0
+        assert "already records train-default" in proc.stderr
+        assert path.read_bytes() == recorded
+        assert list(tmp_path.glob("bench_pairs_*")) == []
+    finally:
+        path.unlink()

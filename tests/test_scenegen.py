@@ -13,7 +13,7 @@ from helpers import (
     write_ply_loop,
 )
 from sceneseg import scenegen
-from sceneseg.errors import ContractError, DataError, ParseError
+from sceneseg.errors import ConfigError, ContractError, DataError, ParseError
 
 FINITE = st.floats(-1e4, 1e4, allow_nan=False)
 
@@ -104,6 +104,15 @@ class TestGenerate:
             scenegen.generate_scene(0, scenegen.SceneSpec(n_class=0))
         with pytest.raises(ContractError):
             scenegen.generate_scene(0, scenegen.SceneSpec(room_extent=1.0))
+
+    def test_objects_that_do_not_fit_raise_config_error(self):
+        """The one error `gen` reports for a room too small for its objects
+        (exit 2) comes from generate_scene itself."""
+        with pytest.raises(ConfigError) as exc:
+            scenegen.generate_scene(0, scenegen.SceneSpec(n_objects=40, n_points=4000))
+        assert str(exc.value).startswith(
+            "n_objects=40 do not fit in room_extent=4.0: could not place object"
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 300))

@@ -19,7 +19,9 @@ BENCHMARK.json bound, taken as a fraction of the parent's median. A metric
 whose interquartile range on either side exceeds that bound is unresolved,
 since such runs cannot show a worsening up to the bound, unless every
 change run beats every parent run. Runs last BENCHMARK.json's
-`run_seconds`. SIGTERM stops the tool like an exception: the running
+`run_seconds`. A recorded run is never replaced: if `BENCH_<name>.json`
+already records `--workload`, the tool exits non-zero before exporting any
+tree and the file stays as it was; record a rerun under another `--name`. SIGTERM stops the tool like an exception: the running
 perfbench child is killed and both trees are removed.
 """
 
@@ -192,6 +194,8 @@ def main(argv=None):
     out_path = ROOT / f"BENCH_{args.name}.json"
 
     doc = json.loads(out_path.read_text()) if out_path.exists() else {}
+    if args.workload in doc.get("workloads", {}):
+        raise SystemExit(f"{out_path.name} already records {args.workload}; choose another --name")
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in ("parent", "change")}
