@@ -19,10 +19,13 @@ BENCHMARK.json bound, taken as a fraction of the parent's median. A metric
 whose interquartile range on either side exceeds that bound is unresolved,
 since such runs cannot show a worsening up to the bound, unless every
 change run beats every parent run. Runs last BENCHMARK.json's
-`run_seconds`. A recorded run is never replaced: if `BENCH_<name>.json`
-already records `--workload`, the tool exits non-zero before exporting any
-tree and the file stays as it was; record a rerun under another `--name`. SIGTERM stops the tool like an exception: the running
+`run_seconds`. SIGTERM stops the tool like an exception: the running
 perfbench child is killed and both trees are removed.
+
+A recorded run is never replaced, since every run made is reported: if
+`BENCH_<name>.json` already records `--workload`, the tool exits non-zero
+before it exports any tree, and the file stays as it was. Record a rerun
+under another `--name`.
 """
 
 from __future__ import annotations
