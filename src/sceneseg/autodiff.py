@@ -35,7 +35,9 @@ Four rules keep the bytes and bound the memory:
   every gradient. Tensors the caller holds keep `value` and `.grad`, but a
   graph is walked once: a second `backward` from its root, or through a
   new graph on a consumed tensor, raises. Leaves have no push and are never
-  released. Count a tape with `_toposort` before its `backward`.
+  released. Count a tape with `_toposort` before its `backward`. A
+  parameter's `.grad` lives from `backward` to `training.Adam.step`, which
+  consumes it: a recorder of gradient norms reads them between the two.
 - Tape off. Inside `with no_tape():` a tensor keeps its value but no parents
   and no push, so each intermediate array is freed as soon as the forward
   code drops it; the CLI's `predict` and `inspect-attn` run this way. Its

@@ -116,10 +116,12 @@ class Backbone:
 
         x = feats[-1]
         for i in reversed(range(self.cfg.levels)):
-            up = ad.gather_rows(x, layout.maps[i][0])
-            x = self.up[i](ad.concat_cols([feats[i], up]))
+            x = self.up[i](ad.concat_cols([feats[i], ad.gather_rows(x, layout.maps[i][0])]))
 
-        per_point = ad.gather_rows(x, layout.p2v)
-        out = self.head(ad.concat_cols([point_emb, per_point]))
+        # the concat copies its inputs, and nothing reads them or the concat
+        # again: without a tape, the peak is then four N x C arrays, not five
+        out = ad.concat_cols([point_emb, ad.gather_rows(x, layout.p2v)])
+        del point_emb, feats, x
+        out = self.head(out)
         out = ad.layer_norm(out, self.norm_gain, self.norm_bias)
         return ad.gather_rows(out, layout.inv_order)

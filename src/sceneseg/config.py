@@ -76,9 +76,6 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def __eq__(self, other):
-        return isinstance(other, RunConfig) and self.values == other.values
-
     def set(self, key, raw):
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")

@@ -144,6 +144,10 @@ class Adam:
     update's expressions, in their order, in place, so every byte matches
     `m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
     p -= lr (m / b1c) / (sqrt(v / b2c) + eps)`.
+
+    A step consumes the gradients it applies: once a parameter's gradient
+    is in the scratch row, its `.grad` is None, so a parameter the next
+    loss does not reach gets zeros, not this step's gradient again.
     """
 
     BLOCK = 16384
@@ -185,6 +189,7 @@ class Adam:
         for m, v, g, s, members in self.blocks:
             for name, row in members:
                 row[...] = store.grad_of(name)
+                store[name].grad = None
             np.multiply(g, 1 - ADAM_BETA1, out=s)
             m *= ADAM_BETA1
             m += s

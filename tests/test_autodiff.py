@@ -1174,7 +1174,7 @@ class TestNoTape:
         _, taped_held, taped_peak = traced_forward()
         with ad.no_tape():
             _, held, peak = traced_forward()
-        # 64.3 -> 27.9 MB peak and 64.2 -> 0.6 MB held on the seed-1 room; the
+        # 64.3 -> 21.8 MB peak and 64.2 -> 0.6 MB held on the seed-1 room; the
         # taped pass builds the scene's voxel layout, the untaped one reuses it
         assert peak <= 0.6 * taped_peak
         assert held <= 0.05 * taped_held

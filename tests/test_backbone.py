@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sceneseg import autodiff as ad, backbone, scenegen, training
 from sceneseg.backbone import Backbone, BackboneConfig
 from sceneseg.errors import ContractError
+from sceneseg.model import seed_for
 
 from helpers import (
     finite_diff,
@@ -115,6 +118,24 @@ class TestBackbone:
                 assert abs(fd_v - g) / max(abs(fd_v), abs(g), 1e-8) < 1e-3, name
             else:
                 assert rel_err(t.grad, fd) < 1e-3, name
+
+    def test_untaped_peak_is_four_point_feature_arrays(self):
+        """Without a tape, the head's concat is the last reader of the point
+        embedding and the per-point gather, and the head the concat's: on the
+        seed-1 20,000-point room the peak above entry is 4.27 N x C float64
+        arrays (5.44 while they were kept through the head)."""
+        bb = Backbone(ad.ParamStore(), BackboneConfig(), np.random.default_rng(0))
+        scene = scenegen.generate_scene(seed_for(1, "scene0"), scenegen.SceneSpec(n_points=20000))
+        layout = bb.layout(scene)
+        tracemalloc.start()
+        try:
+            with ad.no_tape():
+                start, _ = tracemalloc.get_traced_memory()
+                bb(layout)
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 4.6 * scene.n_points * bb.cfg.channels * 8
 
     def test_config_validation(self):
         with pytest.raises(ContractError):

@@ -95,7 +95,7 @@ class TestLoad:
     def test_dump_roundtrip(self):
         cfg = cfgmod.load_config(None, ["train.lr=0.0025", "decoder.k=7", "model.use_global=false"])
         back = cfgmod.parse_config_text(cfg.dump())
-        assert back == cfg
+        assert back.values == cfg.values
 
 
 class TestBuilders:

@@ -673,6 +673,65 @@ class TestFit:
             if name.startswith("decoder.layer0.ffn"):
                 assert np.any(m.store.grad_of(name) != 0), name
 
+    def test_no_parameter_holds_a_gradient_after_fit(self):
+        m = micro_model(seed=1)
+        training.fit(m, [self.prepared(m)], TrainConfig(steps=1))
+        assert [n for n in m.store.names() if m.store[n].grad is not None] == []
+
+    @staticmethod
+    def fit_against_oracle(scenes, monkeypatch, after_first_step=lambda model: None):
+        """Two default-config steps of `fit` over `scenes`, and the same two
+        steps of a model with the same init that drops every gradient before
+        its backward, so PerParameterAdam reads zeros for each parameter the
+        loss does not reach. `after_first_step` edits each model after its
+        first step. Every parameter and both of its moments must match; the
+        names each oracle step left unreached are returned."""
+        tcfg = TrainConfig(steps=len(scenes))
+        models = [SegModel(cfgmod.model_config(cfgmod.RunConfig())) for _ in range(2)]
+        opts, adam = [], training.Adam
+        monkeypatch.setattr(training, "Adam", lambda *args: opts.append(adam(*args)) or opts[0])
+        training.fit(models[0], [models[0].prepare(s) for s in scenes], tcfg,
+                     on_step=lambda step, _: step == 0 and after_first_step(models[0]))
+        store, oracle, unreached = models[1].store, PerParameterAdam(models[1].store, tcfg), []
+        for step, scene in enumerate(scenes):
+            for n in store.names():
+                store[n].grad = None
+            ad.backward(training.scene_loss(models[1], models[1].prepare(scene), tcfg).total_tensor)
+            unreached.append({n for n in store.names() if store[n].grad is None})
+            oracle.step()
+            if step == 0:
+                after_first_step(models[1])
+        for n in store.names():
+            assert models[0].store[n].value.tobytes() == store[n].value.tobytes(), n
+            assert opts[0].m[n].tobytes() == oracle.m[n].tobytes(), n
+            assert opts[0].v[n].tobytes() == oracle.v[n].tobytes(), n
+        return unreached
+
+    def test_a_room_without_instances_gives_the_score_head_zeros(self, monkeypatch):
+        """No set_criterion node reaches head.score.*, nor the mask MLP
+        global.mask.*, on a room without an instance; the step must not apply
+        the previous room's gradient to them."""
+        room = scenegen.generate_scene(seed_for(1, "scene0"), scenegen.SceneSpec())
+        empty = dataclasses.replace(room, semantic=np.full(room.n_points, -1),
+                                    instance=np.full(room.n_points, -1))
+        empty.validate()
+        unreached = self.fit_against_oracle([room, empty], monkeypatch)
+        unfed = {n for n in unreached[1] if n.startswith(("head.score.", "global.mask."))}
+        assert len(unfed) == 8 and not unfed & unreached[0]
+
+    def test_a_step_without_keypoints_gives_the_local_branch_zeros(self, monkeypatch):
+        """A foreground bias of -50 leaves no eligible keypoint, so neither
+        local.* nor any cross_l block's q, k and v projection is reached."""
+        room = scenegen.generate_scene(seed_for(1, "scene0"), scenegen.SceneSpec())
+
+        def silence_foreground(model):
+            model.store["foreground.lin.b"].value[...] = -50.0
+
+        unreached = self.fit_against_oracle([room, room], monkeypatch, silence_foreground)
+        local = {n for n in unreached[1] if n.startswith("local.")
+                 or n.split(".")[2:4] in (["cross_l", p] for p in "qkv")}
+        assert len(local) == 4 + 2 + 6 * 6 and not local & unreached[0]
+
     @staticmethod
     def train_small():
         """Loss rows, structure hashes and final parameter bytes of a
