@@ -118,8 +118,8 @@ class Backbone:
         for i in reversed(range(self.cfg.levels)):
             x = self.up[i](ad.concat_cols([feats[i], ad.gather_rows(x, layout.maps[i][0])]))
 
-        # the concat copies its inputs, and nothing reads them or the concat
-        # again: without a tape, the peak is then four N x C arrays, not five
+        # nothing reads the concat's inputs after it, nor the concat after the
+        # head: dropped there, an untaped pass peaks at four N x C arrays, not five
         out = ad.concat_cols([point_emb, ad.gather_rows(x, layout.p2v)])
         del point_emb, feats, x
         out = self.head(out)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -728,8 +729,8 @@ class TestFit:
             model.store["foreground.lin.b"].value[...] = -50.0
 
         unreached = self.fit_against_oracle([room, room], monkeypatch, silence_foreground)
-        local = {n for n in unreached[1] if n.startswith("local.")
-                 or n.split(".")[2:4] in (["cross_l", p] for p in "qkv")}
+        local = {n for n in unreached[1]
+                 if re.fullmatch(r"local\..+|decoder\.layer\d+\.cross_l\.[qkv]\.[wb]", n)}
         assert len(local) == 4 + 2 + 6 * 6 and not local & unreached[0]
 
     @staticmethod
