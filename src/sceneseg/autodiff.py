@@ -29,22 +29,32 @@ Four rules keep the bytes and bound the memory:
   hands on an F-ordered copy of g.T. A fused op must hand on each gradient
   in the order (C or F) its chain produced. Made C-ordered, the mask
   features' gradient changes the parameter bytes within 12 default steps.
-- Lifetime. `backward` releases the tape as it walks it: once a node has
-  pushed, its parents become () and its push a sentinel that raises
-  ContractError, so a step peaks at the forward tape, not the tape plus
-  every gradient. Tensors the caller holds keep `value` and `.grad`, but a
-  graph is walked once: a second `backward` from its root, or through a
-  new graph on a consumed tensor, raises. Leaves have no push and are never
-  released. Count a tape with `_toposort` before its `backward`. A
-  parameter's `.grad` lives from `backward` to `training.Adam.step`, which
-  consumes it: a recorder of gradient norms reads them between the two.
-- Tape off. Inside `with no_tape():` a tensor keeps its value but no parents
-  and no push, so each intermediate array is freed as soon as the forward
-  code drops it; the CLI's `predict` and `inspect-attn` run this way. Its
-  push becomes a sentinel: `backward` from such a tensor, or through a
-  taped graph that reaches one, raises ContractError instead of leaving
-  gradients silently missing. The values, and the weights `inspect-attn`
-  takes from `attention_trace`, are those of the taped pass, byte for byte.
+- Lifetime. A `Tensor` is the value the caller holds and a `Node` on the
+  tape, which holds `.grad`, the parents' nodes and the push. A push holds
+  the nodes and the arrays it reads, never a parent tensor, so the tape
+  keeps nodes and the arrays pushes captured, and a value lives while the
+  forward code or a push holds it. `linear` captures its input's and
+  weight's values, `matmul` both values and `attention_block` z's, f's and
+  the weights'; `sigmoid` and `softmax_rows` keep their own output, and no
+  other op reads a parent's value. The forward code drops the rest (see
+  `Backbone.__call__`). `backward` releases the tape as it walks it: once a
+  node has pushed, its parents become () and its push a sentinel that
+  raises ContractError, which frees what the push held, so a step peaks at
+  the forward tape, not the tape plus every gradient. Tensors the caller
+  holds keep `value` and `.grad`, but a graph is walked once: a second
+  `backward` from its root, or through a new graph on a consumed tensor,
+  raises. Leaves have no push and are never released. Count a tape with
+  `_toposort` before its `backward`. A parameter's `.grad` lives from
+  `backward` to `training.Adam.step`, which consumes it: a recorder of
+  gradient norms reads them between the two.
+- Tape off. Inside `with no_tape():` a tensor's node has no parents, and
+  its push, with what the push captured, is dropped at once, so each
+  intermediate array is freed as soon as the forward code drops it; the
+  CLI's `predict` and `inspect-attn` run this way. Its push becomes a
+  sentinel: `backward` from such a tensor, or through a taped graph that
+  reaches one, raises ContractError instead of leaving gradients silently
+  missing. The values, and the weights `inspect-attn` takes from
+  `attention_trace`, are those of the taped pass, byte for byte.
 """
 
 from __future__ import annotations
@@ -78,7 +88,7 @@ def record_structure(pattern):
         structure_trace.append(pattern.tobytes())
 
 
-# False inside `no_tape()`: new tensors then record no parents and no push.
+# False inside `no_tape()`: new nodes then record no parents and no push.
 _taping = True
 
 
@@ -98,23 +108,17 @@ def _untaped(g):
     raise ContractError("backward reached a tensor made under no_tape()")
 
 
-class Tensor:
-    __slots__ = ("value", "grad", "parents", "_push", "name")
+class Node:
+    """A tensor's place on the tape: its gradient, the nodes of the tensors
+    it was computed from and the push that hands them their gradients. A
+    push holds the nodes and the arrays it reads, never a parent tensor."""
 
-    def __init__(self, value, parents=(), push=None, name=None):
-        self.value = np.asarray(value, dtype=np.float64)
-        if self.value.ndim != 2:
-            raise ShapeError(f"tensors are 2-D, got shape {self.value.shape}")
+    __slots__ = ("grad", "parents", "_push")
+
+    def __init__(self, parents, push):
         self.grad = None
-        if push is not None and not _taping:
-            parents, push = (), _untaped
         self.parents = parents
         self._push = push
-        self.name = name
-
-    @property
-    def shape(self):
-        return self.value.shape
 
     def _take(self, g):
         """Add a float64 gradient the push has just allocated; the first one
@@ -125,13 +129,52 @@ class Tensor:
             self.grad += g
 
 
+class Tensor:
+    """A value and its tape node. `parents` are the tensors an op read; the
+    node keeps their nodes. `.grad`, `.parents` and `_take` are the node's."""
+
+    __slots__ = ("value", "node", "name")
+
+    def __init__(self, value, parents=(), push=None, name=None):
+        self.value = np.asarray(value, dtype=np.float64)
+        if self.value.ndim != 2:
+            raise ShapeError(f"tensors are 2-D, got shape {self.value.shape}")
+        if push is not None:
+            if _taping:
+                parents = tuple([p.node for p in parents])
+            else:
+                parents, push = (), _untaped
+        self.node = Node(parents, push)
+        self.name = name
+
+    @property
+    def shape(self):
+        return self.value.shape
+
+    @property
+    def grad(self):
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
+
+    @property
+    def parents(self):
+        return self.node.parents
+
+    def _take(self, g):
+        self.node._take(g)
+
+
 def constant(value):
     """Wrap an array as a leaf that receives no gradient."""
     return Tensor(value)
 
 
 def _toposort(root):
-    order, seen, stack = [], set(), [(root, False)]
+    """The nodes reachable from the tensor root, each after its parents."""
+    order, seen, stack = [], set(), [(root.node, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -159,7 +202,7 @@ def backward(loss):
     order = _toposort(loss)
     for node in order:
         node.grad = None
-    loss.grad = np.ones((1, 1))
+    loss.node.grad = np.ones((1, 1))
     while order:
         node = order.pop()
         if node._push is None:
@@ -178,24 +221,29 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul {a.shape} x {b.shape}")
 
-    def push(g):
-        a._take(g @ b.value.T)
-        b._take(a.value.T @ g)
+    av, bv, an, bn = a.value, b.value, a.node, b.node
 
-    return Tensor(a.value @ b.value, (a, b), push)
+    def push(g):
+        an._take(g @ bv.T)
+        bn._take(av.T @ g)
+
+    return Tensor(av @ bv, (a, b), push)
 
 
 def transpose(a):
-    return Tensor(a.value.T.copy(), (a,), lambda g: a._take(np.array(g.T)))
+    an = a.node
+    return Tensor(a.value.T.copy(), (a,), lambda g: an._take(np.array(g.T)))
 
 
 def add(a, b):
     if a.shape != b.shape:
         raise ShapeError(f"add {a.shape} vs {b.shape}")
 
+    an, bn = a.node, b.node
+
     def push(g):
-        a._take(np.array(g))
-        b._take(np.array(g))
+        an._take(np.array(g))
+        bn._take(np.array(g))
 
     return Tensor(a.value + b.value, (a, b), push)
 
@@ -205,8 +253,8 @@ def affine(a, scale=1.0, shift=0.0):
 
     `scale` and `shift` may be scalars or arrays broadcastable to a's shape.
     """
-    scale = np.asarray(scale, dtype=np.float64)
-    return Tensor(scale * a.value + shift, (a,), lambda g: a._take(g * scale))
+    scale, an = np.asarray(scale, dtype=np.float64), a.node
+    return Tensor(scale * a.value + shift, (a,), lambda g: an._take(g * scale))
 
 
 def linear(x, w, b, relu=False):
@@ -216,7 +264,8 @@ def linear(x, w, b, relu=False):
     g with that pattern first: the bytes of a relu node after the linear one."""
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError(f"linear {x.shape} x {w.shape} + {b.shape}")
-    y = x.value @ w.value
+    xv, wv, xn, wn, bn = x.value, w.value, x.node, w.node, b.node
+    y = xv @ wv
     y += b.value
     if relu:
         live = y > 0.0
@@ -226,9 +275,9 @@ def linear(x, w, b, relu=False):
     def push(g):
         if relu:
             g = g * live
-        b._take(g.sum(axis=0, keepdims=True))
-        x._take(g @ w.value.T)
-        w._take(x.value.T @ g)
+        bn._take(g.sum(axis=0, keepdims=True))
+        xn._take(g @ wv.T)
+        wn._take(xv.T @ g)
 
     return Tensor(y, (x, w, b), push)
 
@@ -236,7 +285,8 @@ def linear(x, w, b, relu=False):
 def sigmoid(x):
     with np.errstate(over="ignore"):  # exp(-x) is inf below x = -709, and s then 0.0
         s = 1.0 / (1.0 + np.exp(-x.value))
-    return Tensor(s, (x,), lambda g: x._take(g * s * (1.0 - s)))
+    xn = x.node
+    return Tensor(s, (x,), lambda g: xn._take(g * s * (1.0 - s)))
 
 
 def softmax_rows(x):
@@ -245,10 +295,11 @@ def softmax_rows(x):
     z = x.value
     e = np.exp(z - np.max(z, axis=1, keepdims=True))
     s = e / e.sum(axis=1, keepdims=True)
+    xn = x.node
 
     def push(g):
         inner = (g * s).sum(axis=1, keepdims=True)
-        x._take(s * (g - inner))
+        xn._take(s * (g - inner))
 
     return Tensor(s, (x,), push)
 
@@ -317,12 +368,16 @@ def attention_block(z, f, q, k, v, out, heads, mask=None):
             attention_trace.append(s.copy())
         a = merge(s @ vh)
 
+    # the push holds z's and f's values and the weights, not their tensors
+    zv, fv, zn, fn = z.value, f.value, z.node, f.node
+    pq, pk, pv, (wov, won, bon) = ((w.value, w.node, b.node) for w, b in (q, k, v, out))
+
     def push(g):
-        bo._take(g.sum(axis=0, keepdims=True))
-        wo._take(a.T @ g)
+        bon._take(g.sum(axis=0, keepdims=True))
+        won._take(a.T @ g)
         if n == 0:
             return
-        ga = split(g @ wo.value.T)
+        ga = split(g @ wov.T)
         gl = ga @ vh.transpose(0, 2, 1)  # gs, then s * (gs - sum(gs * s)) * scale
         inner = (gl * s).sum(axis=2, keepdims=True)
         gl -= inner
@@ -331,10 +386,10 @@ def attention_block(z, f, q, k, v, out, heads, mask=None):
         gq = merge(gl @ kt.transpose(0, 2, 1))
         gk = merge((qh.transpose(0, 2, 1) @ gl).transpose(0, 2, 1))
         gv = merge(s.transpose(0, 2, 1) @ ga)
-        for x, (w, b), gx in ((z, q, gq), (f, k, gk), (f, v, gv)):
-            b._take(gx.sum(axis=0, keepdims=True))
-            x._take(gx @ w.value.T)
-            w._take(x.value.T @ gx)
+        for xv, xn, (wa, wn, bn), gx in ((zv, zn, pq, gq), (fv, fn, pk, gk), (fv, fn, pv, gv)):
+            bn._take(gx.sum(axis=0, keepdims=True))
+            xn._take(gx @ wa.T)
+            wn._take(xv.T @ gx)
 
     # the walk reaches f before z, as the chain's v projection did
     parents = (z, wq, bq, wk, bk, f, wv, bv, wo, bo) if n else (wo, bo)
@@ -353,21 +408,22 @@ def _layer_norm(v, gain, bias):
     out = np.square(xhat)
     inv = 1.0 / np.sqrt(out.mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
     xhat *= inv
-    np.multiply(xhat, gain.value, out=out)
+    gv, gn, bn = gain.value, gain.node, bias.node
+    np.multiply(xhat, gv, out=out)
     out += bias.value
 
     def grad(g):
         # inv * ((dxh - mean(dxh)) - xhat * mean(dxh * xhat)), in the array
         # of dxh * xhat: its layout, C or F, is the one that chain gives
-        dxh = g * gain.value
+        dxh = g * gv
         mean_dxh = dxh.mean(axis=1, keepdims=True)
         term = dxh * xhat
         np.multiply(xhat, term.mean(axis=1, keepdims=True), out=term)
         dxh -= mean_dxh
         np.subtract(dxh, term, out=term)
         term *= inv
-        gain._take((g * xhat).sum(axis=0, keepdims=True))
-        bias._take(g.sum(axis=0, keepdims=True))
+        gn._take((g * xhat).sum(axis=0, keepdims=True))
+        bn._take(g.sum(axis=0, keepdims=True))
         return term
 
     return out, grad
@@ -376,7 +432,8 @@ def _layer_norm(v, gain, bias):
 def layer_norm(x, gain, bias):
     """Normalize each row to zero mean / unit variance, then apply affine."""
     out, grad = _layer_norm(x.value, gain, bias)
-    return Tensor(out, (x, gain, bias), lambda g: x._take(grad(g)))
+    xn = x.node
+    return Tensor(out, (x, gain, bias), lambda g: xn._take(grad(g)))
 
 
 def add_layer_norm(x, y, gain, bias):
@@ -385,11 +442,12 @@ def add_layer_norm(x, y, gain, bias):
     if x.shape != y.shape:
         raise ShapeError(f"add {x.shape} vs {y.shape}")
     out, grad = _layer_norm(x.value + y.value, gain, bias)
+    xn, yn = x.node, y.node
 
     def push(g):
         term = grad(g)
-        x._take(np.array(term))
-        y._take(term)
+        xn._take(np.array(term))
+        yn._take(term)
 
     return Tensor(out, (x, y, gain, bias), push)
 
@@ -400,10 +458,11 @@ def concat_cols(tensors):
     if any(t.shape[0] != rows for t in tensors):
         raise ShapeError("concat_cols row mismatch")
     offsets = np.cumsum([0] + widths)
+    nodes = [t.node for t in tensors]
 
     def push(g):
-        for t, a, b in zip(tensors, offsets[:-1], offsets[1:]):
-            t._take(np.array(g[:, a:b]))
+        for n, a, b in zip(nodes, offsets[:-1], offsets[1:]):
+            n._take(np.array(g[:, a:b]))
 
     return Tensor(np.concatenate([t.value for t in tensors], axis=1), tuple(tensors), push)
 
@@ -425,9 +484,10 @@ def gather_rows(x, idx):
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and idx.min() < 0:
         raise ContractError(f"gather_rows: negative index {idx.min()}")
+    xn, shape = x.node, x.shape
 
     def push(g):
-        x._take(scatter_add(_row_keys(idx, x.shape[1]), g, *x.shape))
+        xn._take(scatter_add(_row_keys(idx, shape[1]), g, *shape))
 
     return Tensor(x.value[idx], (x,), push)
 
@@ -443,10 +503,11 @@ def segment_mean(x, seg, n_seg):
     if np.any(counts == 0):
         raise ContractError("segment_mean: empty segment")
     sums = scatter_add(_row_keys(seg, x.shape[1]), x.value, n_seg, x.shape[1])
+    xn = x.node
 
     def push(g):
         out_g = g / counts[:, None]
-        x._take(out_g[seg])
+        xn._take(out_g[seg])
 
     return Tensor(sums / counts[:, None], (x,), push)
 
@@ -467,11 +528,12 @@ def group_max(x, groups):
         vals[i] = block[a, np.arange(width)]
         arg[i] = np.asarray(g, dtype=np.int64)[a]
     record_structure(arg)
+    xn, shape = x.node, x.shape
 
     def push(g):
         routed = arg >= 0  # empty groups route nowhere
-        keys = (arg * x.shape[1] + np.arange(width))[routed]
-        x._take(scatter_add(keys, g[routed], *x.shape))
+        keys = (arg * width + np.arange(width))[routed]
+        xn._take(scatter_add(keys, g[routed], *shape))
 
     return Tensor(vals, (x,), push)
 
@@ -506,7 +568,8 @@ def weighted_bce(p, pos_w, neg_w, lo, hi):
     positive term reaches the clip first), so the bytes are those of the
     chain. Like clip, it records where the clamp is inactive."""
     value, grad = _bce(p.value, pos_w, neg_w, lo, hi)
-    return Tensor([[value]], (p,), lambda g: p._take(grad(g[0, 0])))
+    pn = p.node
+    return Tensor([[value]], (p,), lambda g: pn._take(grad(g[0, 0])))
 
 
 PROB_CLAMP = 1e-7  # mask probabilities enter the BCE clamped to [1e-7, 1 - 1e-7]
@@ -535,17 +598,18 @@ def set_criterion(probs, score, mask, rows, onehot, iou, gt, sizes, weights, eps
                      1.0 / n * (1.0 - num / den).sum() + 0.0]
     w_cls, w_score, w_bce, w_dice = weights
     total = (w_cls * parts[0] + w_score * parts[1]) + (w_bce * parts[2] + w_dice * parts[3]) + 0.0
+    pn, sn, mn, mshape = probs.node, score.node, mask.node, mask.shape
 
     def push(g):
         g = g[0, 0]
-        probs._take(np.full(probs.shape, g * w_cls * (-1.0 / k)) * onehot / c * inside)
+        pn._take(np.full(c.shape, g * w_cls * (-1.0 / k)) * onehot / c * inside)
         if n:
             d = np.full((n, 1), g * w_score * (1.0 / n)) * diff
-            score._take(scatter_add(_row_keys(rows, 1), d + d, k, 1))
+            sn._take(scatter_add(_row_keys(rows, 1), d + d, k, 1))
             gq = np.full((n, 1), g * w_dice * (1.0 / n)) * -1.0
             gm = gq / den * (2.0 * sizes * gt) + -gq * num / (den * den) * sizes
             gm += bce_grad(g * w_bce * (-1.0 / n))
-            mask._take(scatter_add(_row_keys(rows, mask.shape[1]), gm, *mask.shape))
+            mn._take(scatter_add(_row_keys(rows, mshape[1]), gm, *mshape))
 
     return Tensor([[total]], (probs, score, mask) if n else (probs,), push), tuple(map(float, parts))
 

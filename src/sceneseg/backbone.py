@@ -119,7 +119,8 @@ class Backbone:
             x = self.up[i](ad.concat_cols([feats[i], ad.gather_rows(x, layout.maps[i][0])]))
 
         # nothing reads the concat's inputs after it, nor the concat after the
-        # head: dropped there, an untaped pass peaks at four N x C arrays, not five
+        # head but the head's push: dropped there, a taped pass frees the inputs
+        # too, and an untaped pass peaks at four N x C arrays, not five
         out = ad.concat_cols([point_emb, ad.gather_rows(x, layout.p2v)])
         del point_emb, feats, x
         out = self.head(out)

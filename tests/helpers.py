@@ -665,6 +665,11 @@ def composed_set_criterion(
     return total, tuple(float(t.value[0, 0]) for t in parts)
 
 
+def nodes_of(*tensors):
+    """The tape nodes of the given tensors, as an op's node holds its parents."""
+    return tuple(t.node for t in tensors)
+
+
 def shared_grads(nodes):
     """Pairs of distinct nodes whose .grad arrays share memory."""
     spans = sorted(
@@ -695,7 +700,7 @@ def backward_keep_tape(loss):
 
 
 def take_copy(node, g):
-    """Tensor._take that keeps a copy of g, never g itself: a stand-in for
+    """Node._take that keeps a copy of g, never g itself: a stand-in for
     `_take` that shows a kept gradient gives the bytes of a copied one."""
     if node.grad is None:
         node.grad = np.array(g, dtype=np.float64)

@@ -49,7 +49,12 @@ def test_install_counts_one_default_step_and_undo_restores():
 
     counts = {name: n for (_, name), n in rec.counts.items()}
     assert counts["autodiff.tape_nodes"] == 446
-    assert sum(s.tensors for s in rec.spans if s.name == "decoder.forward") == 123
+    # the tensors each layer's spans create, as the per-layer tape_nodes metrics sum them
+    made = dict.fromkeys(spans.TAPE_LAYER.values(), 0)
+    for s in rec.spans:
+        if s.name in spans.TAPE_LAYER:
+            made[spans.TAPE_LAYER[s.name]] += s.tensors
+    assert made == {"backbone.tape_nodes": 19, "aggregation.tape_nodes": 18, "decoder.tape_nodes": 123}
     assert counts["aggregation.keypoints"] > 0
     assert counts["kernels.min_sq_dist_calls"] == counts["aggregation.keypoints"]  # one per pick
     assert "decoder.fallback_rows" in counts

@@ -770,7 +770,7 @@ class TestFit:
         fused = self.train_small()
         monkeypatch.setattr(ad, "linear", composed_linear)
         monkeypatch.setattr(ad, "weighted_bce", composed_weighted_bce)
-        monkeypatch.setattr(ad.Tensor, "_take", take_copy)
+        monkeypatch.setattr(ad.Node, "_take", take_copy)
         assert self.train_small() == fused
 
     def test_linear_relu_trains_like_composed_chain(self, monkeypatch):
