@@ -152,6 +152,10 @@ VERDICTS = {
     "BENCH_23.json": {EVERY: "within bound"},
     "BENCH_24.json": {EVERY: "within bound"},
     "BENCH_25.json": {EVERY: "within bound"},
+    "BENCH_26.json": {
+        ("train-cluttered", "setup_s"): "unresolved",
+        ("predict-dense", "setup_s"): "unresolved",
+    },
 }
 
 
