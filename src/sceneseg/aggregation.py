@@ -68,8 +68,8 @@ def iterative_candidate_sample(positions, f, beta, k_cand, rq) -> CandidateSet:
     are finite (SegModel.prepare refuses the rest): no distance is NaN, and
     the running minimum keeps each -inf. The picks go to ad.structure_trace.
     """
-    # contiguous once here, so min_sq_dist_to_set copies nothing per pick
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    # column-major once here, so each pick's distance row reads contiguous columns
+    positions = np.asfortranarray(positions, dtype=np.float64)
     f = np.asarray(f).ravel()
     ok = eligible_points(f, beta)
     score = np.where(ok, f, -np.inf)

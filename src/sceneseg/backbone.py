@@ -35,9 +35,10 @@ class BackboneConfig:
 def canonical_order(points):
     """np.lexsort(points.T[::-1]) for points without NaN (SegModel.prepare
     refuses them): rows ordered by x, then y, z, r, g, b, then index. One
-    stable argsort on x; only the rows whose x ties are lexsorted, keyed by
-    their tie run first, so each run stays where the argsort put it."""
-    order = np.argsort(points[:, 0], kind="stable")
+    argsort (introsort) on x; only the rows whose x ties are lexsorted, keyed
+    by their tie run first and their row index last, so each run comes out in
+    lexsort order whatever order the argsort left it in."""
+    order = np.argsort(points[:, 0])
     sx = points[order, 0]
     tied = np.concatenate([[False], sx[1:] == sx[:-1], [False]])  # sorted rows i - 1, i tie
     if tied.any():
@@ -45,7 +46,7 @@ def canonical_order(points):
         run = np.cumsum(~tied[:-1])[at]
         rows = order[at]
         keys = points[rows, 1:].T[::-1]
-        order[at] = rows[np.lexsort((*keys, run))]
+        order[at] = rows[np.lexsort((rows, *keys, run))]
     return order
 
 

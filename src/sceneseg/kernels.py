@@ -24,8 +24,10 @@ def _sq_dists(positions, center):
 
 
 def min_sq_dist_to_set(positions, indices):
-    """Per-point squared distance to the closest of the listed points."""
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    """Per-point squared distance to the closest of the listed points. The
+    positions keep the layout they come in: a column-major array gives
+    contiguous columns to every row."""
+    positions = np.asarray(positions, dtype=np.float64)
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) == 0:
         return np.full(positions.shape[0], np.inf)
@@ -41,7 +43,7 @@ def sphere_query_lists(keypoints, positions, r, cap):
     if r <= 0:
         raise ContractError("sphere_query radius must be positive")
     keypoints = np.ascontiguousarray(keypoints, dtype=np.float64).reshape(-1, 3)
-    positions = np.ascontiguousarray(positions, dtype=np.float64)
+    positions = np.asfortranarray(positions, dtype=np.float64)  # contiguous columns for every row
     try:
         r2 = float(r) ** 2
     except OverflowError:  # every point is in range; the cap keeps the nearest

@@ -253,7 +253,8 @@ _PLY_CHUNK = 4096  # rows formatted per write; bounds the text held in memory
 _EXACT_LIMIT = 2.0**52 / 1e8  # keeps |x| * 1e8 below 2**52, where p - rint(p) is exact
 _INT_LIMIT = 10**8  # eight digits, the width of a float field's integer part
 _SPLIT = 2.0**27 + 1  # Veltkamp's splitter for a double
-_PAIRS = np.frombuffer("".join(f"{k:02d}" for k in range(100)).encode(), np.uint16)  # "00".."99"
+# "0000".."9999", each as the uint32 of its four ASCII bytes
+_QUADS = np.frombuffer("".join(f"{k:04d}" for k in range(10_000)).encode(), "<u4").astype(np.uint64)
 _TENS = 10 ** np.arange(1, 8)  # n >= 10**k has k + 1 digits
 # _KEEP[k] as 8 bytes: k zero bytes, then 8 - k bytes of ones
 _KEEP = np.array([np.uint8([0] * k + [255] * (8 - k)).view(np.uint64)[0] for k in range(8)])
@@ -274,34 +275,34 @@ def _fixed8(x):
     return r.astype(np.int64) + ((tie == 0.5) & (e > 0)) - ((tie == -0.5) & (e < 0))
 
 
-def _digits(n):
-    """The eight ASCII digits of each n in [0, 1e8), from the two-digit table."""
-    hi, lo = np.divmod(n.astype(np.uint32), 10_000)
-    return _PAIRS.take(np.stack([hi // 100, hi % 100, lo // 100, lo % 100], -1)).view(np.uint8)
+def _eight(n):
+    """The eight ASCII digits of each n in [0, 1e8) as the uint64 of those
+    bytes, from the four-digit table."""
+    hi, lo = np.divmod(n, 10_000)
+    return _QUADS[hi] | (_QUADS[lo] << 32)
 
 
-def _significant(n):
-    """_digits with NUL for each leading zero, as %d writes none."""
-    lead = 7 - np.searchsorted(_TENS, n, side="right")
-    return (_digits(n).view(np.uint64) & _KEEP[lead][..., None]).view(np.uint8)
+# one field: sign, the whole part's eight digits, point, eight fraction digits, separator
+_RECORD = np.dtype([("sign", "u1"), ("whole", "<u8"), ("point", "u1"), ("frac", "<u8"), ("sep", "u1")])
 
 
 def _exact_rows(floats, ints):
     """Rows of `%.8f` fields for the float columns then `%d` fields for the
-    int columns, space-separated: each field is rendered NUL-padded to a
-    fixed width of sign, 8 digits, point, 8 digits and separator, and one
-    mask drops the padding."""
+    int columns, space-separated: each field is rendered into a packed
+    _RECORD, NUL where %-formatting writes nothing (a plus sign, the whole
+    part's leading zeros, an int's point and fraction), and one translate
+    drops the NULs."""
     nf = floats.shape[1]
     units = _fixed8(floats)
     whole = np.concatenate([units // 10**8, np.abs(ints)], axis=1)
-    buf = np.zeros(whole.shape + (19,), np.uint8)
-    buf[..., 0] = np.concatenate([np.signbit(floats), ints < 0], axis=1) * ord("-")
-    buf[..., 1:9] = _significant(whole)
-    buf[:, :nf, 9] = ord(".")
-    buf[:, :nf, 10:18] = _digits(units % 10**8)
-    buf[..., 18] = ord(" ")
-    buf[:, -1, 18] = ord("\n")
-    return buf[buf != 0].tobytes()
+    rec = np.zeros(whole.shape, _RECORD)
+    rec["sign"] = np.concatenate([np.signbit(floats), ints < 0], axis=1) * ord("-")
+    rec["whole"] = _eight(whole) & _KEEP[7 - np.searchsorted(_TENS, whole, side="right")]
+    rec["point"][:, :nf] = ord(".")
+    rec["frac"][:, :nf] = _eight(units % 10**8)
+    rec["sep"] = ord(" ")
+    rec["sep"][:, -1] = ord("\n")
+    return rec.tobytes().translate(None, b"\0")
 
 
 def _percent_rows(floats, ints):
