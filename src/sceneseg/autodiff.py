@@ -168,7 +168,13 @@ class Tensor:
 
 
 def constant(value):
-    """Wrap an array as a leaf that receives no gradient."""
+    """Wrap an array as a leaf: no parents and no push, like a parameter.
+    Nothing stops its gradient: a push that reads a constant hands it one as
+    it would any parent, so after `backward` through
+    `linear(constant(x), w, b)` the constant's `.grad` is g @ w.T. The
+    backbone's embed0 push computes that N x 6 gradient into `point_in`'s
+    node; nothing reads it, and it is freed once `backward` has walked past
+    the node."""
     return Tensor(value)
 
 

@@ -1,6 +1,10 @@
 """Geometric hot loops: distance rows and sphere queries.
 
 Pure numpy, one distance row per step; ties always go to the lowest index.
+A row reads the three coordinate columns of every point, which are
+contiguous only in a column-major array: the sampler makes its positions
+column-major once, and `sphere_query_lists` once per call. The layout moves
+no value, since `_sq_dists` does the same arithmetic on any layout.
 """
 
 from __future__ import annotations

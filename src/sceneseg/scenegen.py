@@ -294,7 +294,7 @@ def _exact_rows(floats, ints):
     drops the NULs."""
     nf = floats.shape[1]
     units = _fixed8(floats)
-    whole = np.concatenate([units // 10**8, np.abs(ints)], axis=1)
+    whole = np.abs(np.concatenate([units // 10**8, ints], axis=1))  # abs after widening to int64
     rec = np.zeros(whole.shape, _RECORD)
     rec["sign"] = np.concatenate([np.signbit(floats), ints < 0], axis=1) * ord("-")
     rec["whole"] = _eight(whole) & _KEEP[7 - np.searchsorted(_TENS, whole, side="right")]

@@ -936,11 +936,12 @@ class TestAddLayerNorm:
             assert rel_err(t.grad, fd) < 1e-6
 
 
-def default_step():
-    """The loss report of one training step on the seed-1 default scene 0."""
+def default_step(spec=None):
+    """The loss report of one training step on the seed-1 scene 0, a
+    default room unless `spec` says otherwise."""
     cfg = config.RunConfig()
     m = SegModel(config.model_config(cfg))
-    prep = m.prepare(scenegen.generate_scene(seed_for(1, "scene0"), scenegen.SceneSpec()))
+    prep = m.prepare(scenegen.generate_scene(seed_for(1, "scene0"), spec or scenegen.SceneSpec()))
     return training.scene_loss(m, prep, config.train_config(cfg))
 
 
@@ -1094,10 +1095,15 @@ class TestTapeLifetime:
         ad.backward(report.total_tensor)
         assert ad._toposort(report.total_tensor) == [report.total_tensor.node]
 
-    def test_backward_peak_is_the_forward_tape(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [scenegen.SceneSpec(), scenegen.SceneSpec(n_objects=16, n_points=8000, room_extent=8.0)],
+        ids=["default", "cluttered"],
+    )
+    def test_backward_peak_is_the_forward_tape(self, spec):
         tracemalloc.start()
         try:
-            root = default_step().total_tensor
+            root = default_step(spec).total_tensor
             tracemalloc.reset_peak()
             start, _ = tracemalloc.get_traced_memory()
             ad.backward(root)

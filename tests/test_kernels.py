@@ -149,3 +149,41 @@ class TestDistanceRows:
     def test_min_sq_dist_to_no_point_is_inf(self):
         got = kernels.min_sq_dist_to_set(np.zeros((3, 3)), np.zeros(0, dtype=np.int64))
         np.testing.assert_array_equal(got, np.full(3, np.inf))
+
+
+def layouts(pos):
+    """pos as a C-ordered array, a Fortran-ordered array and a strided view
+    into a wider buffer, each holding the same values."""
+    wide = np.zeros((2 * len(pos), 7))
+    wide[::2, 1::2] = pos
+    return [np.ascontiguousarray(pos), np.asfortranarray(pos), wide[::2, 1::2]]
+
+
+class TestLayout:
+    """The distance rows read columns in whatever layout they are given; no
+    value or pick depends on it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_sets(), st.sampled_from([0.3, 0.75, 1e200]), st.integers(1, 6))
+    def test_distance_rows_same_bytes_in_every_layout(self, case, r, cap):
+        """One index and several; grid positions tie at the cap, and
+        1e200 ** 2 overflows."""
+        pos, idx = case
+        keys = pos[idx] if len(idx) else pos[:1]
+        results = []
+        for p in layouts(pos):
+            rows = [kernels.min_sq_dist_to_set(p, idx[:1]), kernels.min_sq_dist_to_set(p, idx)]
+            groups = kernels.sphere_query_lists(keys, p, r, cap)
+            results.append([a.tobytes() for a in rows] + [g.tobytes() for g in groups])
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 1.0]))
+    def test_sampler_same_picks_in_every_layout(self, case, seed, rq):
+        pos, _ = case
+        f = np.random.default_rng(seed).uniform(size=len(pos))
+        picks = [
+            aggregation.iterative_candidate_sample(p, f, 0.3, 8, rq).indices.tobytes()
+            for p in layouts(pos)
+        ]
+        assert picks[1] == picks[0] and picks[2] == picks[0]

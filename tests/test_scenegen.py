@@ -310,6 +310,15 @@ class TestPly:
         write_ply_loop(tmp_path / "loop.ply", scene)
         assert (tmp_path / "fast.ply").read_bytes() == (tmp_path / "loop.ply").read_bytes()
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+    def test_narrow_labels_at_their_minimum_match_percent_formatting(self, dtype):
+        """abs of a narrow signed type's minimum overflows in that type; the
+        labels are widened before the renderer takes their size."""
+        ints = np.array([[np.iinfo(dtype).min, -1], [0, np.iinfo(dtype).max]], dtype)
+        fh = io.BytesIO()
+        scenegen._write_rows(fh, np.zeros((2, 1)), ints)
+        assert fh.getvalue() == b"".join(b"%.8f %d %d\n" % (0.0, *row) for row in ints.tolist())
+
     @pytest.mark.parametrize("label", [0, -(10**9), 2**62])
     def test_labels_match_loop_oracle(self, tmp_path, label):
         n = 2 * scenegen._PLY_CHUNK + 17
