@@ -1095,22 +1095,20 @@ class TestTapeLifetime:
         ad.backward(report.total_tensor)
         assert ad._toposort(report.total_tensor) == [report.total_tensor.node]
 
-    @pytest.mark.parametrize(
-        "spec",
-        [scenegen.SceneSpec(), scenegen.SceneSpec(n_objects=16, n_points=8000, room_extent=8.0)],
-        ids=["default", "cluttered"],
-    )
-    def test_backward_peak_is_the_forward_tape(self, spec):
-        tracemalloc.start()
-        try:
-            root = default_step(spec).total_tensor
-            tracemalloc.reset_peak()
-            start, _ = tracemalloc.get_traced_memory()
-            ad.backward(root)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.05 * start
+    def test_backward_peak_is_the_forward_tape(self):
+        """On the default room and on a cluttered one (16 objects, 8,000
+        points), the backward peaks within 5% of the tape it starts from."""
+        for spec in [scenegen.SceneSpec(), scenegen.SceneSpec(n_objects=16, n_points=8000, room_extent=8.0)]:
+            tracemalloc.start()
+            try:
+                root = default_step(spec).total_tensor
+                tracemalloc.reset_peak()
+                start, _ = tracemalloc.get_traced_memory()
+                ad.backward(root)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.05 * start, spec
 
     def test_second_backward_raises(self):
         x = ad.Tensor([[0.5, -1.0]])
